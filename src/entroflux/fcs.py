@@ -1,20 +1,25 @@
 """Two-time counting statistics and the relative modular operator.
 
-The counting measure P_t comes from projectively measuring the entropy
-observable S0 = -log w0 before and after the evolution: an outcome pair
-(lam, lam') occurs with probability tr(exp(-itH) w0 P_lam exp(itH) P_lam')
-and contributes the rate atom (lam' - lam) / t.
+Both measures are read off one spectral datum per (system, t): the
+reference spectrum w0 = V diag(nu) V* and the overlap O = V* exp(-itH) V
+(``QuantumSystem.overlap``).  With S = -log nu the eigenvalues of the
+entropy observable S0 = -log w0:
 
-The modular measure Q_t is the spectral measure, at the vector w0^(1/2), of
--(1/t) log Delta, where Delta(A) = w_t A w0^(-1) is the relative modular
-operator of the evolved state against the reference.  Its n^2 eigenvalues
-are known in closed form from the spectra of w_t and w0, so no operator on
-operator space is ever materialized.  For time-reversal invariant systems
-the two measures coincide.
+* The counting measure P_t comes from projectively measuring S0 before and
+  after the evolution.  The jump from reference eigenvector i to j has
+  probability nu_i |O_ji|^2 and contributes the rate atom (S_j - S_i) / t.
+* The modular measure Q_t is the spectral measure, at the vector w0^(1/2),
+  of -(1/t) log Delta, where Delta(A) = w_t A w0^(-1) is the relative
+  modular operator of the evolved state against the reference.  Its
+  eigenoperators pair the evolved eigenvector i with the reference
+  eigenvector j, which gives weight nu_j |O_ji|^2 at atom (S_i - S_j) / t.
+  No operator on operator space is ever materialized.
+
+Degenerate levels need no grouping: pairs with equal atoms merge when the
+measure is built, and the merged weight is the projector-pair trace.  For
+time-reversal invariant systems the two measures coincide.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,93 +30,27 @@ from .quantum import (
     DensityMatrix,
     HermitianOperator,
     QuantumSystem,
-    entropy_observable,
     matrix_power,
 )
 
-PROJECTOR_ATOL = 1e-10
-GROUPING_RTOL = 1e-10
 IDENTITY_ATOL = 1e-10
-NEGATIVE_WEIGHT_ATOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectionFamily:
-    """Spectral projectors of a Hermitian matrix, one per distinct eigenvalue."""
-
-    eigenvalues: np.ndarray
-    projectors: np.ndarray   # stacked (k, n, n)
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float).ravel()
-        projs = np.asarray(self.projectors, dtype=complex)
-        if projs.ndim != 3 or projs.shape[0] != lam.size:
-            raise ValueError("projectors must be stacked per eigenvalue")
-        if lam.size > 1 and np.any(np.diff(lam) <= 0):
-            raise ValueError("eigenvalues must be strictly increasing")
-        dim = projs.shape[1]
-        ident = np.eye(dim)
-        if np.abs(projs.sum(axis=0) - ident).max() > PROJECTOR_ATOL:
-            raise NumericalDomainError("projectors do not resolve the identity")
-        for i, p in enumerate(projs):
-            if np.abs(p - p.conj().T).max() > PROJECTOR_ATOL:
-                raise NumericalDomainError(f"projector {i} is not Hermitian")
-            if np.abs(p @ p - p).max() > PROJECTOR_ATOL:
-                raise NumericalDomainError(f"projector {i} is not idempotent")
-            for j in range(i):
-                if np.abs(projs[j] @ p).max() > PROJECTOR_ATOL:
-                    raise NumericalDomainError(
-                        f"projectors {j} and {i} are not orthogonal"
-                    )
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "projectors", projs)
-
-    def __len__(self) -> int:
-        return self.eigenvalues.size
-
-
-def spectral_resolution(operator, tol: float = GROUPING_RTOL) -> ProjectionFamily:
-    """Group the spectrum of a Hermitian matrix into distinct eigenvalues.
-
-    Consecutive eigenvalues whose gap is below ``tol`` times max(1, |lam|max)
-    share one projector; each group's eigenvalue is the mean of its members.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    from .quantum import eig
-    dec = eig(operator)
-    lam = dec.eigenvalues
-    scale = max(1.0, float(np.abs(lam).max()))
-    boundaries = np.flatnonzero(np.diff(lam) > tol * scale)
-    starts = np.concatenate(([0], boundaries + 1))
-    stops = np.concatenate((boundaries + 1, [lam.size]))
-    values = []
-    projectors = []
-    for lo, hi in zip(starts, stops):
-        vecs = dec.eigenvectors[:, lo:hi]
-        values.append(lam[lo:hi].mean())
-        projectors.append(vecs @ vecs.conj().T)
-    return ProjectionFamily(np.array(values), np.array(projectors))
+def _overlap_route(system: QuantumSystem, t: float):
+    """Reference spectrum nu, rate jumps (S_j - S_i) / t and |O_ji|^2, indexed [j, i]."""
+    if t <= 0:
+        raise ValueError(f"counting time must be positive, got {t}")
+    nu = system.reference_eig().eigenvalues
+    entropy = -np.log(nu)
+    jumps = (entropy[:, None] - entropy[None, :]) / t
+    return nu, jumps, np.abs(system.overlap(t)) ** 2
 
 
 def fcs_distribution(system: QuantumSystem, t: float) -> SpectralMeasure:
     """Two-time counting measure of the entropy observable over [0, t]."""
-    if t <= 0:
-        raise ValueError(f"counting time must be positive, got {t}")
-    family = spectral_resolution(entropy_observable(system))
-    u = system.propagator(t)           # exp(-itH)
-    w0 = system.reference_state.matrix
-    atoms = []
-    weights = []
-    for i, lam in enumerate(family.eigenvalues):
-        first = u @ w0 @ family.projectors[i] @ u.conj().T
-        for j, lam_prime in enumerate(family.eigenvalues):
-            w = float(np.trace(first @ family.projectors[j]).real)
-            if w < -NEGATIVE_WEIGHT_ATOL:
-                raise NumericalDomainError(f"negative transition weight {w:.3e}")
-            atoms.append((lam_prime - lam) / t)
-            weights.append(max(w, 0.0))
-    return build_measure(atoms, weights, total=1.0, tol=ATOM_TOL, drop=WEIGHT_DROP)
+    nu, jumps, transition = _overlap_route(system, t)
+    return build_measure(jumps, transition * nu[None, :], total=1.0,
+                         tol=ATOM_TOL, drop=WEIGHT_DROP)
 
 
 def fcs_cgf(measure: SpectralMeasure, alpha: float, t: float) -> float:
@@ -148,24 +87,14 @@ def modular_spectral_measure(system: QuantumSystem, t: float,
                              check_identity: bool = True) -> SpectralMeasure:
     """Spectral measure Q_t of -(1/t) log Delta at the vector w0^(1/2).
 
-    The atoms are -(1/t) log(mu_i / nu_j) over eigenvalue pairs of the
-    evolved and reference states; the weight of a pair is nu_j times the
-    squared overlap of the corresponding eigenvectors.  With
+    The atoms are (S_i - S_j) / t over pairs of evolved and reference
+    eigenvectors; the weight of a pair is nu_j |O_ji|^2.  With
     ``check_identity`` the measure is compared against the counting measure
     P_t, a coincidence that holds for time-reversal invariant dynamics.
     """
-    if t <= 0:
-        raise ValueError(f"counting time must be positive, got {t}")
-    evolved = system.schrodinger_reference_eig(t)
-    reference = system.reference_eig()
-    mu = evolved.eigenvalues
-    nu = reference.eigenvalues
-    overlaps = np.abs(evolved.eigenvectors.conj().T @ reference.eigenvectors) ** 2
-    log_mu = np.log(mu)
-    log_nu = np.log(nu)
-    atoms = (-(log_mu[:, None] - log_nu[None, :]) / t).ravel()
-    weights = (overlaps * nu[None, :]).ravel()
-    measure = build_measure(atoms, weights, total=1.0, tol=ATOM_TOL, drop=WEIGHT_DROP)
+    nu, jumps, transition = _overlap_route(system, t)
+    measure = build_measure(-jumps, transition * nu[:, None], total=1.0,
+                            tol=ATOM_TOL, drop=WEIGHT_DROP)
     if check_identity:
         counting = fcs_distribution(system, t)
         distance = total_variation(measure, counting)

@@ -9,11 +9,20 @@ evolution of the entropy observable, together with its p -> oo limit
 
     e_[oo,t](alpha) = log tr(exp((1-alpha) log w0 + alpha log m_t)).
 
-Numerically the finite-p trace is evaluated through the singular values of
-m_t^(alpha/p) w0^((1-alpha)/p); the two forms are identical because the
-bracket is the Gram matrix of that product.  The family is convex in alpha,
-vanishes at alpha in {0, 1}, decreases in p, and for time-reversal invariant
-systems obeys e(alpha) = e(1 - alpha).
+Both are evaluated in the reference eigenbasis.  With w0 = V diag(nu) V*,
+m_t has the same spectrum nu and eigenvectors exp(itH) V, so every product
+of functions of m_t and w0 reduces to the overlap O = V* exp(-itH) V
+(``QuantumSystem.overlap``):
+
+* finite p: the bracket is the Gram matrix of m_t^(alpha/p) w0^((1-alpha)/p),
+  whose singular values are those of
+  diag(nu^(alpha/p)) O diag(nu^((1-alpha)/p));
+* p = oo: the exponent is unitarily equivalent to
+  (1-alpha) diag(log nu) + alpha O* diag(log nu) O, whose eigenvalues enter
+  a log-sum-exp.
+
+The family is convex in alpha, vanishes at alpha in {0, 1}, decreases in p,
+and for time-reversal invariant systems obeys e(alpha) = e(1 - alpha).
 """
 from __future__ import annotations
 
@@ -90,16 +99,15 @@ def _validate_p(p: float) -> float:
 def functional(system: QuantumSystem, p: float, alpha: float, t: float) -> float:
     """The entropic functional e_[p,t](alpha); ``p`` may be ``math.inf``."""
     p = _validate_p(p)
-    w_dec = system.reference_eig()
-    m_dec = system.heisenberg_reference_eig(t)
+    nu = np.maximum(system.reference_eig().eigenvalues, EIGENVALUE_CLAMP)
+    overlap = system.overlap(t)
     if math.isinf(p):
-        logw = np.log(np.maximum(w_dec.eigenvalues, EIGENVALUE_CLAMP))
-        logm = np.log(np.maximum(m_dec.eigenvalues, EIGENVALUE_CLAMP))
-        combined = ((1.0 - alpha) * (w_dec.eigenvectors * logw) @ w_dec.eigenvectors.conj().T
-                    + alpha * (m_dec.eigenvectors * logm) @ m_dec.eigenvectors.conj().T)
+        logw = np.log(nu)
+        combined = ((1.0 - alpha) * np.diag(logw)
+                    + alpha * (overlap.conj().T * logw) @ overlap)
         lam = np.linalg.eigvalsh((combined + combined.conj().T) / 2.0)
         return _logsumexp(lam)
-    y = _clamped_power(m_dec, alpha / p) @ _clamped_power(w_dec, (1.0 - alpha) / p)
+    y = (nu ** (alpha / p))[:, None] * overlap * nu ** ((1.0 - alpha) / p)
     singulars = np.linalg.svd(y, compute_uv=False)
     singulars = np.maximum(singulars, EIGENVALUE_CLAMP)
     return _logsumexp(p * np.log(singulars))

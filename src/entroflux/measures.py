@@ -53,8 +53,36 @@ class SpectralMeasure:
 
     def mass_at(self, value: float, tol: float = ATOM_TOL) -> float:
         """Total weight carried by atoms within ``tol`` of ``value``."""
-        sel = np.abs(self.atoms - value) <= tol
-        return float(self.weights[sel].sum())
+        return float(_masses_near(self, np.array([value], dtype=float), tol)[0])
+
+
+def _masses_near(measure: SpectralMeasure, values: np.ndarray,
+                 tol: float) -> np.ndarray:
+    """Weight of the atoms a with |a - v| <= tol, for every v in ``values``.
+
+    Each window is found by binary search on v -+ tol.  Those keys round
+    differently from a - v, so each edge is then stepped onto the predicate
+    itself; the predicate is monotone along the sorted atoms, so an edge only
+    ever moves one way.  Windows are summed directly, because differences of
+    a running total would cost a small mass its relative precision.
+    """
+    atoms = measure.atoms
+    last = atoms.size - 1
+
+    def edge(start, below):
+        k = start
+        while True:
+            left = (k > 0) & ~below(atoms[np.maximum(k - 1, 0)] - values)
+            right = (k <= last) & below(atoms[np.minimum(k, last)] - values)
+            if not (left.any() or right.any()):
+                return k
+            k = k - left + right
+
+    lo = edge(np.searchsorted(atoms, values - tol, "left"), lambda gap: gap < -tol)
+    hi = edge(np.searchsorted(atoms, values + tol, "right"), lambda gap: gap <= tol)
+    padded = np.append(measure.weights, 0.0)   # so that hi = size is a valid start
+    sums = np.add.reduceat(padded, np.column_stack((lo, hi)).ravel())[::2]
+    return np.where(hi > lo, sums, 0.0)
 
 
 def build_measure(values, weights, total: float = 1.0, tol: float = ATOM_TOL,
@@ -76,18 +104,12 @@ def build_measure(values, weights, total: float = 1.0, tol: float = ATOM_TOL,
     # a group of values produced by one degenerate transition
     boundaries = np.flatnonzero(np.diff(values) > tol)
     starts = np.concatenate(([0], boundaries + 1))
-    stops = np.concatenate((boundaries + 1, [values.size]))
-    atoms = []
-    mass = []
-    for lo, hi in zip(starts, stops):
-        w = weights[lo:hi].sum()
-        if w < drop:
-            continue
-        atoms.append(values[lo:hi].mean())
-        mass.append(w)
-    if not atoms:
+    mass = np.add.reduceat(weights, starts)
+    keep = ~(mass < drop)          # keeps a NaN mass instead of dropping it
+    if not keep.any():
         raise NumericalDomainError("all weights were dropped as numerically zero")
-    return SpectralMeasure(np.array(atoms), np.array(mass), total=total)
+    atoms = np.add.reduceat(values, starts) / np.diff(np.append(starts, values.size))
+    return SpectralMeasure(atoms[keep], mass[keep], total=total)
 
 
 def total_variation(first: SpectralMeasure, second: SpectralMeasure,
@@ -96,15 +118,19 @@ def total_variation(first: SpectralMeasure, second: SpectralMeasure,
     merged = np.sort(np.concatenate((first.atoms, second.atoms)))
     keep = np.concatenate(([True], np.diff(merged) > tol))
     points = merged[keep]
-    dev = [abs(first.mass_at(x, tol) - second.mass_at(x, tol)) for x in points]
+    dev = np.abs(_masses_near(first, points, tol) - _masses_near(second, points, tol))
     return 0.5 * float(np.sum(dev))
 
 
 def fluctuation_symmetry_residual(measure: SpectralMeasure, t: float,
                                   tol: float = ATOM_TOL) -> float:
-    """Largest violation of m(-a) = exp(-t a) * m(a) over the measure's atoms."""
-    res = 0.0
-    for a in measure.atoms:
-        res = max(res, abs(measure.mass_at(-a, tol)
-                           - np.exp(-t * a) * measure.mass_at(a, tol)))
-    return res
+    """Largest violation of m(-a) = exp(-t a) * m(a) over the measure's atoms.
+
+    Where exp(-t a) overflows against a zero mass the term is NaN and is
+    skipped.
+    """
+    atoms = measure.atoms
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.abs(_masses_near(measure, -atoms, tol)
+                      - np.exp(-t * atoms) * _masses_near(measure, atoms, tol))
+    return float(np.fmax.reduce(gaps, initial=0.0))

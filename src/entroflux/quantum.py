@@ -131,15 +131,6 @@ def eig(operator) -> SpectralDecomposition:
     return dec
 
 
-def matrix_function(operator, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum."""
-    dec = operator if isinstance(operator, SpectralDecomposition) else eig(operator)
-    result = dec.apply(f)
-    if not np.all(np.isfinite(result)):
-        raise NumericalDomainError("matrix function produced non-finite entries")
-    return result
-
-
 def matrix_log(operator) -> np.ndarray:
     dec = operator if isinstance(operator, SpectralDecomposition) else eig(operator)
     if dec.eigenvalues[0] <= 0.0:
@@ -227,14 +218,30 @@ class QuantumSystem:
             self._memo[key] = dec.apply(lambda lam: np.exp(-1j * t * lam))
         return self._memo[key]
 
-    def heisenberg_reference_eig(self, t: float) -> SpectralDecomposition:
-        """Eigendecomposition of exp(itH) w0 exp(-itH) = exp(-S_t)."""
-        key = ("m", float(t))
+    def overlap(self, t: float) -> np.ndarray:
+        """O(t) = V* exp(-itH) V, the propagator in the reference eigenbasis.
+
+        Entry O_ji is the amplitude for the reference eigenvector v_i to
+        arrive at v_j after time t.  Counting statistics, the modular
+        measure and the functionals are all read off this matrix and the
+        reference spectrum.
+        """
+        key = ("o", float(t))
         if key not in self._memo:
-            u = self.propagator(-t)
-            mat = u @ self.reference_state.matrix @ u.conj().T
-            self._memo[key] = eig((mat + mat.conj().T) / 2.0)
+            vecs = self.reference_eig().eigenvectors
+            self._memo[key] = vecs.conj().T @ self.propagator(t) @ vecs
         return self._memo[key]
+
+    def heisenberg_reference_eig(self, t: float) -> SpectralDecomposition:
+        """Eigendecomposition of exp(itH) w0 exp(-itH) = exp(-S_t).
+
+        Conjugation keeps the spectrum of w0 and carries its eigenvectors
+        along, so no second diagonalization is needed; degenerate
+        eigenvalues of w0 stay exactly degenerate.
+        """
+        ref = self.reference_eig()
+        return SpectralDecomposition(ref.eigenvalues,
+                                     self.propagator(-t) @ ref.eigenvectors)
 
     def schrodinger_reference_eig(self, t: float) -> SpectralDecomposition:
         """Eigendecomposition of exp(-itH) w0 exp(itH)."""

@@ -408,7 +408,7 @@ def fcs_checks(system_id: str, system: qm.QuantumSystem, tol: dict,
         pairing = float(np.abs(atoms + atoms[::-1]).max()) if len(counting) else 0.0
         out.append(bounded_check("fcs_es_symmetry", system_id, max(es, pairing),
                             tol["tv"]))
-        modular = fc.modular_spectral_measure(system, t)
+        modular = fc.modular_spectral_measure(system, t, check_identity=False)
         out.append(bounded_check("fcs_modular_tv", system_id,
                             ms.total_variation(counting, modular), tol["tv"]))
     else:
@@ -436,8 +436,7 @@ def fcs_checks(system_id: str, system: qm.QuantumSystem, tol: dict,
 
     evolved = system.schrodinger_reference_eig(t)
     reference = system.reference_eig()
-    overlaps = np.abs(evolved.eigenvectors.conj().T @ reference.eigenvectors) ** 2
-    raw = overlaps * reference.eigenvalues[None, :]
+    raw = np.abs(system.overlap(t)) ** 2 * reference.eigenvalues[:, None]
     out.append(bounded_check("fcs_q_weights_nonneg", system_id,
                         max(0.0, -float(raw.min())), 1e-14))
 

@@ -9,7 +9,12 @@ from entroflux import fcs
 from entroflux import functionals as fn
 from entroflux import quantum as qm
 from entroflux.errors import NumericalDomainError
-from entroflux.measures import fluctuation_symmetry_residual, total_variation
+from entroflux.measures import (
+    WEIGHT_DROP,
+    build_measure,
+    fluctuation_symmetry_residual,
+    total_variation,
+)
 from entroflux.models import canonical_model, random_system
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -151,27 +156,75 @@ def test_modular_measure_from_root_state_weights():
     assert m.weights.min() >= 0.0
 
 
-def test_spectral_resolution_groups_degenerate_levels():
-    family = fcs.spectral_resolution(np.diag([1.0, 1.0, 2.0]))
-    assert len(family) == 2
-    np.testing.assert_allclose(family.eigenvalues, [1.0, 2.0])
-    np.testing.assert_allclose(family.projectors.sum(axis=0), np.eye(3),
-                               atol=1e-14)
+def _degenerate_system(multiplicities, seed):
+    """Random complex H with w0 = basis diag(nu) basis*, each level of nu
+    repeated as often as ``multiplicities`` says; returns the system, the
+    distinct levels and their spectral projectors."""
+    rng = np.random.default_rng(seed)
+    dim = sum(multiplicities)
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    basis, _ = np.linalg.qr(raw)
+    levels = rng.uniform(0.2, 1.0, size=len(multiplicities))
+    levels /= np.dot(levels, multiplicities)
+    nu = np.repeat(levels, multiplicities)
+    edges = np.cumsum((0,) + tuple(multiplicities))
+    projectors = [basis[:, lo:hi] @ basis[:, lo:hi].conj().T
+                  for lo, hi in zip(edges[:-1], edges[1:])]
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    system = qm.QuantumSystem((h + h.conj().T) / 2,
+                              (basis * nu) @ basis.conj().T)
+    return system, levels, projectors
 
 
-def test_spectral_resolution_projectors_are_orthogonal():
-    h = np.array([[0.0, 1.0], [1.0, 0.0]])
-    family = fcs.spectral_resolution(h)
-    p0, p1 = family.projectors
-    np.testing.assert_allclose(p0 @ p1, np.zeros((2, 2)), atol=1e-14)
-    np.testing.assert_allclose(p0 @ p0, p0, atol=1e-14)
+def _exp_i(h, s):
+    """exp(i s h) for a Hermitian matrix h."""
+    lam, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * s * lam)) @ vecs.conj().T
 
 
-def test_projection_family_validation():
-    good = fcs.spectral_resolution(np.diag([0.0, 1.0]))
-    with pytest.raises(NumericalDomainError):
-        fcs.ProjectionFamily(good.eigenvalues,
-                             np.stack([np.eye(2), np.eye(2)]))
+def _projector_pair_measures(system, levels, projectors, t):
+    """P_t and Q_t summed over pairs of spectral projectors of w0."""
+    u = _exp_i(system.hamiltonian.matrix, -t)
+    entropy = -np.log(levels)
+    p_atoms, p_weights, q_atoms, q_weights = [], [], [], []
+    for i, first in enumerate(projectors):
+        moved = u @ first @ u.conj().T
+        for j, second in enumerate(projectors):
+            overlap = float(np.trace(moved @ second).real)
+            p_atoms.append((entropy[j] - entropy[i]) / t)
+            p_weights.append(levels[i] * overlap)
+            q_atoms.append((entropy[i] - entropy[j]) / t)
+            q_weights.append(levels[j] * overlap)
+    return (build_measure(p_atoms, p_weights, drop=WEIGHT_DROP),
+            build_measure(q_atoms, q_weights, drop=WEIGHT_DROP))
+
+
+DEGENERATE_LEVELS = [(2, 2), (3, 1, 2), (4, 2, 3)]
+
+
+@pytest.mark.parametrize("multiplicities", DEGENERATE_LEVELS)
+def test_counting_and_modular_on_degenerate_reference(multiplicities):
+    system, levels, projectors = _degenerate_system(multiplicities, seed=86)
+    for t in (0.6, 1.7):
+        p_oracle, q_oracle = _projector_pair_measures(system, levels,
+                                                      projectors, t)
+        counting = fcs.fcs_distribution(system, t)
+        modular = fcs.modular_spectral_measure(system, t, check_identity=False)
+        assert total_variation(counting, p_oracle) <= 1e-10
+        assert total_variation(modular, q_oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("multiplicities", DEGENERATE_LEVELS)
+def test_heisenberg_reference_eig_on_degenerate_reference(multiplicities):
+    system, _, _ = _degenerate_system(multiplicities, seed=87)
+    w0 = system.reference_state.matrix
+    for t in (0.8, -2.1):
+        dec = system.heisenberg_reference_eig(t)
+        assert np.array_equal(dec.eigenvalues,
+                              system.reference_eig().eigenvalues)
+        u = _exp_i(system.hamiltonian.matrix, t)
+        np.testing.assert_allclose(dec.reconstruct(), u @ w0 @ u.conj().T,
+                                   rtol=0, atol=1e-10)
 
 
 def test_counting_requires_positive_time():
