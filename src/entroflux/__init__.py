@@ -21,10 +21,8 @@ from .errors import (
 )
 from .fcs import fcs_cgf, fcs_distribution, modular_spectral_measure
 from .functionals import (
-    FunctionalCurve,
     OperatorSpaceElement,
     functional,
-    functional_curve,
     naive_functional,
     transfer_functional,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "ConfigValidationError",
     "DensityMatrix",
     "ExperimentConfig",
-    "FunctionalCurve",
     "HermitianOperator",
     "NumericalDomainError",
     "OperatorSpaceElement",
@@ -76,7 +73,6 @@ __all__ = [
     "fcs_cgf",
     "fcs_distribution",
     "functional",
-    "functional_curve",
     "load_config",
     "mean_ep_expectation",
     "modular_spectral_measure",

@@ -16,8 +16,8 @@ from .errors import NumericalDomainError
 from .measures import SpectralMeasure, build_measure
 
 TRI_ATOL = 1e-12
-ROUTE_ATOL = 1e-12
 VARIATIONAL_SLACK = 1e-10
+_PERTURBATION_TRIALS = 10
 _PERTURBATION_SEED = 1021
 
 
@@ -147,28 +147,14 @@ def _integer_positive_time(t) -> int:
 def mean_ep_observable(system: ClassicalSystem, t: int) -> ClassicalObservable:
     """Mean entropy production rate over ``t`` steps, (S_t - S0) / t.
 
-    The same observable is accumulated a second time from single-step
-    entropy production terms; the two routes must agree to 1e-12.
+    Its telescoped form, the time average of the evolved one-step rate
+    log(w1 / w0), is checked by the ``classical_ep_telescoping`` row of
+    the verification battery.
     """
     tt = _integer_positive_time(t)
     s0 = entropy_observable(system).values
     st = np.roll(s0, -tt)
-    direct = (st - s0) / tt
-
-    # one-step rate sigma = log(w1 / w0); summing its forward evolutes
-    # telescopes to S_t - S0
-    w0 = system.reference_state
-    sigma = np.log(np.roll(w0, 1)) - np.log(w0)
-    acc = np.zeros_like(sigma)
-    for s in range(1, tt + 1):
-        acc += np.roll(sigma, -s)
-    summed = acc / tt
-    gap = np.abs(direct - summed).max()
-    if gap > ROUTE_ATOL:
-        raise NumericalDomainError(
-            f"entropy production routes disagree by {gap:.3e}"
-        )
-    return ClassicalObservable(direct)
+    return ClassicalObservable((st - s0) / tt)
 
 
 def _logsumexp(exponents: np.ndarray) -> float:
@@ -191,17 +177,16 @@ def es_distribution(system: ClassicalSystem, t: int) -> SpectralMeasure:
     return build_measure(sig, system.reference_state, total=1.0)
 
 
-def variational_functional(system: ClassicalSystem, alpha: float, t: int,
-                           trials: int = 10, seed: int = _PERTURBATION_SEED) -> float:
+def variational_functional(system: ClassicalSystem, alpha: float, t: int) -> float:
     """e_t(alpha) as the maximum of rho -> S(rho|w0) - alpha t rho(Sigma_t).
 
     The maximizer is rho* proportional to w0 exp(-alpha t Sigma_t).  The
-    returned value is the objective at rho*; ``trials`` perturbed states are
-    checked to not exceed it beyond 1e-10.
+    returned value is the objective at rho*; ten seeded perturbed states
+    are checked to not exceed it beyond 1e-10.  Its agreement with
+    ``classical_functional`` is the ``classical_identity_fourway`` row of
+    the verification battery.
     """
     tt = _integer_positive_time(t)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     sig = mean_ep_observable(system, tt).values
     logw = np.log(system.reference_state)
     exponents = logw - alpha * tt * sig
@@ -212,8 +197,8 @@ def variational_functional(system: ClassicalSystem, alpha: float, t: int,
         return float(np.sum(rho * (logw - np.log(rho))) - alpha * tt * np.sum(rho * sig))
 
     best = objective(maximizer)
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    rng = np.random.default_rng(_PERTURBATION_SEED)
+    for _ in range(_PERTURBATION_TRIALS):
         jitter = rng.dirichlet(np.ones(system.size))
         rho = 0.8 * maximizer + 0.2 * jitter
         rho = rho / rho.sum()
@@ -228,17 +213,12 @@ def variational_functional(system: ClassicalSystem, alpha: float, t: int,
 def renyi_identity_check(system: ClassicalSystem, alpha: float, t: int) -> float:
     """Renyi entropy of the evolved reference against the reference.
 
-    Equals e_t(alpha); the agreement is asserted to 1e-12.
+    Equals e_t(alpha); the ``classical_identity_fourway`` row of the
+    verification battery checks the agreement.
     """
     tt = _integer_positive_time(t)
     evolved = evolve_state(system, ClassicalState(system.reference_state), tt)
-    value = renyi_entropy(evolved, ClassicalState(system.reference_state), alpha)
-    direct = classical_functional(system, alpha, tt)
-    if abs(value - direct) > ROUTE_ATOL:
-        raise NumericalDomainError(
-            f"Renyi route differs from the functional by {value - direct:.3e}"
-        )
-    return value
+    return renyi_entropy(evolved, ClassicalState(system.reference_state), alpha)
 
 
 def lp_norm(system: ClassicalSystem, f, p: float) -> float:

@@ -95,16 +95,32 @@ def _core_system(tag: str, obj):
 
 # -- subcommand drivers ---------------------------------------------------
 
+def _classical_curves(curves: ResultTable, system_id: str, system, times,
+                      alphas) -> None:
+    for t in times:
+        for a in alphas:
+            curves.append(system_id, None, float(t), a,
+                          cl.classical_functional(system, a, t))
+
+
+def _es_rows(distributions: ResultTable, system_id: str, system,
+             times) -> list:
+    """ES rows for each t; returns the measures in time order."""
+    measures = [cl.es_distribution(system, t) for t in times]
+    for t, measure in zip(times, measures):
+        for atom, weight in zip(measure.atoms, measure.weights):
+            distributions.append(system_id, float(t), atom, weight, "ES")
+    return measures
+
+
 def run_functionals(cfg: ExperimentConfig) -> dict:
     """One curve row per (system, p, t, alpha); classical rows have empty p."""
     alphas, ps, ts = _sorted_grids(cfg)
     curves = ResultTable(CURVE_COLUMNS)
     for system_id, tag, obj in cfg.build_systems():
         if tag == "classical":
-            for t in _classical_times(cfg):
-                for a in alphas:
-                    curves.append(system_id, None, float(t), a,
-                                  cl.classical_functional(obj, a, t))
+            _classical_curves(curves, system_id, obj, _classical_times(cfg),
+                              alphas)
         else:
             system = _core_system(tag, obj)
             for p in ps:
@@ -124,28 +140,19 @@ def run_fcs(cfg: ExperimentConfig) -> dict:
     checks = ResultTable(CHECK_COLUMNS)
     for system_id, tag, obj in cfg.build_systems():
         if tag == "classical":
-            for t in _classical_times(cfg):
-                measure = cl.es_distribution(obj, t)
-                for atom, weight in zip(measure.atoms, measure.weights):
-                    distributions.append(system_id, float(t), atom, weight, "ES")
-                for a in alphas:
-                    curves.append(system_id, None, float(t), a,
-                                  cl.classical_functional(obj, a, t))
-                res = ms.fluctuation_symmetry_residual(measure, t)
-                if obj.is_tri:
-                    row = vf.bounded_check("es_symmetry", system_id, res,
-                                           tol["tv"])
-                else:
-                    row = vf.expected_violation_check(
-                        "es_symmetry_breaks", system_id, res,
-                        tol["violation_floor"])
-                _check_rows(checks, [row])
+            times = _classical_times(cfg)
+            measures = _es_rows(distributions, system_id, obj, times)
+            _classical_curves(curves, system_id, obj, times, alphas)
+            _check_rows(checks, [
+                vf.tri_check("es_symmetry", system_id,
+                             ms.fluctuation_symmetry_residual(measure, t),
+                             obj.is_tri, tol, "tv")
+                for t, measure in zip(times, measures)])
         else:
             system = _core_system(tag, obj)
             for t in ts:
                 counting = fc.fcs_distribution(system, t)
-                modular = fc.modular_spectral_measure(system, t,
-                                                      check_identity=False)
+                modular = fc.modular_spectral_measure(system, t)
                 for atom, weight in zip(counting.atoms, counting.weights):
                     distributions.append(system_id, t, atom, weight, "P")
                 for atom, weight in zip(modular.atoms, modular.weights):
@@ -153,15 +160,10 @@ def run_fcs(cfg: ExperimentConfig) -> dict:
                 for a in alphas:
                     curves.append(system_id, None, t, a,
                                   fc.fcs_cgf(counting, a, t))
-                tv = ms.total_variation(counting, modular)
-                if system.tri:
-                    row = vf.bounded_check("fcs_tv_distance", system_id, tv,
-                                           tol["tv"])
-                else:
-                    row = vf.expected_violation_check(
-                        "fcs_tv_distance_breaks", system_id, tv,
-                        tol["violation_floor"])
-                _check_rows(checks, [row])
+                _check_rows(checks, [vf.tri_check(
+                    "fcs_tv_distance", system_id,
+                    ms.total_variation(counting, modular), system.tri,
+                    tol, "tv")])
     return {"curves": curves, "distributions": distributions, "checks": checks}
 
 
@@ -176,40 +178,17 @@ def run_classical(cfg: ExperimentConfig) -> dict:
     for system_id, tag, obj in cfg.build_systems():
         if tag != "classical":
             continue
-        for t in times:
-            for a in alphas:
-                curves.append(system_id, None, float(t), a,
-                              cl.classical_functional(obj, a, t))
-            measure = cl.es_distribution(obj, t)
-            for atom, weight in zip(measure.atoms, measure.weights):
-                distributions.append(system_id, float(t), atom, weight, "ES")
-        worst = 0.0
-        for t in times:
-            for a in (-0.5, 0.3, 0.5, 1.2):
-                direct = cl.classical_functional(obj, a, t)
-                transfer = cl.classical_transfer_functional(obj, 2.0, a, t)
-                target = direct if obj.is_tri \
-                    else cl.classical_functional(obj, 1.0 - a, t)
-                worst = max(
-                    worst,
-                    abs(direct - cl.variational_functional(obj, a, t)),
-                    abs(direct - cl.renyi_identity_check(obj, a, t)),
-                    abs(transfer - target),
-                )
-        _check_rows(checks, [vf.bounded_check(
-            "classical_identity_fourway", system_id, worst,
-            tol["classical_identity"])])
-        sym = max(abs(cl.classical_functional(obj, a, times[0])
-                      - cl.classical_functional(obj, 1.0 - a, times[0]))
-                  for a in (-1.0, -0.25, 0.25, 2.0))
-        if obj.is_tri:
-            row = vf.bounded_check("classical_symmetry", system_id, sym,
-                                   tol["symmetry"])
-        else:
-            row = vf.expected_violation_check(
-                "classical_symmetry_breaks", system_id, sym,
-                tol["violation_floor"])
-        _check_rows(checks, [row])
+        _classical_curves(curves, system_id, obj, times, alphas)
+        _es_rows(distributions, system_id, obj, times)
+        fourway = vf.classical_fourway_residual(obj, (-0.5, 0.3, 0.5, 1.2),
+                                                times)
+        sym = vf.classical_symmetry_residual(obj, (-1.0, -0.25, 0.25, 2.0),
+                                             times[:1])
+        _check_rows(checks, [
+            vf.bounded_check("classical_identity_fourway", system_id, fourway,
+                             tol["classical_identity"]),
+            vf.tri_check("classical_symmetry", system_id, sym, obj.is_tri,
+                         tol, "symmetry")])
     return {"curves": curves, "distributions": distributions, "checks": checks}
 
 

@@ -220,6 +220,28 @@ def test_run_fcs_emits_both_measures_and_identity_row():
                for row in check_rows)
 
 
+def test_run_classical_check_rows():
+    cfg = cf.parse_config("""
+systems:
+  - id: palindrome
+    kind: classical
+    weights: [0.2, 0.3, 0.3, 0.2]
+  - id: lopsided
+    kind: classical
+    weights: [0.1, 0.2, 0.3, 0.4]
+sweep:
+  t: [1, 2]
+""")
+    status = {(row[0], row[1]): row[4]
+              for row in runner.run_classical(cfg)["checks"].rows}
+    assert status == {
+        ("palindrome", "classical_identity_fourway"): "pass",
+        ("palindrome", "classical_symmetry"): "pass",
+        ("lopsided", "classical_identity_fourway"): "pass",
+        ("lopsided", "classical_symmetry_breaks"): "xfail",
+    }
+
+
 def test_write_outputs_and_manifest(tmp_path):
     cfg = cf.parse_config(QUBIT)
     tables = runner.run_functionals(cfg)

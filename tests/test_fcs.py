@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from entroflux import fcs
 from entroflux import functionals as fn
 from entroflux import quantum as qm
-from entroflux.errors import NumericalDomainError
 from entroflux.measures import (
     WEIGHT_DROP,
     build_measure,
@@ -104,13 +103,11 @@ def test_modular_matches_counting_on_tri_systems():
         assert total_variation(counting, modular) < 1e-11
 
 
-def test_modular_identity_gate_raises_without_tri():
+def test_modular_measure_without_tri_departs_from_counting():
     system = random_system(5, tri=False, seed=80)
-    with pytest.raises(NumericalDomainError):
-        fcs.modular_spectral_measure(system, 1.0)
-    # the same computation is available unguarded
-    m = fcs.modular_spectral_measure(system, 1.0, check_identity=False)
+    m = fcs.modular_spectral_measure(system, 1.0)
     assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert total_variation(m, fcs.fcs_distribution(system, 1.0)) > 1e-8
 
 
 def test_time_reversed_generator_reproduces_counting_statistics():
@@ -118,8 +115,7 @@ def test_time_reversed_generator_reproduces_counting_statistics():
     reversed_system = qm.QuantumSystem(-system.hamiltonian.matrix,
                                        system.reference_state.matrix)
     counting = fcs.fcs_distribution(system, 1.0)
-    twisted = fcs.modular_spectral_measure(reversed_system, 1.0,
-                                           check_identity=False)
+    twisted = fcs.modular_spectral_measure(reversed_system, 1.0)
     assert total_variation(counting, twisted) < 1e-11
 
 
@@ -151,7 +147,7 @@ def test_relative_modular_positivity():
 
 def test_modular_measure_from_root_state_weights():
     system = random_system(3, seed=85)
-    m = fcs.modular_spectral_measure(system, 1.0, check_identity=False)
+    m = fcs.modular_spectral_measure(system, 1.0)
     assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert m.weights.min() >= 0.0
 
@@ -209,7 +205,7 @@ def test_counting_and_modular_on_degenerate_reference(multiplicities):
         p_oracle, q_oracle = _projector_pair_measures(system, levels,
                                                       projectors, t)
         counting = fcs.fcs_distribution(system, t)
-        modular = fcs.modular_spectral_measure(system, t, check_identity=False)
+        modular = fcs.modular_spectral_measure(system, t)
         assert total_variation(counting, p_oracle) <= 1e-10
         assert total_variation(modular, q_oracle) <= 1e-10
 
@@ -250,5 +246,5 @@ def test_canonical_model_identity():
 def test_counting_modular_agreement_property(dim, seed, t):
     system = random_system(dim, tri=True, seed=seed)
     counting = fcs.fcs_distribution(system, t)
-    modular = fcs.modular_spectral_measure(system, t, check_identity=False)
+    modular = fcs.modular_spectral_measure(system, t)
     assert total_variation(counting, modular) < 1e-10

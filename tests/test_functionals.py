@@ -65,11 +65,6 @@ def test_renyi_bridge_on_tri_system():
             assert got == pytest.approx(via_renyi, abs=1e-11)
 
 
-def test_renyi_bridge_check_helper():
-    system = random_system(4, tri=True, seed=45)
-    assert fn.renyi_bridge_check(system, 0.7, 1.0) < 1e-11
-
-
 def test_bridge_uses_backward_state_without_tri():
     """For complex generators the p=2 curve matches the time-reversed state."""
     system = random_system(5, tri=False, seed=46)
@@ -195,14 +190,6 @@ def test_transfer_apply_intertwines_evolution():
         system, p, a @ fn.transfer_apply(system, p, b, t).matrix, -t).matrix
     moved = system.propagator(-t) @ a @ system.propagator(t)
     np.testing.assert_allclose(lhs, moved @ b, atol=1e-11)
-
-
-def test_functional_curve_round_trip():
-    alphas = np.linspace(-1.0, 2.0, 13)
-    curve = fn.functional_curve(FLIP, 2.0, math.pi / 2, alphas)
-    assert len(curve.alphas) == 13
-    np.testing.assert_allclose(
-        curve.values, [flip_closed_form(a) for a in alphas], atol=1e-12)
 
 
 def test_rejects_p_below_one():

@@ -179,6 +179,19 @@ def test_simpson_quadrature_on_oscillatory_integrand():
     np.testing.assert_allclose(got, [[math.sin(7.0) / 7.0]], atol=1e-9)
 
 
+def test_simpson_quadrature_raises_when_depth_runs_out():
+    def jump(s):
+        return np.array([[0.0 if s < 0.3 else 1.0]])
+    with pytest.raises(NumericalDomainError,
+                       match=r"on \[.*\]: error estimate .* above tolerance"):
+        qm.adaptive_simpson_matrix(jump, 0.0, 1.0, max_depth=3)
+
+
+def test_simpson_quadrature_raises_on_non_finite_integrand():
+    with pytest.raises(NumericalDomainError, match="error estimate nan"):
+        qm.adaptive_simpson_matrix(lambda s: np.array([[math.nan]]), 0.0, 1.0)
+
+
 def test_tri_flag_rejects_complex_matrices():
     h = _random_hermitian(3, 23)
     w = qm.matrix_exp(_random_hermitian(3, 24))

@@ -1,5 +1,9 @@
+import math
+
 import pytest
 
+from entroflux import classical as cl
+from entroflux import functionals as fn
 from entroflux import verify as vf
 from entroflux.models import random_system
 
@@ -62,3 +66,35 @@ def test_suite_passed_ignores_expected_failures():
     bad = vf.CheckResult("c", "s", 2.0, 1.0, vf.FAIL)
     assert vf.suite_passed([ok, xf])
     assert not vf.suite_passed([ok, xf, bad])
+
+
+def _status(results, name):
+    [row] = [r for r in results if r.name == name]
+    return row.status
+
+
+def test_variational_disagreement_is_a_fail_row(monkeypatch):
+    exact = fn.functional
+
+    def shifted(system, p, alpha, t):
+        return exact(system, p, alpha, t) + (1e-6 if math.isinf(p) else 0.0)
+
+    monkeypatch.setattr(fn, "functional", shifted)
+    system = random_system(4, tri=True, seed=21)
+    results = vf.functional_checks("probe", system, vf.merge_tolerances())
+    assert _status(results, "functional_variational") == vf.FAIL
+
+
+def test_telescoping_disagreement_is_a_fail_row(monkeypatch):
+    exact = cl.mean_ep_observable
+    system = cl.ClassicalSystem([0.25, 0.5, 0.25])
+    tol = vf.merge_tolerances()
+    assert _status(vf.classical_checks("probe", system, tol),
+                   "classical_ep_telescoping") == vf.PASS
+
+    def shifted(system, t):
+        return cl.ClassicalObservable(exact(system, t).values + 1e-9)
+
+    monkeypatch.setattr(cl, "mean_ep_observable", shifted)
+    assert _status(vf.classical_checks("probe", system, tol),
+                   "classical_ep_telescoping") == vf.FAIL
