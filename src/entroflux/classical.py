@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDomainError
-from .measures import SpectralMeasure, build_measure
+from .measures import SpectralMeasure, build_measure, logsumexp
 
 TRI_ATOL = 1e-12
 VARIATIONAL_SLACK = 1e-10
@@ -129,7 +129,7 @@ def renyi_entropy(rho, nu, alpha: float) -> float:
     q = _as_probabilities(nu)
     if p.size != q.size:
         raise ValueError(f"state sizes differ: {p.size} vs {q.size}")
-    return _logsumexp((1.0 - alpha) * np.log(p) + alpha * np.log(q))
+    return logsumexp((1.0 - alpha) * np.log(p) + alpha * np.log(q))
 
 
 def entropy_observable(system: ClassicalSystem) -> ClassicalObservable:
@@ -157,17 +157,12 @@ def mean_ep_observable(system: ClassicalSystem, t: int) -> ClassicalObservable:
     return ClassicalObservable((st - s0) / tt)
 
 
-def _logsumexp(exponents: np.ndarray) -> float:
-    m = exponents.max()
-    return float(m + np.log(np.sum(np.exp(exponents - m))))
-
-
 def classical_functional(system: ClassicalSystem, alpha: float, t: int) -> float:
     """Entropic functional e_t(alpha) = log w0(exp(-alpha t Sigma_t))."""
     tt = _integer_positive_time(t)
     sig = mean_ep_observable(system, tt).values
     logw = np.log(system.reference_state)
-    return _logsumexp(logw - alpha * tt * sig)
+    return logsumexp(logw - alpha * tt * sig)
 
 
 def es_distribution(system: ClassicalSystem, t: int) -> SpectralMeasure:
@@ -190,7 +185,7 @@ def variational_functional(system: ClassicalSystem, alpha: float, t: int) -> flo
     sig = mean_ep_observable(system, tt).values
     logw = np.log(system.reference_state)
     exponents = logw - alpha * tt * sig
-    log_z = _logsumexp(exponents)
+    log_z = logsumexp(exponents)
     maximizer = np.exp(exponents - log_z)
 
     def objective(rho: np.ndarray) -> float:
@@ -223,7 +218,7 @@ def renyi_identity_check(system: ClassicalSystem, alpha: float, t: int) -> float
 
 def lp_norm(system: ClassicalSystem, f, p: float) -> float:
     """Weighted norm ||f||_p = (sum_j |f_j|^p w0_j)^(1/p)."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"norm index must satisfy p >= 1, got {p}")
     values = _as_values(f)
     _check_size(system, values, "observable")
@@ -238,7 +233,7 @@ def classical_transfer_apply(system: ClassicalSystem, p: float, f,
     implements the dynamics via U_p(-t)[f * U_p(t) g] = f_t * g, and is an
     isometry of the weighted p-norm.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"transfer index must satisfy p >= 1, got {p}")
     values = _as_values(f)
     _check_size(system, values, "observable")
@@ -258,9 +253,9 @@ def classical_transfer_functional(system: ClassicalSystem, p: float, alpha: floa
     The index p cancels; for time-reversal invariant systems the value is
     e_t(alpha), otherwise it is e_t(1 - alpha).
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"norm index must satisfy p >= 1, got {p}")
     tt = _integer_positive_time(t)
     s0 = -np.log(system.reference_state)
     s_mt = np.roll(s0, tt)
-    return _logsumexp(alpha * (s0 - s_mt) + np.log(system.reference_state))
+    return logsumexp(alpha * (s0 - s_mt) + np.log(system.reference_state))

@@ -283,9 +283,16 @@ def _copy_seed_tri(mapping: dict, params: dict, path: str) -> None:
         params["seed"] = seed
 
 
+def _finite_real(value, path: str) -> float:
+    out = _real(value, path)
+    if not math.isfinite(out):
+        _fail(path, f"must be finite, got {out}")
+    return out
+
+
 def _parse_alpha_grid(value, path: str) -> tuple:
     if isinstance(value, list):
-        grid = tuple(_real(x, f"{path}[{i}]") for i, x in enumerate(value))
+        grid = tuple(_finite_real(x, f"{path}[{i}]") for i, x in enumerate(value))
         if not grid:
             _fail(path, "grid must be non-empty")
         return grid
@@ -294,9 +301,9 @@ def _parse_alpha_grid(value, path: str) -> tuple:
     for key in ("min", "max", "step"):
         if key not in mapping:
             _fail(f"{path}.{key}", "required in a range grid")
-    lo = _real(mapping["min"], f"{path}.min")
-    hi = _real(mapping["max"], f"{path}.max")
-    step = _real(mapping["step"], f"{path}.step")
+    lo = _finite_real(mapping["min"], f"{path}.min")
+    hi = _finite_real(mapping["max"], f"{path}.max")
+    step = _finite_real(mapping["step"], f"{path}.step")
     if step <= 0:
         _fail(f"{path}.step", f"must be positive, got {step}")
     if hi < lo:
@@ -317,7 +324,7 @@ def _parse_p_grid(value, path: str) -> tuple:
                 continue
             _fail(here, f"expected a number or \"inf\", got {x!r}")
         p = _real(x, here)
-        if math.isinf(p):
+        if p == math.inf:
             out.append(math.inf)
             continue
         if p < 1:
@@ -331,9 +338,9 @@ def _parse_t_grid(value, path: str) -> tuple:
         _fail(path, "expected a non-empty list")
     out = []
     for i, x in enumerate(value):
-        t = _real(x, f"{path}[{i}]")
-        if not math.isfinite(t) or t <= 0:
-            _fail(f"{path}[{i}]", f"t must be finite and positive, got {t}")
+        t = _finite_real(x, f"{path}[{i}]")
+        if t <= 0:
+            _fail(f"{path}[{i}]", f"t must be positive, got {t}")
         out.append(t)
     return tuple(out)
 

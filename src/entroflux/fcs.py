@@ -25,13 +25,8 @@ import numpy as np
 
 from .errors import NumericalDomainError
 from .functionals import OperatorSpaceElement
-from .measures import ATOM_TOL, WEIGHT_DROP, SpectralMeasure, build_measure
-from .quantum import (
-    DensityMatrix,
-    HermitianOperator,
-    QuantumSystem,
-    matrix_power,
-)
+from .measures import ATOM_TOL, WEIGHT_DROP, SpectralMeasure, build_measure, logsumexp
+from .quantum import QuantumSystem, as_matrix, matrix_power
 
 
 def _overlap_route(system: QuantumSystem, t: float):
@@ -53,30 +48,19 @@ def fcs_distribution(system: QuantumSystem, t: float) -> SpectralMeasure:
 
 def fcs_cgf(measure: SpectralMeasure, alpha: float, t: float) -> float:
     """Cumulant generating function log sum_phi exp(-t alpha phi) P(phi)."""
-    if len(measure) == 0:
-        raise ValueError("measure has no atoms")
     if t <= 0:
         raise ValueError(f"counting time must be positive, got {t}")
     live = measure.weights > 0.0
     if not np.any(live):
         raise NumericalDomainError("measure carries no mass")
-    exponents = np.log(measure.weights[live]) - t * alpha * measure.atoms[live]
-    m = exponents.max()
-    return float(m + np.log(np.sum(np.exp(exponents - m))))
+    return logsumexp(np.log(measure.weights[live]) - t * alpha * measure.atoms[live])
 
 
 def relative_modular_apply(system: QuantumSystem, t: float,
                            element) -> OperatorSpaceElement:
     """Relative modular operator Delta(A) = w_t A w0^(-1)."""
-    if isinstance(element, (OperatorSpaceElement, HermitianOperator, DensityMatrix)):
-        mat = element.matrix
-    else:
-        mat = OperatorSpaceElement(element).matrix
-    if mat.shape != (system.dim, system.dim):
-        raise ValueError(
-            f"operator shape {mat.shape} does not match system dim {system.dim}"
-        )
-    evolved = system.schrodinger_reference_eig(t).reconstruct()
+    mat = as_matrix(element, system.dim)
+    evolved = system.heisenberg_reference_eig(-t).reconstruct()
     inverse = matrix_power(system.reference_eig(), -1.0)
     return OperatorSpaceElement(evolved @ mat @ inverse)
 

@@ -27,21 +27,25 @@ and for time-reversal invariant systems obeys e(alpha) = e(1 - alpha).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalDomainError
+from .measures import logsumexp
 from .quantum import (
-    EIGENVALUE_CLAMP,
     DensityMatrix,
-    HermitianOperator,
     QuantumSystem,
+    as_matrix,
+    matrix_log,
+    matrix_power,
     mean_ep_observable,
     q_relative_entropy,
 )
 
 VARIATIONAL_SLACK = 1e-9
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _PERTURBATION_TRIALS = 8
 _PERTURBATION_SEED = 734
 
@@ -53,60 +57,65 @@ class OperatorSpaceElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", as_matrix(self.matrix))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-def _as_matrix(a, dim: int) -> np.ndarray:
-    if isinstance(a, (OperatorSpaceElement, HermitianOperator, DensityMatrix)):
-        mat = a.matrix
-    else:
-        mat = OperatorSpaceElement(a).matrix
-    if mat.shape != (dim, dim):
-        raise ValueError(f"operator shape {mat.shape} does not match dim {dim}")
-    return mat
-
-
-def _logsumexp(exponents: np.ndarray) -> float:
-    m = exponents.max()
-    return float(m + np.log(np.sum(np.exp(exponents - m))))
-
-
-def _clamped_power(dec, exponent: float) -> np.ndarray:
-    lam = np.maximum(dec.eigenvalues, EIGENVALUE_CLAMP)
-    return (dec.eigenvectors * lam ** exponent) @ dec.eigenvectors.conj().T
-
-
 def _validate_p(p: float) -> float:
     p = float(p)
-    if math.isnan(p) or p < 1:
+    if not p >= 1:
         raise ValueError(f"index must satisfy p >= 1 (or be infinite), got {p}")
     return p
 
 
+def _finite_p(p: float) -> float:
+    p = float(p)
+    if not 1 <= p < math.inf:
+        raise ValueError(f"index must satisfy 1 <= p < oo, got {p}")
+    return p
+
+
+def _log_schatten(y: np.ndarray, p: float) -> float:
+    """log sum_i s_i^p over the nonzero singular values s_i of ``y``."""
+    singulars = np.linalg.svd(y, compute_uv=False)   # descending, so zeros trail
+    return logsumexp(p * np.log(singulars[:np.count_nonzero(singulars)]))
+
+
 def functional(system: QuantumSystem, p: float, alpha: float, t: float) -> float:
-    """The entropic functional e_[p,t](alpha); ``p`` may be ``math.inf``."""
+    """The entropic functional e_[p,t](alpha); ``p`` may be ``math.inf``.
+
+    Raises ``NumericalDomainError`` when the powers of the reference
+    spectrum or the singular values would overflow double precision, when
+    the kernel fails, or when the value is not finite.
+    """
     p = _validate_p(p)
-    nu = np.maximum(system.reference_eig().eigenvalues, EIGENVALUE_CLAMP)
+    nu = system.reference_eig().eigenvalues
     overlap = system.overlap(t)
-    if math.isinf(p):
-        logw = np.log(nu)
-        combined = ((1.0 - alpha) * np.diag(logw)
-                    + alpha * (overlap.conj().T * logw) @ overlap)
-        lam = np.linalg.eigvalsh((combined + combined.conj().T) / 2.0)
-        return _logsumexp(lam)
-    y = (nu ** (alpha / p))[:, None] * overlap * nu ** ((1.0 - alpha) / p)
-    singulars = np.linalg.svd(y, compute_uv=False)
-    singulars = np.maximum(singulars, EIGENVALUE_CLAMP)
-    return _logsumexp(p * np.log(singulars))
+    try:
+        if math.isinf(p):
+            logw = np.log(nu)
+            combined = ((1.0 - alpha) * np.diag(logw)
+                        + alpha * (overlap.conj().T * logw) @ overlap)
+            lam = np.linalg.eigvalsh((combined + combined.conj().T) / 2.0)
+            value = logsumexp(lam)
+        # nu <= 1 and |O_ji| <= 1: the entries of y stay below exp(max(0, first
+        # term)) and its singular values below n times that, so both are finite
+        elif (min(alpha, 1.0 - alpha) / p * math.log(nu[0]) + math.log(nu.size)
+              < _LOG_DOUBLE_MAX):
+            y = (nu ** (alpha / p))[:, None] * overlap * nu ** ((1.0 - alpha) / p)
+            value = _log_schatten(y, p)
+        else:
+            value = math.inf
+    except np.linalg.LinAlgError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise NumericalDomainError(
+            f"e_[p,t](alpha) is not finite in double precision at p={p}, "
+            f"alpha={alpha}, t={t}")
+    return value
 
 
 def naive_functional(system: QuantumSystem, alpha: float, t: float) -> float:
@@ -135,13 +144,10 @@ def variational_max(system: QuantumSystem, alpha: float, t: float) -> float:
     verification battery.
     """
     sig = mean_ep_observable(system, t).matrix
-    w_dec = system.reference_eig()
-    m_dec = system.heisenberg_reference_eig(t)
-    logw = (w_dec.eigenvectors * np.log(w_dec.eigenvalues)) @ w_dec.eigenvectors.conj().T
-    logm = (m_dec.eigenvectors * np.log(m_dec.eigenvalues)) @ m_dec.eigenvectors.conj().T
-    combined = (1.0 - alpha) * logw + alpha * logm
+    combined = ((1.0 - alpha) * matrix_log(system.reference_eig())
+                + alpha * matrix_log(system.heisenberg_reference_eig(t)))
     lam, vecs = np.linalg.eigh((combined + combined.conj().T) / 2.0)
-    log_z = _logsumexp(lam)
+    log_z = logsumexp(lam)
     maximizer = (vecs * np.exp(lam - log_z)) @ vecs.conj().T
 
     w0 = system.reference_state
@@ -174,14 +180,10 @@ def variational_max(system: QuantumSystem, alpha: float, t: float) -> float:
 def araki_masuda_norm(element, system: QuantumSystem, p: float) -> float:
     """Weighted operator-space norm ||A||_p = (sum_i s_i^p)^(1/p), where the
     s_i are the singular values of A w0^(1/p).  Defined for p in [1, oo)."""
-    p = float(p)
-    if math.isnan(p) or math.isinf(p) or p < 1:
-        raise ValueError(f"norm index must satisfy 1 <= p < oo, got {p}")
-    mat = _as_matrix(element, system.dim)
-    weight = _clamped_power(system.reference_eig(), 1.0 / p)
-    singulars = np.linalg.svd(mat @ weight, compute_uv=False)
-    singulars = np.maximum(singulars, EIGENVALUE_CLAMP)
-    return float(np.exp(_logsumexp(p * np.log(singulars)) / p))
+    p = _finite_p(p)
+    mat = as_matrix(element, system.dim)
+    weight = matrix_power(system.reference_eig(), 1.0 / p)
+    return float(np.exp(_log_schatten(mat @ weight, p) / p))
 
 
 def transfer_apply(system: QuantumSystem, p: float, element,
@@ -192,14 +194,12 @@ def transfer_apply(system: QuantumSystem, p: float, element,
     state.  The family is a group in t, an isometry of the weighted p-norm,
     and implements the dynamics: U_p(-t)[A U_p(t) B] = A_t B.
     """
-    p = float(p)
-    if math.isnan(p) or math.isinf(p) or p < 1:
-        raise ValueError(f"transfer index must satisfy 1 <= p < oo, got {p}")
-    mat = _as_matrix(element, system.dim)
+    p = _finite_p(p)
+    mat = as_matrix(element, system.dim)
     u = system.propagator(t)           # exp(-itH), so u A u* = A_{-t}
     moved = u @ mat @ u.conj().T
-    grow = _clamped_power(system.schrodinger_reference_eig(t), 1.0 / p)
-    shrink = _clamped_power(system.reference_eig(), -1.0 / p)
+    grow = matrix_power(system.heisenberg_reference_eig(-t), 1.0 / p)
+    shrink = matrix_power(system.reference_eig(), -1.0 / p)
     return OperatorSpaceElement(moved @ grow @ shrink)
 
 
@@ -214,12 +214,10 @@ def transfer_functional(system: QuantumSystem, p: float, alpha: float,
     verification battery; in general it is e_[p,t](1 - alpha), checked by
     ``functional_transfer_reflection``.
     """
-    p = float(p)
-    if math.isnan(p) or math.isinf(p) or p < 1:
-        raise ValueError(f"norm index must satisfy 1 <= p < oo, got {p}")
+    p = _finite_p(p)
     if alpha == 0:
         raise ValueError("alpha = 0 leaves the transferred identity undefined")
-    grow = _clamped_power(system.schrodinger_reference_eig(t), alpha / p)
-    shrink = _clamped_power(system.reference_eig(), -alpha / p)
+    grow = matrix_power(system.heisenberg_reference_eig(-t), alpha / p)
+    shrink = matrix_power(system.reference_eig(), -alpha / p)
     transferred = OperatorSpaceElement(grow @ shrink)
     return p * float(np.log(araki_masuda_norm(transferred, system, p)))

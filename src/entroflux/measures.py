@@ -56,6 +56,14 @@ class SpectralMeasure:
         return float(_masses_near(self, np.array([value], dtype=float), tol)[0])
 
 
+def logsumexp(exponents: np.ndarray) -> float:
+    """log sum_k exp(x_k), shifted by the largest term; -inf for no terms."""
+    if exponents.size == 0:
+        return -np.inf
+    m = exponents.max()
+    return float(m + np.log(np.sum(np.exp(exponents - m))))
+
+
 def _masses_near(measure: SpectralMeasure, values: np.ndarray,
                  tol: float) -> np.ndarray:
     """Weight of the atoms a with |a - v| <= tol, for every v in ``values``.

@@ -21,15 +21,13 @@ from .errors import NumericalDomainError
 from .quantum import (
     QuantumSystem,
     adaptive_simpson_matrix,
-    entropy_production_observable,
+    as_matrix,
     heisenberg_evolve,
     matrix_exp,
 )
 
 COMMUTATION_FLOOR = 1e-6
 MAX_GENERATION_ATTEMPTS = 100
-BALANCE_ATOL = 1e-8
-DECOMPOSITION_ATOL = 1e-10
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,18 +85,9 @@ def build_two_reservoir(left_hamiltonian, right_hamiltonian,
     """
     if beta_left <= 0 or beta_right <= 0:
         raise ValueError("inverse temperatures must be positive")
-    h_left = np.asarray(left_hamiltonian, dtype=complex)
-    h_right = np.asarray(right_hamiltonian, dtype=complex)
-    v = np.asarray(coupling, dtype=complex)
-    if h_left.ndim != 2 or h_left.shape[0] != h_left.shape[1]:
-        raise ValueError("left Hamiltonian must be square")
-    if h_right.ndim != 2 or h_right.shape[0] != h_right.shape[1]:
-        raise ValueError("right Hamiltonian must be square")
-    dim = h_left.shape[0] * h_right.shape[0]
-    if v.shape != (dim, dim):
-        raise ValueError(
-            f"coupling shape {v.shape} does not match composite dim {dim}"
-        )
+    h_left = as_matrix(left_hamiltonian)
+    h_right = as_matrix(right_hamiltonian)
+    v = as_matrix(coupling, h_left.shape[0] * h_right.shape[0])
     total = (np.kron(h_left, np.eye(h_right.shape[0]))
              + np.kron(np.eye(h_left.shape[0]), h_right) + v)
     reference = np.kron(_gibbs(h_left, beta_left), _gibbs(h_right, beta_right))
@@ -148,19 +137,13 @@ def flux_balance_residual(model: ReservoirModel, t: float,
 def entropy_production_decomposition(model: ReservoirModel) -> np.ndarray:
     """Entropy production as a flux sum: sigma = -beta_l Phi_l - beta_r Phi_r.
 
-    Verified against the commutator definition -i [H, log w0]; a mismatch
-    raises because it signals a reference state that is not a product of
-    Gibbs states for the local Hamiltonians.
+    It equals the commutator form -i [H, log w0] because the reference state
+    is a product of Gibbs states for the local Hamiltonians; the
+    ``model_sigma_flux_form`` and ``model_sigma_decomposition`` rows of the
+    verification battery check that.
     """
     phi_left, phi_right = flux_observables(model)
-    combined = -model.beta_left * phi_left - model.beta_right * phi_right
-    direct = entropy_production_observable(model.system).matrix
-    gap = float(np.abs(combined - direct).max())
-    if gap > DECOMPOSITION_ATOL:
-        raise NumericalDomainError(
-            f"flux decomposition deviates from the commutator form by {gap:.3e}"
-        )
-    return combined
+    return -model.beta_left * phi_left - model.beta_right * phi_right
 
 
 def canonical_model() -> ReservoirModel:

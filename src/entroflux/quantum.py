@@ -19,17 +19,27 @@ from .errors import NumericalDomainError
 HERMITIAN_ATOL = 1e-12
 POSITIVITY_REL = 1e-12
 TRACE_ATOL = 1e-12
-EIGENVALUE_CLAMP = 1e-300
 RECONSTRUCTION_RTOL = 1e-10
 QUADRATURE_ATOL = 1e-9
 
 
-def _symmetrize(matrix, what: str) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=complex)
+def as_matrix(value, dim: int | None = None) -> np.ndarray:
+    """Square complex matrix with finite entries, of dimension ``dim`` if given.
+
+    ``value`` is an array-like or any wrapper exposing ``.matrix``.
+    """
+    mat = np.asarray(getattr(value, "matrix", value), dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{what} must have finite entries")
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if dim is not None and mat.shape[0] != dim:
+        raise ValueError(f"matrix shape {mat.shape} does not match dim {dim}")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
+    return mat
+
+
+def _symmetrize(matrix, what: str) -> np.ndarray:
+    mat = as_matrix(matrix)
     correction = np.abs(mat - mat.conj().T).max() / 2.0
     if correction > HERMITIAN_ATOL * max(1.0, np.abs(mat).max()):
         warnings.warn(
@@ -57,14 +67,12 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(HermitianOperator):
     """Strictly positive unit-trace Hermitian matrix.
 
     States whose smallest eigenvalue falls below 1e-12 times the largest are
     rejected rather than regularized.
     """
-
-    matrix: np.ndarray
 
     def __post_init__(self):
         mat = _symmetrize(self.matrix, "density matrix")
@@ -78,13 +86,6 @@ class DensityMatrix:
                 f"{evals[0]:.3e} vs max {evals[-1]:.3e}"
             )
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def is_real(self, atol: float = HERMITIAN_ATOL) -> bool:
-        return bool(np.abs(self.matrix.imag).max() <= atol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +110,10 @@ def eig(operator) -> SpectralDecomposition:
     verified against the input to 1e-10 in Frobenius norm, relative to the
     Frobenius norm of the input (or to 1 for near-zero matrices).
     """
-    if isinstance(operator, (HermitianOperator, DensityMatrix)):
+    if isinstance(operator, HermitianOperator):     # symmetrized on construction
         mat = operator.matrix
     else:
-        mat = np.asarray(operator, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        mat = as_matrix(operator)
         gap = np.abs(mat - mat.conj().T).max()
         if gap > HERMITIAN_ATOL * max(1.0, np.abs(mat).max()):
             raise ValueError(f"matrix is not Hermitian: asymmetry {gap:.3e}")
@@ -141,7 +140,11 @@ def matrix_log(operator) -> np.ndarray:
 
 
 def matrix_power(operator, exponent: float) -> np.ndarray:
-    """Real matrix power of a positive definite Hermitian matrix."""
+    """Real matrix power of a Hermitian matrix.
+
+    Fractional and negative exponents need a positive spectrum; integer
+    powers accept any spectrum.
+    """
     dec = operator if isinstance(operator, SpectralDecomposition) else eig(operator)
     if exponent != int(exponent) or exponent < 0:
         if dec.eigenvalues[0] <= 0.0:
@@ -149,8 +152,7 @@ def matrix_power(operator, exponent: float) -> np.ndarray:
                 f"fractional or negative power needs a positive spectrum, "
                 f"min eigenvalue {dec.eigenvalues[0]:.3e}"
             )
-    lam = np.maximum(dec.eigenvalues, EIGENVALUE_CLAMP)
-    return (dec.eigenvectors * lam ** exponent) @ dec.eigenvectors.conj().T
+    return dec.apply(lambda lam: lam ** exponent)
 
 
 def matrix_exp(operator) -> np.ndarray:
@@ -242,33 +244,17 @@ class QuantumSystem:
         return SpectralDecomposition(ref.eigenvalues,
                                      self.propagator(-t) @ ref.eigenvectors)
 
-    def schrodinger_reference_eig(self, t: float) -> SpectralDecomposition:
-        """Eigendecomposition of exp(-itH) w0 exp(itH)."""
-        return self.heisenberg_reference_eig(-t)
-
 
 def heisenberg_evolve(system: QuantumSystem, operator, t: float) -> HermitianOperator:
     """A_t = exp(itH) A exp(-itH)."""
-    mat = operator.matrix if isinstance(operator, (HermitianOperator, DensityMatrix)) \
-        else np.asarray(operator, dtype=complex)
-    if mat.shape != (system.dim, system.dim):
-        raise ValueError(
-            f"operator shape {mat.shape} does not match system dim {system.dim}"
-        )
+    mat = as_matrix(operator, system.dim)
     u = system.propagator(-t)          # exp(itH)
     return HermitianOperator(u @ mat @ u.conj().T)
 
 
 def schrodinger_evolve(system: QuantumSystem, state, t: float) -> DensityMatrix:
-    """rho_t = exp(-itH) rho exp(itH)."""
-    mat = state.matrix if isinstance(state, (HermitianOperator, DensityMatrix)) \
-        else np.asarray(state, dtype=complex)
-    if mat.shape != (system.dim, system.dim):
-        raise ValueError(
-            f"state shape {mat.shape} does not match system dim {system.dim}"
-        )
-    u = system.propagator(t)
-    return DensityMatrix(u @ mat @ u.conj().T)
+    """rho_t = exp(-itH) rho exp(itH), the Heisenberg evolution by -t."""
+    return DensityMatrix(heisenberg_evolve(system, state, -t).matrix)
 
 
 def _state_pair(rho, nu):

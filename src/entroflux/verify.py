@@ -459,7 +459,7 @@ def fcs_checks(system_id: str, system: qm.QuantumSystem, tol: dict,
     out.append(bounded_check("fcs_mean_derivative", system_id,
                         abs(counting.mean() + slope / t), tol["derivative"]))
 
-    evolved = system.schrodinger_reference_eig(t)
+    evolved = system.heisenberg_reference_eig(-t)
     reference = system.reference_eig()
     raw = np.abs(system.overlap(t)) ** 2 * reference.eigenvalues[:, None]
     out.append(bounded_check("fcs_q_weights_nonneg", system_id,
@@ -545,8 +545,7 @@ def reservoir_checks(system_id: str, model: md.ReservoirModel, tol: dict):
     out.append(bounded_check("model_flux_balance", system_id, balance,
                         tol["flux_balance"]))
 
-    phi_left, phi_right = md.flux_observables(model)
-    combined = -model.beta_left * phi_left - model.beta_right * phi_right
+    combined = md.entropy_production_decomposition(model)
     direct = qm.entropy_production_observable(assembled).matrix
     out.append(bounded_check("model_sigma_flux_form", system_id,
                         float(np.abs(combined - direct).max()),

@@ -147,6 +147,17 @@ def test_transfer_apply_preserves_norm_at_matching_index():
             cl.lp_norm(REFERENCE, f, p), abs=1e-13)
 
 
+def test_index_checks_reject_nan_and_below_one():
+    f = np.ones(3)
+    for p in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            cl.lp_norm(REFERENCE, f, p)
+        with pytest.raises(ValueError):
+            cl.classical_transfer_apply(REFERENCE, p, f, 1)
+        with pytest.raises(ValueError):
+            cl.classical_transfer_functional(REFERENCE, p, 0.5, 1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=3, max_value=41), st.integers(min_value=0,
                                                            max_value=9999))

@@ -62,6 +62,18 @@ sweep:
                                [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
 
 
+@pytest.mark.parametrize("grid,path", [
+    ("[0.5, .inf]", r"sweep\.alpha\[1\]"),
+    ("[-.inf]", r"sweep\.alpha\[0\]"),
+    ("{min: 0, max: .inf, step: 1}", r"sweep\.alpha\.max"),
+    ("{min: -.inf, max: 0, step: 1}", r"sweep\.alpha\.min"),
+    ("{min: 0, max: 1, step: .inf}", r"sweep\.alpha\.step"),
+])
+def test_alpha_grid_rejects_non_finite_values(grid, path):
+    with pytest.raises(ConfigValidationError, match=path):
+        cf.parse_config(MINIMAL + f"\nsweep:\n  alpha: {grid}\n")
+
+
 def test_inf_sentinel_and_p_validation():
     cfg = cf.parse_config(MINIMAL + """
 sweep:
@@ -70,6 +82,11 @@ sweep:
     assert cfg.ps[-1] == math.inf
     with pytest.raises(ConfigValidationError, match="p"):
         cf.parse_config(MINIMAL + "\nsweep:\n  p: [-1]\n")
+
+
+def test_p_grid_rejects_negative_infinity():
+    with pytest.raises(ConfigValidationError, match=r"sweep\.p\[1\]"):
+        cf.parse_config(MINIMAL + "\nsweep:\n  p: [2, -.inf]\n")
 
 
 def test_complex_entries_parse_as_pairs():
@@ -306,6 +323,17 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
                      "-o", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("subcommand", ["functionals", "fcs", "classical"])
+def test_cli_non_finite_alpha_exits_two(tmp_path, capsys, subcommand):
+    bad = tmp_path / "bad.yaml"
+    chain = MINIMAL.replace("systems:\n", "")
+    bad.write_text(QUBIT.replace("sweep:", chain + "sweep:")
+                   .replace("alpha: [0.0, 0.5, 1.0]", "alpha: [0.5, .inf]"))
+    assert cli.main([subcommand, "-c", str(bad),
+                     "-o", str(tmp_path / "x")]) == 2
+    assert "sweep.alpha[1]" in capsys.readouterr().err
+
+
 def test_cli_unknown_tolerance_exits_two(capsys):
     assert cli.main(["verify", "--tolerance", "bogus=1"]) == 2
     assert cli.main(["verify", "--tolerance", "tv"]) == 2
@@ -320,6 +348,27 @@ def test_cli_numerical_domain_exits_three(monkeypatch, capsys):
     monkeypatch.setitem(cli.__dict__, "runner", runner)
     assert cli.main(["functionals"]) == 3
     assert "numerical domain error" in capsys.readouterr().err
+
+
+def test_cli_functional_overflow_exits_three(tmp_path, capsys):
+    path = tmp_path / "overflow.yaml"
+    path.write_text("""
+systems:
+  - id: wide
+    kind: random
+    dim: 4
+    seed: 1
+    tri: true
+    spread: 12
+sweep:
+  alpha: [50]
+  p: [1]
+  t: [1]
+""")
+    assert cli.main(["functionals", "-c", str(path),
+                     "-o", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical domain error" in err and "alpha=50" in err
 
 
 def test_cli_model_prints_junction(capsys):

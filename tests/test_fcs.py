@@ -122,7 +122,7 @@ def test_time_reversed_generator_reproduces_counting_statistics():
 def test_relative_modular_eigenoperators():
     system = random_system(4, seed=82)
     t = 1.0
-    evolved = system.schrodinger_reference_eig(t)
+    evolved = system.heisenberg_reference_eig(-t)
     reference = system.reference_eig()
     for i, j in ((0, 0), (3, 0), (0, 3)):
         e_i = evolved.eigenvectors[:, i]

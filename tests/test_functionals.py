@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from entroflux import functionals as fn
 from entroflux import quantum as qm
+from entroflux.errors import NumericalDomainError
 from entroflux.models import canonical_model, random_system
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -154,6 +155,12 @@ def test_am_norm_scales_homogeneously():
         2.5 * base, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_am_norm_of_zero_is_exactly_zero(p):
+    system = random_system(3, seed=54)
+    assert fn.araki_masuda_norm(np.zeros((3, 3)), system, p) == 0.0
+
+
 def test_transfer_functional_matches_on_tri_system():
     system = random_system(5, tri=True, seed=55)
     for p in (1.0, 2.0, 4.0):
@@ -195,6 +202,14 @@ def test_transfer_apply_intertwines_evolution():
 def test_rejects_p_below_one():
     with pytest.raises(ValueError):
         fn.functional(FLIP, 0.5, 0.3, 1.0)
+
+
+def test_overflowing_powers_raise_domain_error():
+    # nu^(-49) leaves the double range for a reference spread of 12
+    system = random_system(4, tri=True, seed=1, spread=12.0)
+    with pytest.raises(NumericalDomainError,
+                       match=r"p=1\.0, alpha=50\.0, t=1\.0"):
+        fn.functional(system, 1.0, 50.0, 1.0)
 
 
 @settings(max_examples=20, deadline=None)

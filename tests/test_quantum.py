@@ -52,6 +52,23 @@ def test_fractional_power_inverse():
                                atol=1e-10)
 
 
+def test_integer_power_keeps_negative_eigenvalues():
+    np.testing.assert_array_equal(qm.matrix_power(np.diag([-1.0, 1.0]), 2),
+                                  np.eye(2))
+    np.testing.assert_array_equal(qm.matrix_power(np.diag([-2.0, 1.0]), 3),
+                                  np.diag([-8.0, 1.0]))
+
+
+def test_as_matrix_checks_shape_dim_and_entries():
+    state = qm.DensityMatrix(W0)
+    assert qm.as_matrix(state, 2) is state.matrix
+    assert qm.as_matrix([[1, 2], [3, 4]]).dtype == complex
+    for bad, dim in ((np.ones((2, 3)), None), (np.ones(4), None),
+                     (np.eye(3), 2), (np.diag([1.0, np.inf]), None)):
+        with pytest.raises(ValueError):
+            qm.as_matrix(bad, dim)
+
+
 @pytest.mark.parametrize("t", [0.3, 1.0, -2.2])
 def test_propagator_unitary(t):
     system = random_system(5, seed=2)
