@@ -64,7 +64,7 @@ class ClassicalObservable:
 
     def __post_init__(self):
         vec = np.asarray(self.values, dtype=float).ravel()
-        if vec.size < 1 or not np.all(np.isfinite(vec)):
+        if vec.size < 1 or not np.isfinite(vec).all():
             raise ValueError("observable values must be a nonempty finite vector")
         object.__setattr__(self, "values", vec)
 
@@ -157,12 +157,12 @@ def mean_ep_observable(system: ClassicalSystem, t: int) -> ClassicalObservable:
     return ClassicalObservable((st - s0) / tt)
 
 
-def classical_functional(system: ClassicalSystem, alpha: float, t: int) -> float:
-    """Entropic functional e_t(alpha) = log w0(exp(-alpha t Sigma_t))."""
+def classical_functional(system: ClassicalSystem, alpha, t: int):
+    """Entropic functional e_t(alpha) = log w0(exp(-alpha t Sigma_t)), per alpha."""
     tt = _integer_positive_time(t)
     sig = mean_ep_observable(system, tt).values
     logw = np.log(system.reference_state)
-    return logsumexp(logw - alpha * tt * sig)
+    return logsumexp(logw - (np.asarray(alpha) * tt)[..., None] * sig)
 
 
 def es_distribution(system: ClassicalSystem, t: int) -> SpectralMeasure:

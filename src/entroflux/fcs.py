@@ -46,14 +46,15 @@ def fcs_distribution(system: QuantumSystem, t: float) -> SpectralMeasure:
                          tol=ATOM_TOL, drop=WEIGHT_DROP)
 
 
-def fcs_cgf(measure: SpectralMeasure, alpha: float, t: float) -> float:
-    """Cumulant generating function log sum_phi exp(-t alpha phi) P(phi)."""
+def fcs_cgf(measure: SpectralMeasure, alpha, t: float):
+    """Cumulant generating function log sum_phi exp(-t alpha phi) P(phi), per alpha."""
     if t <= 0:
         raise ValueError(f"counting time must be positive, got {t}")
     live = measure.weights > 0.0
-    if not np.any(live):
+    if not live.any():
         raise NumericalDomainError("measure carries no mass")
-    return logsumexp(np.log(measure.weights[live]) - t * alpha * measure.atoms[live])
+    return logsumexp(np.log(measure.weights[live])
+                     - (t * np.asarray(alpha))[..., None] * measure.atoms[live])
 
 
 def relative_modular_apply(system: QuantumSystem, t: float,

@@ -197,10 +197,14 @@ def transfer_apply(system: QuantumSystem, p: float, element,
     p = _finite_p(p)
     mat = as_matrix(element, system.dim)
     u = system.propagator(t)           # exp(-itH), so u A u* = A_{-t}
-    moved = u @ mat @ u.conj().T
-    grow = matrix_power(system.heisenberg_reference_eig(-t), 1.0 / p)
-    shrink = matrix_power(system.reference_eig(), -1.0 / p)
-    return OperatorSpaceElement(moved @ grow @ shrink)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (u @ mat @ u.conj().T
+               @ matrix_power(system.heisenberg_reference_eig(-t), 1.0 / p)
+               @ matrix_power(system.reference_eig(), -1.0 / p))
+    if not np.isfinite(out).all():
+        raise NumericalDomainError(
+            f"U_p(t) A is not finite in double precision at p={p}, t={t}")
+    return OperatorSpaceElement(out)
 
 
 def transfer_functional(system: QuantumSystem, p: float, alpha: float,
@@ -217,6 +221,12 @@ def transfer_functional(system: QuantumSystem, p: float, alpha: float,
     p = _finite_p(p)
     if alpha == 0:
         raise ValueError("alpha = 0 leaves the transferred identity undefined")
+    nu = system.reference_eig().eigenvalues
+    # nu <= 1, so every entry and singular value below stays under n^4 nu_min^-|alpha/p|
+    if abs(alpha) / p * -math.log(nu[0]) + 4 * math.log(nu.size) >= _LOG_DOUBLE_MAX:
+        raise NumericalDomainError(
+            f"w_t^(alpha/p) w0^(-alpha/p) would leave double precision at "
+            f"p={p}, alpha={alpha}, t={t}")
     grow = matrix_power(system.heisenberg_reference_eig(-t), alpha / p)
     shrink = matrix_power(system.reference_eig(), -alpha / p)
     transferred = OperatorSpaceElement(grow @ shrink)

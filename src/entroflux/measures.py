@@ -56,12 +56,14 @@ class SpectralMeasure:
         return float(_masses_near(self, np.array([value], dtype=float), tol)[0])
 
 
-def logsumexp(exponents: np.ndarray) -> float:
-    """log sum_k exp(x_k), shifted by the largest term; -inf for no terms."""
-    if exponents.size == 0:
+def logsumexp(exponents: np.ndarray):
+    """log sum_k exp(x_k) over the last axis, shifted by the largest term; -inf
+    for no terms.  A vector gives a float, a stack of vectors an array."""
+    if exponents.shape[-1] == 0:
         return -np.inf
-    m = exponents.max()
-    return float(m + np.log(np.sum(np.exp(exponents - m))))
+    m = exponents.max(-1)
+    out = m + np.log(np.exp(exponents - m[..., None]).sum(-1))
+    return float(out) if exponents.ndim == 1 else out
 
 
 def _masses_near(measure: SpectralMeasure, values: np.ndarray,

@@ -20,8 +20,8 @@ from .classical import ClassicalSystem
 from .errors import NumericalDomainError
 from .quantum import (
     QuantumSystem,
-    adaptive_simpson_matrix,
     as_matrix,
+    evolved_integral,
     heisenberg_evolve,
     matrix_exp,
 )
@@ -128,9 +128,7 @@ def flux_balance_residual(model: ReservoirModel, t: float,
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     moved = heisenberg_evolve(model.system, local, t).matrix
-    integral = adaptive_simpson_matrix(
-        lambda s: heisenberg_evolve(model.system, phi, s).matrix, 0.0, t
-    )
+    integral = evolved_integral(model.system, phi, t)
     return float(np.linalg.norm((moved - local) + integral))
 
 

@@ -334,6 +334,18 @@ def adaptive_simpson_matrix(f: Callable[[float], np.ndarray], a: float, b: float
     return recurse(a, b, fa, fm, fb, whole, atol, max_depth)
 
 
+def evolved_integral(system: QuantumSystem, operator, t: float) -> np.ndarray:
+    """integral_0^t exp(isH) A exp(-isH) ds; its nodes add no memo entries."""
+    mat = as_matrix(operator, system.dim)
+    dec = system.hamiltonian_eig()
+
+    def evolved(s: float) -> np.ndarray:
+        prop = dec.apply(lambda lam: np.exp(1j * s * lam))
+        return prop @ mat @ prop.conj().T
+
+    return adaptive_simpson_matrix(evolved, 0.0, t)
+
+
 def mean_ep_observable(system: QuantumSystem, t: float) -> HermitianOperator:
     """Mean entropy production rate Sigma_t = (S_t - S0) / t.
 

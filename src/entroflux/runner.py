@@ -39,9 +39,7 @@ CHECK_COLUMNS = ("system_id", "check_name", "residual", "tolerance", "status")
 
 
 def format_float(value: float) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return "%.17g" % value
+    return "%.17g" % value          # also "inf", "-inf" and "nan"
 
 
 def _cell(value) -> str:
@@ -56,18 +54,35 @@ def _cell(value) -> str:
 
 @dataclass
 class ResultTable:
+    """Rows appended in blocks.  A cell may be a 1-D float array: array cells
+    vary along the block, scalar cells repeat, and scalars alone are one row."""
+
     columns: tuple
-    rows: list = field(default_factory=list)
+    blocks: list = field(default_factory=list)     # (cells, row count)
 
     def append(self, *values) -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"row width {len(values)} does not match {self.columns}")
-        self.rows.append(values)
+        shapes = {v.shape for v in values if isinstance(v, np.ndarray)}
+        if (len(values) != len(self.columns) or len(shapes) > 1
+                or any(len(shape) != 1 for shape in shapes)):
+            raise ValueError(f"row width {len(values)} and array shapes "
+                             f"{shapes} do not fit {self.columns}")
+        self.blocks.append((values, shapes.pop()[0] if shapes else 1))
+
+    def __len__(self) -> int:
+        return sum(n for _, n in self.blocks)
+
+    @property
+    def rows(self) -> list:
+        return [row for values, n in self.blocks for row in zip(*(
+            v.tolist() if isinstance(v, np.ndarray) else [v] * n for v in values))]
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
-        lines.extend(",".join(_cell(v) for v in row) for row in self.rows)
+        for values, _ in self.blocks:
+            template = ",".join("%.17g" if isinstance(v, np.ndarray)
+                                else _cell(v).replace("%", "%%") for v in values)
+            arrays = [v.tolist() for v in values if isinstance(v, np.ndarray)]
+            lines.extend(template % row for row in (zip(*arrays) if arrays else [()]))
         return "\n".join(lines) + "\n"
 
 
@@ -85,8 +100,8 @@ def _classical_times(cfg: ExperimentConfig) -> tuple:
 
 
 def _sorted_grids(cfg: ExperimentConfig):
-    return (tuple(sorted(set(cfg.alphas))), tuple(sorted(set(cfg.ps))),
-            tuple(sorted(set(cfg.ts))))
+    return (np.array(sorted(set(cfg.alphas)), dtype=float),
+            tuple(sorted(set(cfg.ps))), tuple(sorted(set(cfg.ts))))
 
 
 def _core_system(tag: str, obj):
@@ -96,11 +111,10 @@ def _core_system(tag: str, obj):
 # -- subcommand drivers ---------------------------------------------------
 
 def _classical_curves(curves: ResultTable, system_id: str, system, times,
-                      alphas) -> None:
+                      alphas: np.ndarray) -> None:
     for t in times:
-        for a in alphas:
-            curves.append(system_id, None, float(t), a,
-                          cl.classical_functional(system, a, t))
+        curves.append(system_id, None, float(t), alphas,
+                      cl.classical_functional(system, alphas, t))
 
 
 def _es_rows(distributions: ResultTable, system_id: str, system,
@@ -108,8 +122,8 @@ def _es_rows(distributions: ResultTable, system_id: str, system,
     """ES rows for each t; returns the measures in time order."""
     measures = [cl.es_distribution(system, t) for t in times]
     for t, measure in zip(times, measures):
-        for atom, weight in zip(measure.atoms, measure.weights):
-            distributions.append(system_id, float(t), atom, weight, "ES")
+        distributions.append(system_id, float(t), measure.atoms,
+                             measure.weights, "ES")
     return measures
 
 
@@ -125,9 +139,8 @@ def run_functionals(cfg: ExperimentConfig) -> dict:
             system = _core_system(tag, obj)
             for p in ps:
                 for t in ts:
-                    for a in alphas:
-                        curves.append(system_id, p, t, a,
-                                      fn.functional(system, p, a, t))
+                    values = [fn.functional(system, p, a, t) for a in alphas.tolist()]
+                    curves.append(system_id, p, t, alphas, np.array(values))
     return {"curves": curves}
 
 
@@ -153,13 +166,12 @@ def run_fcs(cfg: ExperimentConfig) -> dict:
             for t in ts:
                 counting = fc.fcs_distribution(system, t)
                 modular = fc.modular_spectral_measure(system, t)
-                for atom, weight in zip(counting.atoms, counting.weights):
-                    distributions.append(system_id, t, atom, weight, "P")
-                for atom, weight in zip(modular.atoms, modular.weights):
-                    distributions.append(system_id, t, atom, weight, "Q")
-                for a in alphas:
-                    curves.append(system_id, None, t, a,
-                                  fc.fcs_cgf(counting, a, t))
+                distributions.append(system_id, t, counting.atoms,
+                                     counting.weights, "P")
+                distributions.append(system_id, t, modular.atoms,
+                                     modular.weights, "Q")
+                curves.append(system_id, None, t, alphas,
+                              fc.fcs_cgf(counting, alphas, t))
                 _check_rows(checks, [vf.tri_check(
                     "fcs_tv_distance", system_id,
                     ms.total_variation(counting, modular), system.tri,
@@ -305,12 +317,12 @@ def write_outputs(output_dir: str, subcommand: str, tables: dict,
     rows_written = {}
     for name in sorted(tables):
         table = tables[name]
-        if table is None or not table.rows or not gate.get(name, True):
+        if table is None or not len(table) or not gate.get(name, True):
             continue
         path = os.path.join(output_dir, f"{name}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(table.to_csv())
-        rows_written[name] = len(table.rows)
+        rows_written[name] = len(table)
     manifest = {
         "config_sha256": hashlib.sha256(cfg.source_text.encode()).hexdigest(),
         "rows": rows_written,

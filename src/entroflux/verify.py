@@ -155,7 +155,7 @@ def classical_checks(system_id: str, system: cl.ClassicalSystem, tol: dict):
     out.append(tri_check("classical_symmetry", system_id, sym, system.is_tri,
                          tol, "symmetry"))
 
-    values = np.array([cl.classical_functional(system, a, 1) for a in _ALPHAS_FINE])
+    values = cl.classical_functional(system, np.array(_ALPHAS_FINE), 1)
     second = np.diff(values, 2)
     out.append(bounded_check("classical_convexity", system_id,
                         max(0.0, -float(second.min())), tol["convexity"]))
@@ -242,13 +242,7 @@ def quantum_core_checks(system_id: str, system: qm.QuantumSystem, tol: dict):
 
     direct = qm.mean_ep_observable(system, 1.0).matrix
     sigma = qm.entropy_production_observable(system).matrix
-    dec = system.hamiltonian_eig()
-
-    def evolved_sigma(s: float) -> np.ndarray:
-        prop = dec.apply(lambda lam: np.exp(1j * s * lam))
-        return prop @ sigma @ prop.conj().T
-
-    integral = qm.adaptive_simpson_matrix(evolved_sigma, 0.0, 1.0)
+    integral = qm.evolved_integral(system, sigma, 1.0)
     out.append(bounded_check("quantum_ep_quadrature", system_id,
                         float(np.linalg.norm(direct - integral)),
                         tol["quadrature"]))

@@ -170,6 +170,21 @@ def test_random_palindromic_systems_satisfy_symmetry(size, seed):
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=60),
+       st.integers(min_value=0, max_value=9999),
+       st.integers(min_value=1, max_value=70),
+       st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1,
+                max_size=12))
+def test_functional_over_an_alpha_array_equals_scalar_calls(size, seed, t,
+                                                           alphas):
+    system = random_classical_system(size, seed=seed)
+    values = cl.classical_functional(system, np.array(alphas), t)
+    assert np.array_equal(
+        values, [cl.classical_functional(system, a, t) for a in alphas])
+    assert type(cl.classical_functional(system, alphas[0], t)) is float
+
+
 def test_rejects_invalid_weights():
     with pytest.raises(ValueError):
         cl.ClassicalSystem([0.5, 0.5, 0.1])

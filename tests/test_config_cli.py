@@ -211,6 +211,32 @@ def test_result_table_layout():
         table.append("too", "many", "cells")
 
 
+def test_block_renders_like_rows_appended_one_by_one():
+    atoms = np.array([-math.inf, math.inf, math.nan, -0.0, 5e-324, 1e-300])
+    weights = np.array([0.5, 1 / 3, 0.1 + 0.2, 1.0, -2.5, 7.0])
+    block = runner.ResultTable(runner.DISTRIBUTION_COLUMNS)
+    block.append("100%-d", 1.5, atoms, weights, None)
+    rows = runner.ResultTable(runner.DISTRIBUTION_COLUMNS)
+    for atom, weight in zip(atoms, weights):
+        rows.append("100%-d", 1.5, atom, weight, None)
+    text = block.to_csv()
+    assert text == rows.to_csv()
+    assert text.splitlines()[1:4] == ["100%-d,1.5,-inf,0.5,",
+                                      "100%-d,1.5,inf,0.33333333333333331,",
+                                      "100%-d,1.5,nan,0.30000000000000004,"]
+    assert len(block) == len(block.rows) == len(rows) == 6
+    assert [row[3] for row in block.rows] == weights.tolist()
+
+
+def test_block_shape_errors():
+    table = runner.ResultTable(runner.CURVE_COLUMNS)
+    with pytest.raises(ValueError):
+        table.append("s", None, 1.0, np.zeros(3))
+    with pytest.raises(ValueError):
+        table.append("s", None, 1.0, np.zeros(3), np.zeros(4))
+    assert len(table) == 0
+
+
 def test_run_functionals_row_count_and_order():
     cfg = cf.parse_config(QUBIT)
     curves = runner.run_functionals(cfg)["curves"]

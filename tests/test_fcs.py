@@ -248,3 +248,16 @@ def test_counting_modular_agreement_property(dim, seed, t):
     counting = fcs.fcs_distribution(system, t)
     modular = fcs.modular_spectral_measure(system, t)
     assert total_variation(counting, modular) < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=2, max_value=8),
+       st.integers(min_value=0, max_value=10_000),
+       st.floats(min_value=0.1, max_value=12.0),
+       st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1,
+                max_size=12))
+def test_cgf_over_an_alpha_array_equals_scalar_calls(dim, seed, t, alphas):
+    measure = fcs.fcs_distribution(random_system(dim, seed=seed), t)
+    values = fcs.fcs_cgf(measure, np.array(alphas), t)
+    assert np.array_equal(values, [fcs.fcs_cgf(measure, a, t) for a in alphas])
+    assert type(fcs.fcs_cgf(measure, alphas[0], t)) is float

@@ -212,6 +212,16 @@ def test_overflowing_powers_raise_domain_error():
         fn.functional(system, 1.0, 50.0, 1.0)
 
 
+def test_overflowing_transfer_raises_domain_error():
+    # w0^(50) w_t^(-50) and e^12-sized powers of 1e300 leave the double range
+    system = random_system(4, tri=True, seed=1, spread=12.0)
+    with pytest.raises(NumericalDomainError,
+                       match=r"p=1\.0, alpha=-50\.0, t=1\.0"):
+        fn.transfer_functional(system, 1.0, -50.0, 1.0)
+    with pytest.raises(NumericalDomainError, match=r"p=1\.0, t=1\.0"):
+        fn.transfer_apply(system, 1.0, np.full((4, 4), 1e300), 1.0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=2, max_value=8),
        st.integers(min_value=0, max_value=10_000))

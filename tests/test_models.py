@@ -58,6 +58,18 @@ def test_flux_balance(t, side):
     assert md.flux_balance_residual(model, t, side) < 1e-8
 
 
+def test_flux_balance_keeps_only_its_time_in_the_memo():
+    model = md.canonical_model()
+    memo = model.system._memo
+    model.system.hamiltonian_eig()
+    before = set(memo)
+    times = (0.5, 1.0, 2.0)
+    for t in times:
+        for side in ("left", "right"):
+            md.flux_balance_residual(model, t, side)
+    assert set(memo) - before <= {("u", -t) for t in times}
+
+
 def test_sigma_decomposes_into_fluxes():
     model = md.canonical_model()
     sigma = md.entropy_production_decomposition(model)
