@@ -41,7 +41,7 @@ from .quantum import (
     matrix_log,
     matrix_power,
     mean_ep_observable,
-    q_relative_entropy,
+    per_alpha,
 )
 
 VARIATIONAL_SLACK = 1e-9
@@ -84,38 +84,44 @@ def _log_schatten(y: np.ndarray, p: float) -> float:
     return logsumexp(p * np.log(singulars[:np.count_nonzero(singulars)]))
 
 
-def functional(system: QuantumSystem, p: float, alpha: float, t: float) -> float:
-    """The entropic functional e_[p,t](alpha); ``p`` may be ``math.inf``.
+def functional(system: QuantumSystem, p: float, alpha, t: float):
+    """The entropic functional e_[p,t](alpha), per alpha; ``p`` may be ``math.inf``.
 
-    Raises ``NumericalDomainError`` when the powers of the reference
-    spectrum or the singular values would overflow double precision, when
-    the kernel fails, or when the value is not finite.
+    A scalar alpha gives a float, a 1-D array of alphas an array; each alpha
+    runs the same two-dimensional kernel.  Raises ``NumericalDomainError``
+    naming the alpha when the powers of the reference spectrum or the
+    singular values would overflow double precision, when the kernel
+    fails, or when the value is not finite.
     """
     p = _validate_p(p)
     nu = system.reference_eig().eigenvalues
+    logw = np.log(nu)
     overlap = system.overlap(t)
-    try:
-        if math.isinf(p):
-            logw = np.log(nu)
-            combined = ((1.0 - alpha) * np.diag(logw)
-                        + alpha * (overlap.conj().T * logw) @ overlap)
-            lam = np.linalg.eigvalsh((combined + combined.conj().T) / 2.0)
-            value = logsumexp(lam)
-        # nu <= 1 and |O_ji| <= 1: the entries of y stay below exp(max(0, first
-        # term)) and its singular values below n times that, so both are finite
-        elif (min(alpha, 1.0 - alpha) / p * math.log(nu[0]) + math.log(nu.size)
-              < _LOG_DOUBLE_MAX):
-            y = (nu ** (alpha / p))[:, None] * overlap * nu ** ((1.0 - alpha) / p)
-            value = _log_schatten(y, p)
-        else:
-            value = math.inf
-    except np.linalg.LinAlgError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise NumericalDomainError(
-            f"e_[p,t](alpha) is not finite in double precision at p={p}, "
-            f"alpha={alpha}, t={t}")
-    return value
+
+    def point(alpha: float) -> float:
+        try:
+            if math.isinf(p):
+                combined = ((1.0 - alpha) * np.diag(logw)
+                            + alpha * (overlap.conj().T * logw) @ overlap)
+                lam = np.linalg.eigvalsh((combined + combined.conj().T) / 2.0)
+                value = logsumexp(lam)
+            # nu <= 1 and |O_ji| <= 1: the entries of y stay below exp(max(0, first
+            # term)) and its singular values below n times that, so both are finite
+            elif (min(alpha, 1.0 - alpha) / p * math.log(nu[0]) + math.log(nu.size)
+                  < _LOG_DOUBLE_MAX):
+                y = (nu ** (alpha / p))[:, None] * overlap * nu ** ((1.0 - alpha) / p)
+                value = _log_schatten(y, p)
+            else:
+                value = math.inf
+        except np.linalg.LinAlgError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise NumericalDomainError(
+                f"e_[p,t](alpha) is not finite in double precision at p={p}, "
+                f"alpha={alpha}, t={t}")
+        return value
+
+    return per_alpha(point, alpha)
 
 
 def naive_functional(system: QuantumSystem, alpha: float, t: float) -> float:
@@ -134,8 +140,9 @@ def naive_functional(system: QuantumSystem, alpha: float, t: float) -> float:
     return float(np.log(trace))
 
 
-def variational_max(system: QuantumSystem, alpha: float, t: float) -> float:
-    """e_[oo,t](alpha) as the maximum of rho -> S(rho|w0) - alpha t rho(Sigma_t).
+def variational_max(system: QuantumSystem, alpha, t: float):
+    """e_[oo,t](alpha) as the maximum of rho -> S(rho|w0) - alpha t rho(Sigma_t),
+    per alpha.
 
     The maximizer is rho* = exp((1-alpha) log w0 + alpha log m_t) / Z.  The
     objective is evaluated at rho* and at eight seeded perturbed density
@@ -144,37 +151,40 @@ def variational_max(system: QuantumSystem, alpha: float, t: float) -> float:
     verification battery.
     """
     sig = mean_ep_observable(system, t).matrix
-    combined = ((1.0 - alpha) * matrix_log(system.reference_eig())
-                + alpha * matrix_log(system.heisenberg_reference_eig(t)))
-    lam, vecs = np.linalg.eigh((combined + combined.conj().T) / 2.0)
-    log_z = logsumexp(lam)
-    maximizer = (vecs * np.exp(lam - log_z)) @ vecs.conj().T
-
-    w0 = system.reference_state
-
-    def objective(rho_mat: np.ndarray) -> float:
-        rho = DensityMatrix(rho_mat)
-        return q_relative_entropy(rho, w0) - alpha * t * float(
-            np.trace(rho.matrix @ sig).real
-        )
-
-    best = objective(maximizer)
+    log_w0 = matrix_log(system.reference_eig())
+    log_mt = matrix_log(system.heisenberg_reference_eig(t))
     rng = np.random.default_rng(_PERTURBATION_SEED)
     dim = system.dim
+    random_states = []
     for _ in range(_PERTURBATION_TRIALS):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         g = (g + g.conj().T) / 2.0
         lam_g, vecs_g = np.linalg.eigh(g)
         random_state = (vecs_g * np.exp(-lam_g)) @ vecs_g.conj().T
         random_state /= np.trace(random_state).real
-        rho = 0.85 * maximizer + 0.15 * random_state
-        rho /= np.trace(rho).real
-        trial = objective(rho)
-        if trial > best + VARIATIONAL_SLACK:
-            raise NumericalDomainError(
-                f"perturbed state beats the maximizer by {trial - best:.3e}"
-            )
-    return best
+        random_states.append(random_state)
+
+    def objective(rho_mat: np.ndarray, alpha: float) -> float:
+        rho = DensityMatrix(rho_mat)
+        relative = float(np.trace(rho.matrix @ (log_w0 - matrix_log(rho))).real)
+        return relative - alpha * t * float(np.trace(rho.matrix @ sig).real)
+
+    def point(alpha: float) -> float:
+        combined = (1.0 - alpha) * log_w0 + alpha * log_mt
+        lam, vecs = np.linalg.eigh((combined + combined.conj().T) / 2.0)
+        maximizer = (vecs * np.exp(lam - logsumexp(lam))) @ vecs.conj().T
+        best = objective(maximizer, alpha)
+        for random_state in random_states:
+            rho = 0.85 * maximizer + 0.15 * random_state
+            rho /= np.trace(rho).real
+            trial = objective(rho, alpha)
+            if trial > best + VARIATIONAL_SLACK:
+                raise NumericalDomainError(
+                    f"perturbed state beats the maximizer by {trial - best:.3e} "
+                    f"at alpha={alpha}, t={t}")
+        return best
+
+    return per_alpha(point, alpha)
 
 
 def araki_masuda_norm(element, system: QuantumSystem, p: float) -> float:
@@ -207,9 +217,9 @@ def transfer_apply(system: QuantumSystem, p: float, element,
     return OperatorSpaceElement(out)
 
 
-def transfer_functional(system: QuantumSystem, p: float, alpha: float,
-                        t: float) -> float:
-    """log ||U_{p/alpha}(t) 1||_p^p = p log ||w_t^(alpha/p) w0^(-alpha/p)||_p.
+def transfer_functional(system: QuantumSystem, p: float, alpha, t: float):
+    """log ||U_{p/alpha}(t) 1||_p^p = p log ||w_t^(alpha/p) w0^(-alpha/p)||_p,
+    per alpha.
 
     The transferred identity is formed directly from the closed form, so
     every alpha != 0 is admissible even when the formal index p/alpha leaves
@@ -219,15 +229,21 @@ def transfer_functional(system: QuantumSystem, p: float, alpha: float,
     ``functional_transfer_reflection``.
     """
     p = _finite_p(p)
-    if alpha == 0:
-        raise ValueError("alpha = 0 leaves the transferred identity undefined")
-    nu = system.reference_eig().eigenvalues
-    # nu <= 1, so every entry and singular value below stays under n^4 nu_min^-|alpha/p|
-    if abs(alpha) / p * -math.log(nu[0]) + 4 * math.log(nu.size) >= _LOG_DOUBLE_MAX:
-        raise NumericalDomainError(
-            f"w_t^(alpha/p) w0^(-alpha/p) would leave double precision at "
-            f"p={p}, alpha={alpha}, t={t}")
-    grow = matrix_power(system.heisenberg_reference_eig(-t), alpha / p)
-    shrink = matrix_power(system.reference_eig(), -alpha / p)
-    transferred = OperatorSpaceElement(grow @ shrink)
-    return p * float(np.log(araki_masuda_norm(transferred, system, p)))
+    reference = system.reference_eig()
+    evolved = system.heisenberg_reference_eig(-t)
+    nu = reference.eigenvalues
+
+    def point(alpha: float) -> float:
+        if alpha == 0:
+            raise ValueError("alpha = 0 leaves the transferred identity undefined")
+        # nu <= 1, so every entry and singular value below stays under n^4 nu_min^-|alpha/p|
+        if abs(alpha) / p * -math.log(nu[0]) + 4 * math.log(nu.size) >= _LOG_DOUBLE_MAX:
+            raise NumericalDomainError(
+                f"w_t^(alpha/p) w0^(-alpha/p) would leave double precision at "
+                f"p={p}, alpha={alpha}, t={t}")
+        grow = matrix_power(evolved, alpha / p)
+        shrink = matrix_power(reference, -alpha / p)
+        transferred = OperatorSpaceElement(grow @ shrink)
+        return p * float(np.log(araki_masuda_norm(transferred, system, p)))
+
+    return per_alpha(point, alpha)

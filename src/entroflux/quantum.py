@@ -245,6 +245,14 @@ class QuantumSystem:
                                      self.propagator(-t) @ ref.eigenvectors)
 
 
+def per_alpha(point: Callable[[float], float], alpha):
+    """``point(alpha)`` for a scalar alpha; for a 1-D array of alphas, the
+    array of ``point(a)`` over its entries, in order."""
+    if np.ndim(alpha) == 0:
+        return point(alpha)
+    return np.array([point(a) for a in np.asarray(alpha, dtype=float).tolist()])
+
+
 def heisenberg_evolve(system: QuantumSystem, operator, t: float) -> HermitianOperator:
     """A_t = exp(itH) A exp(-itH)."""
     mat = as_matrix(operator, system.dim)
@@ -276,13 +284,23 @@ def q_relative_entropy(rho, nu) -> float:
     return float(value.real)
 
 
-def q_renyi_entropy(rho, nu, alpha: float) -> float:
-    """Renyi relative entropy log tr(rho^alpha nu^(1-alpha))."""
+def q_renyi_entropy(rho, nu, alpha):
+    """Renyi relative entropy log tr(rho^alpha nu^(1-alpha)), per alpha.
+
+    Each state is diagonalized once per call, whatever the number of alphas.
+    """
     r, n = _state_pair(rho, nu)
-    trace = np.trace(matrix_power(r, alpha) @ matrix_power(n, 1.0 - alpha)).real
-    if trace <= 0.0:
-        raise NumericalDomainError(f"Renyi trace is not positive: {trace:.3e}")
-    return float(np.log(trace))
+    rho_eig, nu_eig = eig(r), eig(n)
+
+    def point(alpha: float) -> float:
+        trace = np.trace(matrix_power(rho_eig, alpha)
+                         @ matrix_power(nu_eig, 1.0 - alpha)).real
+        if trace <= 0.0:
+            raise NumericalDomainError(
+                f"Renyi trace is not positive at alpha={alpha}: {trace:.3e}")
+        return float(np.log(trace))
+
+    return per_alpha(point, alpha)
 
 
 def entropy_observable(system: QuantumSystem) -> HermitianOperator:

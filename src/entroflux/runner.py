@@ -139,8 +139,8 @@ def run_functionals(cfg: ExperimentConfig) -> dict:
             system = _core_system(tag, obj)
             for p in ps:
                 for t in ts:
-                    values = [fn.functional(system, p, a, t) for a in alphas.tolist()]
-                    curves.append(system_id, p, t, alphas, np.array(values))
+                    curves.append(system_id, p, t, alphas,
+                                  fn.functional(system, p, alphas, t))
     return {"curves": curves}
 
 

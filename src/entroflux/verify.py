@@ -11,6 +11,8 @@ reported as expected failures and do not fail the suite.
 The library computes each quantity by one route; every identity between
 two routes is checked here, as one battery row.  The check rows of the
 ``fcs`` and ``classical`` subcommands reuse the residual helpers below.
+Rows read whole curves: every e(alpha) route is called once per
+(system, p, t) with the row's alpha grid, never once per alpha.
 """
 from __future__ import annotations
 
@@ -48,8 +50,9 @@ DEFAULT_TOLERANCES = {
     "violation_floor": 1e-8,
 }
 
-_ALPHAS_COARSE = tuple(np.round(np.arange(-1.0, 2.0001, 0.25), 10))
-_ALPHAS_FINE = tuple(np.round(np.arange(-1.0, 2.0001, 0.05), 10))
+# symmetric about 1/2 in exact multiples of 1/4, so the reversed curve is e(1 - alpha)
+_ALPHAS_COARSE = np.round(np.arange(-1.0, 2.0001, 0.25), 10)
+_ALPHAS_FINE = np.round(np.arange(-1.0, 2.0001, 0.05), 10)
 _ALPHAS_SPARSE = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
 _P_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, math.inf)
 _P_FULL = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 64.0, math.inf)
@@ -120,32 +123,36 @@ def suite_passed(results) -> bool:
     return all(r.status != FAIL for r in results)
 
 
+def _sup(values) -> float:
+    """Largest absolute entry of a curve or of a stack of curves."""
+    return float(np.abs(values).max())
+
+
 # -- classical ----------------------------------------------------------
 
 def classical_symmetry_residual(system: cl.ClassicalSystem, alphas, times) -> float:
     """Largest |e_t(alpha) - e_t(1 - alpha)| over the grid."""
-    return max(abs(cl.classical_functional(system, a, t)
-                   - cl.classical_functional(system, 1.0 - a, t))
-               for t in times for a in alphas)
+    alphas = np.asarray(alphas)
+    return max(_sup(cl.classical_functional(system, alphas, t)
+                    - cl.classical_functional(system, 1.0 - alphas, t))
+               for t in times)
 
 
 def classical_fourway_residual(system: cl.ClassicalSystem, alphas, times) -> float:
     """Largest gap between e_t(alpha) and its variational, Renyi and
     transfer-operator forms; off time-reversal invariance the transfer form
     is compared with e_t(1 - alpha)."""
+    alphas = np.asarray(alphas)
     worst = 0.0
     for t in times:
-        for a in alphas:
-            direct = cl.classical_functional(system, a, t)
-            transfer = cl.classical_transfer_functional(system, 2.0, a, t)
-            target = direct if system.is_tri \
-                else cl.classical_functional(system, 1.0 - a, t)
-            worst = max(
-                worst,
-                abs(direct - cl.variational_functional(system, a, t)),
-                abs(direct - cl.renyi_identity_check(system, a, t)),
-                abs(transfer - target),
-            )
+        direct = cl.classical_functional(system, alphas, t)
+        target = direct if system.is_tri \
+            else cl.classical_functional(system, 1.0 - alphas, t)
+        worst = max(worst, _sup([
+            direct - cl.variational_functional(system, alphas, t),
+            direct - cl.renyi_identity_check(system, alphas, t),
+            cl.classical_transfer_functional(system, 2.0, alphas, t) - target,
+        ]))
     return worst
 
 
@@ -155,14 +162,14 @@ def classical_checks(system_id: str, system: cl.ClassicalSystem, tol: dict):
     out.append(tri_check("classical_symmetry", system_id, sym, system.is_tri,
                          tol, "symmetry"))
 
-    values = cl.classical_functional(system, np.array(_ALPHAS_FINE), 1)
+    values = cl.classical_functional(system, _ALPHAS_FINE, 1)
     second = np.diff(values, 2)
     out.append(bounded_check("classical_convexity", system_id,
                         max(0.0, -float(second.min())), tol["convexity"]))
 
     h = _DIFF_STEP
-    slope = (cl.classical_functional(system, h, 1)
-             - cl.classical_functional(system, -h, 1)) / (2 * h)
+    plus, minus = cl.classical_functional(system, np.array([h, -h]), 1)
+    slope = (plus - minus) / (2 * h)
     mean_ep = float(np.sum(system.reference_state
                            * cl.mean_ep_observable(system, 1).values))
     out.append(bounded_check("classical_derivative", system_id,
@@ -190,10 +197,9 @@ def classical_checks(system_id: str, system: cl.ClassicalSystem, tol: dict):
     out.append(tri_check("classical_es_symmetry", system_id, es, system.is_tri,
                          tol, "tv"))
     if not system.is_tri:
-        reflect = max(
-            abs(cl.classical_transfer_functional(system, 2.0, a, 1)
-                - cl.classical_functional(system, 1.0 - a, 1))
-            for a in (-0.5, 0.3, 1.2))
+        sample = np.array([-0.5, 0.3, 1.2])
+        reflect = _sup(cl.classical_transfer_functional(system, 2.0, sample, 1)
+                       - cl.classical_functional(system, 1.0 - sample, 1))
         out.append(bounded_check("classical_transfer_reflection", system_id,
                             reflect, tol["classical_identity"]))
 
@@ -286,40 +292,28 @@ def quantum_second_law_batch(tol: dict, count: int = 20):
 
 def functional_checks(system_id: str, system: qm.QuantumSystem, tol: dict):
     out = []
-    sym = 0.0
     if system.tri:
-        for p in _P_GRID:
-            for t in _T_GRID:
-                for a in _ALPHAS_COARSE:
-                    sym = max(sym, abs(fn.functional(system, p, a, t)
-                                       - fn.functional(system, p, 1.0 - a, t)))
+        coarse = {(p, t): fn.functional(system, p, _ALPHAS_COARSE, t)
+                  for p in _P_GRID for t in _T_GRID}
     else:
-        for a in _ALPHAS_COARSE:
-            sym = max(sym, abs(fn.functional(system, 2.0, a, 1.0)
-                               - fn.functional(system, 2.0, 1.0 - a, 1.0)))
+        coarse = {(2.0, 1.0): fn.functional(system, 2.0, _ALPHAS_COARSE, 1.0)}
+    sym = max(_sup(curve - curve[::-1]) for curve in coarse.values())
     out.append(tri_check("functional_symmetry", system_id, sym, system.tri,
                          tol, "symmetry"))
 
-    kaw = 0.0
-    for p in _P_FULL:
-        for t in (0.5, 1.0):
-            kaw = max(kaw, abs(fn.functional(system, p, 0.0, t)),
-                      abs(fn.functional(system, p, 1.0, t)))
+    kaw = max(_sup(fn.functional(system, p, (0.0, 1.0), t))
+              for p in _P_FULL for t in (0.5, 1.0))
     out.append(bounded_check("functional_kawasaki", system_id, kaw, tol["kawasaki"]))
 
-    bend = 0.0
-    for p in (1.0, 2.0, math.inf):
-        curve = np.array([fn.functional(system, p, a, 1.0) for a in _ALPHAS_FINE])
-        bend = max(bend, -float(np.diff(curve, 2).min()))
+    bend = max(-float(np.diff(fn.functional(system, p, _ALPHAS_FINE, 1.0), 2).min())
+               for p in (1.0, 2.0, math.inf))
     out.append(bounded_check("functional_convexity", system_id,
                         max(0.0, bend), tol["convexity"]))
 
-    grow = 0.0
-    gap = 0.0
-    for a in (0.25, 0.5, 0.75):
-        values = [fn.functional(system, p, a, 1.0) for p in _P_FULL]
-        grow = max(grow, float(np.diff(values).max()))
-        gap = max(gap, abs(values[-2] - values[-1]))
+    by_p = np.array([fn.functional(system, p, (0.25, 0.5, 0.75), 1.0)
+                     for p in _P_FULL])
+    grow = float(np.diff(by_p, axis=0).max())
+    gap = _sup(by_p[-2] - by_p[-1])
     out.append(bounded_check("functional_p_monotone", system_id,
                         max(0.0, grow), tol["p_monotone"]))
     out.append(bounded_check("functional_p_limit", system_id, gap, tol["p_limit"]))
@@ -328,15 +322,14 @@ def functional_checks(system_id: str, system: qm.QuantumSystem, tol: dict):
     mean_ep = qm.mean_ep_expectation(system, 1.0)
     drift = 0.0
     for p in _P_FULL:
-        slope = (fn.functional(system, p, h, 1.0)
-                 - fn.functional(system, p, -h, 1.0)) / (2 * h)
-        drift = max(drift, abs(slope + mean_ep))
+        plus, minus = fn.functional(system, p, (h, -h), 1.0)
+        drift = max(drift, abs((plus - minus) / (2 * h) + mean_ep))
     out.append(bounded_check("functional_derivative", system_id, drift,
                         tol["derivative"]))
 
-    vres = max(abs(fn.variational_max(system, a, 1.0)
-                   - fn.functional(system, math.inf, a, 1.0))
-               for a in (0.3, 1.2))
+    pair = (0.3, 1.2)
+    vres = _sup(fn.variational_max(system, pair, 1.0)
+                - fn.functional(system, math.inf, pair, 1.0))
     out.append(bounded_check("functional_variational", system_id, vres,
                         tol["bridge"]))
 
@@ -344,30 +337,24 @@ def functional_checks(system_id: str, system: qm.QuantumSystem, tol: dict):
         bres = 0.0
         for t in (0.5, 1.0):
             evolved = qm.schrodinger_evolve(system, system.reference_state, t)
-            for a in _ALPHAS_COARSE:
-                bres = max(bres, abs(
-                    qm.q_renyi_entropy(evolved, system.reference_state, a)
-                    - fn.functional(system, 2.0, a, t)))
+            renyi = qm.q_renyi_entropy(evolved, system.reference_state,
+                                       _ALPHAS_COARSE)
+            bres = max(bres, _sup(renyi - coarse[2.0, t]))
     else:
         evolved = qm.schrodinger_evolve(system, system.reference_state, 1.0)
         bres = abs(qm.q_renyi_entropy(evolved, system.reference_state, 0.4)
                    - fn.functional(system, 2.0, 0.4, 1.0))
     out.append(tri_check("functional_renyi_bridge", system_id, bres, system.tri,
                          tol, "bridge"))
-    if system.tri:
-        tres = max(abs(fn.transfer_functional(system, p, a, 1.0)
-                       - fn.functional(system, p, a, 1.0))
-                   for p in (1.0, 2.0, 4.0)
-                   for a in (-0.5, 0.3, 0.8, 1.5))
-        out.append(bounded_check("functional_transfer_bridge", system_id, tres,
-                            tol["bridge"]))
-    else:
-        tres = max(abs(fn.transfer_functional(system, p, a, 1.0)
-                       - fn.functional(system, p, 1.0 - a, 1.0))
-                   for p in (1.0, 2.0, 4.0)
-                   for a in (-0.5, 0.3, 0.8, 1.5))
-        out.append(bounded_check("functional_transfer_reflection", system_id, tres,
-                            tol["bridge"]))
+
+    sample = np.array([-0.5, 0.3, 0.8, 1.5])
+    target = sample if system.tri else 1.0 - sample
+    tres = max(_sup(fn.transfer_functional(system, p, sample, 1.0)
+                    - fn.functional(system, p, target, 1.0))
+               for p in (1.0, 2.0, 4.0))
+    out.append(bounded_check("functional_transfer_bridge" if system.tri
+                             else "functional_transfer_reflection",
+                             system_id, tres, tol["bridge"]))
 
     rng = np.random.default_rng(406)
     a_mat = rng.standard_normal((system.dim, system.dim)) \
@@ -444,12 +431,13 @@ def fcs_checks(system_id: str, system: qm.QuantumSystem, tol: dict,
         out.append(bounded_check("fcs_time_reversal_twist", system_id,
                             ms.total_variation(counting, twisted), tol["tv"]))
 
-    bres = max(abs(fc.fcs_cgf(counting, a, t) - fn.functional(system, 2.0, a, t))
-               for a in _ALPHAS_COARSE)
+    bres = _sup(fc.fcs_cgf(counting, _ALPHAS_COARSE, t)
+                - fn.functional(system, 2.0, _ALPHAS_COARSE, t))
     out.append(bounded_check("fcs_cgf_bridge", system_id, bres, tol["bridge"]))
 
     h = _DIFF_STEP
-    slope = (fc.fcs_cgf(counting, h, t) - fc.fcs_cgf(counting, -h, t)) / (2 * h)
+    plus, minus = fc.fcs_cgf(counting, np.array([h, -h]), t)
+    slope = (plus - minus) / (2 * h)
     out.append(bounded_check("fcs_mean_derivative", system_id,
                         abs(counting.mean() + slope / t), tol["derivative"]))
 
@@ -502,9 +490,8 @@ def qubit_closed_form_check(system_id: str, system: qm.QuantumSystem,
 
 def commuting_checks(system_id: str, system: qm.QuantumSystem, tol: dict):
     out = []
-    collapse = max(abs(fn.functional(system, p, a, t))
+    collapse = max(_sup(fn.functional(system, p, (-1.0, 0.5, 2.0), t))
                    for p in (1.0, 2.0, 64.0, math.inf)
-                   for a in (-1.0, 0.5, 2.0)
                    for t in (0.7, 1.0))
     out.append(bounded_check("functional_commuting_collapse", system_id, collapse,
                         tol["exact"]))
@@ -561,8 +548,8 @@ def reservoir_special_checks(tol: dict):
 
     decoupled = md.build_two_reservoir(h_local, h_local, 1.0, 2.0,
                                        np.zeros((4, 4)))
-    collapse = max(abs(fn.functional(decoupled.system, p, a, 1.0))
-                   for p in (2.0, math.inf) for a in (0.5, 1.5))
+    collapse = max(_sup(fn.functional(decoupled.system, p, (0.5, 1.5), 1.0))
+                   for p in (2.0, math.inf))
     out.append(bounded_check("model_decoupled_collapse", "reservoir-decoupled",
                         collapse, tol["exact"]))
 
@@ -602,8 +589,8 @@ def sigma_decomposition_batch(tol: dict, count: int = 10):
 
 def format_round_trip_check(tol: dict):
     model = md.canonical_model()
-    samples = [fn.functional(model.system, p, a, 1.0)
-               for p in (1.0, 2.0, math.inf) for a in (-0.6, 0.35, 1.7)]
+    samples = np.concatenate([fn.functional(model.system, p, (-0.6, 0.35, 1.7), 1.0)
+                              for p in (1.0, 2.0, math.inf)]).tolist()
     samples += [qm.mean_ep_expectation(model.system, 0.5), math.pi, 1e-300]
     bad = sum(1 for v in samples if float("%.17g" % v) != v)
     return [bounded_check("format_round_trip", "format", float(bad), 0.5)]

@@ -6,11 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroflux import classical as cl
+from entroflux.errors import NumericalDomainError
 from entroflux.measures import fluctuation_symmetry_residual
 from entroflux.models import random_classical_system
 
 REFERENCE = cl.ClassicalSystem([0.25, 0.5, 0.25])
 LOPSIDED = cl.ClassicalSystem([0.7, 0.2, 0.1])
+
+# every classical e_t(alpha) route, called as route(system, alpha, t)
+ALPHA_ROUTES = (
+    cl.classical_functional,
+    cl.variational_functional,
+    cl.renyi_identity_check,
+    lambda system, alpha, t: cl.classical_transfer_functional(system, 2.0,
+                                                              alpha, t),
+)
 
 # e_1(1/2) for the reference chain: log(1/4 + sqrt(2)/2)
 E_HALF = -0.043840314666364601
@@ -58,15 +68,10 @@ def test_mean_ep_mean_vanishes_only_at_full_period():
     np.testing.assert_allclose(vals, 0.0, atol=1e-15)
 
 
-def test_relative_entropy_nonpositive_and_zero_on_diagonal():
-    assert cl.relative_entropy([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0)
-    assert cl.relative_entropy([0.9, 0.1], [0.5, 0.5]) < 0
-
-
-def test_renyi_entropy_frozen_value():
-    got = cl.renyi_entropy([0.5, 0.5], [0.75, 0.25], 0.5)
-    assert got == pytest.approx(math.log(math.sqrt(3 / 8) + math.sqrt(1 / 8)),
-                                abs=1e-14)
+def test_renyi_identity_frozen_value():
+    # the chain (3/4, 1/4) moved by one step is (1/4, 3/4)
+    got = cl.renyi_identity_check(cl.ClassicalSystem([0.75, 0.25]), 0.5, 1)
+    assert got == pytest.approx(math.log(math.sqrt(3) / 2), abs=1e-14)
 
 
 def test_functional_frozen_value():
@@ -134,26 +139,8 @@ def test_transfer_functional_reflects_alpha_in_general():
     assert got == pytest.approx(want, abs=1e-13)
 
 
-def test_lp_norm_of_unit_observable():
-    for p in (1.0, 2.0, 7.5):
-        assert cl.lp_norm(REFERENCE, np.ones(3), p) == pytest.approx(1.0)
-
-
-def test_transfer_apply_preserves_norm_at_matching_index():
-    f = np.array([0.4, 1.1, 0.2])
-    for p in (1.0, 3.0):
-        moved = cl.classical_transfer_apply(REFERENCE, p, f, 1)
-        assert cl.lp_norm(REFERENCE, moved.values, p) == pytest.approx(
-            cl.lp_norm(REFERENCE, f, p), abs=1e-13)
-
-
 def test_index_checks_reject_nan_and_below_one():
-    f = np.ones(3)
     for p in (0.5, math.nan):
-        with pytest.raises(ValueError):
-            cl.lp_norm(REFERENCE, f, p)
-        with pytest.raises(ValueError):
-            cl.classical_transfer_apply(REFERENCE, p, f, 1)
         with pytest.raises(ValueError):
             cl.classical_transfer_functional(REFERENCE, p, 0.5, 1)
 
@@ -179,10 +166,17 @@ def test_random_palindromic_systems_satisfy_symmetry(size, seed):
 def test_functional_over_an_alpha_array_equals_scalar_calls(size, seed, t,
                                                            alphas):
     system = random_classical_system(size, seed=seed)
-    values = cl.classical_functional(system, np.array(alphas), t)
-    assert np.array_equal(
-        values, [cl.classical_functional(system, a, t) for a in alphas])
-    assert type(cl.classical_functional(system, alphas[0], t)) is float
+    for route in ALPHA_ROUTES:
+        values = route(system, np.array(alphas), t)
+        assert np.array_equal(values, [route(system, a, t) for a in alphas])
+        assert type(route(system, alphas[0], t)) is float
+
+
+def test_perturbed_state_beating_the_maximizer_raises(monkeypatch):
+    monkeypatch.setattr(cl, "VARIATIONAL_SLACK", -1.0)
+    for alpha in (0.3, np.array([0.3, 1.2])):
+        with pytest.raises(NumericalDomainError, match="beats the maximizer"):
+            cl.variational_functional(LOPSIDED, alpha, 1)
 
 
 def test_rejects_invalid_weights():

@@ -257,7 +257,18 @@ def test_counting_modular_agreement_property(dim, seed, t):
        st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1,
                 max_size=12))
 def test_cgf_over_an_alpha_array_equals_scalar_calls(dim, seed, t, alphas):
-    measure = fcs.fcs_distribution(random_system(dim, seed=seed), t)
-    values = fcs.fcs_cgf(measure, np.array(alphas), t)
-    assert np.array_equal(values, [fcs.fcs_cgf(measure, a, t) for a in alphas])
-    assert type(fcs.fcs_cgf(measure, alphas[0], t)) is float
+    system = random_system(dim, seed=seed)
+    measure = fcs.fcs_distribution(system, t)
+    evolved = qm.schrodinger_evolve(system, system.reference_state, t)
+    # alpha = 0 leaves the transferred identity undefined
+    nonzero = [a for a in alphas if a != 0.0] or [0.5]
+    routes = [
+        (lambda a: fcs.fcs_cgf(measure, a, t), alphas),
+        (lambda a: qm.q_renyi_entropy(evolved, system.reference_state, a), alphas),
+        (lambda a: fn.transfer_functional(system, 2.0, a, t), nonzero),
+    ] + [(lambda a, p=p: fn.functional(system, p, a, t), alphas)
+         for p in (1.0, 2.0, 100.0, math.inf)]
+    for route, grid in routes:
+        values = route(np.array(grid))
+        assert np.array_equal(values, [route(a) for a in grid])
+        assert type(route(grid[0])) is float

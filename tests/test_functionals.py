@@ -80,10 +80,20 @@ def test_bridge_uses_backward_state_without_tri():
 
 def test_variational_route_matches_limit_functional():
     system = random_system(5, tri=True, seed=47)
-    for alpha in (0.3, 1.2):
-        got = fn.variational_max(system, alpha, 1.0)
-        want = fn.functional(system, math.inf, alpha, 1.0)
-        assert got == pytest.approx(want, abs=1e-10)
+    alphas = (0.3, 1.2)
+    got = fn.variational_max(system, alphas, 1.0)
+    assert np.array_equal(got, [fn.variational_max(system, a, 1.0)
+                                for a in alphas])
+    want = fn.functional(system, math.inf, alphas, 1.0)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_perturbed_state_beating_the_maximizer_raises(monkeypatch):
+    monkeypatch.setattr(fn, "VARIATIONAL_SLACK", -1.0)
+    system = random_system(4, tri=True, seed=47)
+    for alpha in (0.3, np.array([0.3, 1.2])):
+        with pytest.raises(NumericalDomainError, match="beats the maximizer"):
+            fn.variational_max(system, alpha, 1.0)
 
 
 def test_p_monotone_in_p():
@@ -210,6 +220,9 @@ def test_overflowing_powers_raise_domain_error():
     with pytest.raises(NumericalDomainError,
                        match=r"p=1\.0, alpha=50\.0, t=1\.0"):
         fn.functional(system, 1.0, 50.0, 1.0)
+    with pytest.raises(NumericalDomainError,
+                       match=r"p=1\.0, alpha=50\.0, t=1\.0"):
+        fn.functional(system, 1.0, np.array([0.5, 50.0]), 1.0)
 
 
 def test_overflowing_transfer_raises_domain_error():
