@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from . import runner
 from . import verify as vf
-from .config import default_config, load_config
+from .config import _seed, default_config, load_config
 from .errors import ConfigError, ConfigValidationError, NumericalDomainError
 from .version import __version__
 
@@ -72,9 +72,7 @@ def _parse_tolerance_overrides(pairs) -> dict:
 def _load(args):
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigValidationError("seed: must be non-negative")
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=_seed(args.seed, "seed"))
     overrides = _parse_tolerance_overrides(args.tolerance)
     if overrides:
         cfg = replace(cfg, tolerances={**cfg.tolerances, **overrides})

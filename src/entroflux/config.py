@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from .classical import ClassicalSystem
-from .errors import ConfigParseError, ConfigValidationError, NumericalDomainError
+from .errors import ConfigParseError, ConfigValidationError
 from .models import (
     build_two_reservoir,
     random_classical_system,
@@ -33,17 +33,6 @@ from .verify import merge_tolerances
 DEFAULT_ALPHAS = tuple(float(a) for a in np.round(np.arange(-1.0, 2.0001, 0.05), 10))
 DEFAULT_PS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 64.0, math.inf)
 DEFAULT_TS = (0.5, 1.0)
-
-_SYSTEM_KINDS = ("classical", "quantum", "two_reservoir", "random",
-                 "random_classical")
-
-_KIND_TAGS = {
-    "classical": "classical",
-    "quantum": "quantum",
-    "two_reservoir": "reservoir",
-    "random": "quantum",
-    "random_classical": "classical",
-}
 
 
 def _fail(path: str, message: str):
@@ -70,6 +59,51 @@ def _real(value, path: str) -> float:
     if math.isnan(out):
         _fail(path, "must not be NaN")
     return out
+
+
+def _finite_real(value, path: str) -> float:
+    out = _real(value, path)
+    if not math.isfinite(out):
+        _fail(path, f"must be finite, got {out}")
+    return out
+
+
+def _positive(value, path: str) -> float:
+    out = _finite_real(value, path)
+    if out <= 0:
+        _fail(path, f"must be positive, got {out}")
+    return out
+
+
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        _fail(path, f"expected a boolean, got {value!r}")
+    return value
+
+
+def _integer(value, path: str, least: int, expected: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        _fail(path, f"expected {expected}, got {value!r}")
+    return value
+
+
+def _count(value, path: str) -> int:
+    return _integer(value, path, 2, "an integer >= 2")
+
+
+def _seed(value, path: str) -> int:
+    return _integer(value, path, 0, "a nonnegative integer")
+
+
+def _probabilities(value, path: str) -> np.ndarray:
+    if not isinstance(value, list) or not value:
+        _fail(path, "expected a nonempty list of numbers")
+    weights = np.array([_real(x, f"{path}[{i}]") for i, x in enumerate(value)])
+    if weights.min() <= 0:
+        _fail(path, "entries must be strictly positive")
+    if abs(weights.sum() - 1.0) > 1e-12:
+        _fail(path, f"must sum to 1 within 1e-12, got {weights.sum():.17g}")
+    return weights
 
 
 def _entry(value, path: str) -> complex:
@@ -100,10 +134,41 @@ def parse_matrix(value, path: str) -> np.ndarray:
     return mat
 
 
-def _vector(value, path: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        _fail(path, "expected a nonempty list of numbers")
-    return np.array([_real(x, f"{path}[{i}]") for i, x in enumerate(value)])
+# kind -> (battery tag, {key: (parser, required)} in check order,
+# builder(params, global seed)).  Optional keys a config leaves out are
+# absent from params, and the builder supplies their defaults.
+_KINDS = {
+    "classical": ("classical", {"weights": (_probabilities, True)},
+                  lambda p, seed: ClassicalSystem(p["weights"])),
+    "quantum": (
+        "quantum",
+        {"hamiltonian": (parse_matrix, True),
+         "reference_state": (parse_matrix, True), "tri": (_flag, False)},
+        lambda p, seed: QuantumSystem(p["hamiltonian"], p["reference_state"],
+                                      tri=p.get("tri"))),
+    "two_reservoir": (
+        "reservoir",
+        {"left_hamiltonian": (parse_matrix, True),
+         "right_hamiltonian": (parse_matrix, True),
+         "coupling": (parse_matrix, True),
+         "beta_left": (_positive, True), "beta_right": (_positive, True)},
+        lambda p, seed: build_two_reservoir(
+            p["left_hamiltonian"], p["right_hamiltonian"],
+            p["beta_left"], p["beta_right"], p["coupling"])),
+    "random": (
+        "quantum",
+        {"dim": (_count, True), "spread": (_positive, False),
+         "tri": (_flag, False), "seed": (_seed, False)},
+        lambda p, seed: random_system(p["dim"], tri=p.get("tri", False),
+                                      seed=p.get("seed", seed),
+                                      spread=p.get("spread", 1.0))),
+    "random_classical": (
+        "classical",
+        {"size": (_count, True), "tri": (_flag, False),
+         "seed": (_seed, False)},
+        lambda p, seed: random_classical_system(
+            p["size"], seed=p.get("seed", seed), tri=p.get("tri", False))),
+}
 
 
 @dataclass(frozen=True)
@@ -116,32 +181,13 @@ class SystemEntry:
 
     def build(self, global_seed: int = 0):
         """Materialize: returns (system_id, battery_kind, object)."""
-        p = self.params
-        tag = _KIND_TAGS[self.kind]
+        if self.kind not in _KINDS:
+            _fail(f"systems.{self.system_id}.kind",
+                  f"unknown kind {self.kind!r}")
+        tag, _, builder = _KINDS[self.kind]
         try:
-            if self.kind == "classical":
-                obj = ClassicalSystem(p["weights"])
-            elif self.kind == "quantum":
-                obj = QuantumSystem(p["hamiltonian"], p["reference_state"],
-                                    tri=p.get("tri"))
-            elif self.kind == "two_reservoir":
-                obj = build_two_reservoir(
-                    p["left_hamiltonian"], p["right_hamiltonian"],
-                    p["beta_left"], p["beta_right"], p["coupling"])
-            elif self.kind == "random":
-                obj = random_system(p["dim"], tri=p.get("tri", False),
-                                    seed=p.get("seed", global_seed),
-                                    spread=p.get("spread", 1.0))
-            elif self.kind == "random_classical":
-                obj = random_classical_system(p["size"],
-                                              seed=p.get("seed", global_seed),
-                                              tri=p.get("tri", False))
-            else:
-                raise ConfigValidationError(
-                    f"systems.{self.system_id}.kind: unknown kind {self.kind!r}")
-        except (ValueError, NumericalDomainError) as exc:
-            if isinstance(exc, ConfigValidationError):
-                raise
+            obj = builder(self.params, global_seed)
+        except ValueError as exc:  # NumericalDomainError included
             raise ConfigValidationError(
                 f"systems.{self.system_id}: {exc}") from exc
         return self.system_id, tag, obj
@@ -190,104 +236,33 @@ def _parse_system(entry, index: int) -> SystemEntry:
     path = f"systems[{index}]"
     mapping = _require_mapping(entry, path)
     kind = mapping.get("kind")
-    if kind not in _SYSTEM_KINDS:
-        _fail(f"{path}.kind", f"expected one of {list(_SYSTEM_KINDS)}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        _fail(f"{path}.kind", f"expected one of {list(_KINDS)}, got {kind!r}")
     system_id = mapping.get("id", f"{kind}-{index}")
     if not isinstance(system_id, str) or not system_id:
         _fail(f"{path}.id", "expected a nonempty string")
     if "," in system_id or "\n" in system_id:
         _fail(f"{path}.id", "must not contain commas or newlines")
 
+    _, schema, _ = _KINDS[kind]
+    _reject_unknown(mapping, {"id", "kind", *schema}, path)
     params = {}
-    if kind == "classical":
-        _reject_unknown(mapping, {"id", "kind", "weights"}, path)
-        if "weights" not in mapping:
-            _fail(f"{path}.weights", "required for classical systems")
-        weights = _vector(mapping["weights"], f"{path}.weights")
-        if weights.min() <= 0:
-            _fail(f"{path}.weights", "entries must be strictly positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            _fail(f"{path}.weights",
-                  f"must sum to 1 within 1e-12, got {weights.sum():.17g}")
-        params["weights"] = weights
-    elif kind == "quantum":
-        _reject_unknown(mapping, {"id", "kind", "hamiltonian",
-                                  "reference_state", "tri"}, path)
-        for key in ("hamiltonian", "reference_state"):
-            if key not in mapping:
-                _fail(f"{path}.{key}", "required for quantum systems")
-            params[key] = parse_matrix(mapping[key], f"{path}.{key}")
-        if params["hamiltonian"].shape != params["reference_state"].shape:
-            _fail(path, "hamiltonian and reference_state dimensions differ")
-        tri = mapping.get("tri")
-        if tri is not None and not isinstance(tri, bool):
-            _fail(f"{path}.tri", f"expected a boolean, got {tri!r}")
-        params["tri"] = tri
-    elif kind == "two_reservoir":
-        allowed = {"id", "kind", "left_hamiltonian", "right_hamiltonian",
-                   "beta_left", "beta_right", "coupling"}
-        _reject_unknown(mapping, allowed, path)
-        for key in ("left_hamiltonian", "right_hamiltonian", "coupling"):
-            if key not in mapping:
-                _fail(f"{path}.{key}", "required for two_reservoir systems")
-            params[key] = parse_matrix(mapping[key], f"{path}.{key}")
-        for key in ("beta_left", "beta_right"):
-            if key not in mapping:
-                _fail(f"{path}.{key}", "required for two_reservoir systems")
-            beta = _real(mapping[key], f"{path}.{key}")
-            if beta <= 0:
-                _fail(f"{path}.{key}", f"must be positive, got {beta}")
-            params[key] = beta
+    for key, (parse, required) in schema.items():
+        if key in mapping:
+            params[key] = parse(mapping[key], f"{path}.{key}")
+        elif required:
+            _fail(f"{path}.{key}", f"required for {kind} systems")
+    if kind == "quantum" \
+            and params["hamiltonian"].shape != params["reference_state"].shape:
+        _fail(path, "hamiltonian and reference_state dimensions differ")
+    if kind == "two_reservoir":
         expected = (params["left_hamiltonian"].shape[0]
                     * params["right_hamiltonian"].shape[0])
         if params["coupling"].shape[0] != expected:
             _fail(f"{path}.coupling",
                   f"dimension {params['coupling'].shape[0]} does not match "
                   f"the product dimension {expected}")
-    elif kind == "random":
-        _reject_unknown(mapping, {"id", "kind", "dim", "tri", "seed",
-                                  "spread"}, path)
-        if "dim" not in mapping:
-            _fail(f"{path}.dim", "required for random systems")
-        dim = mapping["dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
-            _fail(f"{path}.dim", f"expected an integer >= 2, got {dim!r}")
-        params["dim"] = dim
-        if "spread" in mapping:
-            spread = _real(mapping["spread"], f"{path}.spread")
-            if spread <= 0:
-                _fail(f"{path}.spread", "must be positive")
-            params["spread"] = spread
-        _copy_seed_tri(mapping, params, path)
-    elif kind == "random_classical":
-        _reject_unknown(mapping, {"id", "kind", "size", "tri", "seed"}, path)
-        if "size" not in mapping:
-            _fail(f"{path}.size", "required for random_classical systems")
-        size = mapping["size"]
-        if not isinstance(size, int) or isinstance(size, bool) or size < 2:
-            _fail(f"{path}.size", f"expected an integer >= 2, got {size!r}")
-        params["size"] = size
-        _copy_seed_tri(mapping, params, path)
     return SystemEntry(system_id, kind, params)
-
-
-def _copy_seed_tri(mapping: dict, params: dict, path: str) -> None:
-    if "tri" in mapping:
-        if not isinstance(mapping["tri"], bool):
-            _fail(f"{path}.tri", f"expected a boolean, got {mapping['tri']!r}")
-        params["tri"] = mapping["tri"]
-    if "seed" in mapping:
-        seed = mapping["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            _fail(f"{path}.seed", f"expected a nonnegative integer, got {seed!r}")
-        params["seed"] = seed
-
-
-def _finite_real(value, path: str) -> float:
-    out = _real(value, path)
-    if not math.isfinite(out):
-        _fail(path, f"must be finite, got {out}")
-    return out
 
 
 def _parse_alpha_grid(value, path: str) -> tuple:
@@ -303,9 +278,7 @@ def _parse_alpha_grid(value, path: str) -> tuple:
             _fail(f"{path}.{key}", "required in a range grid")
     lo = _finite_real(mapping["min"], f"{path}.min")
     hi = _finite_real(mapping["max"], f"{path}.max")
-    step = _finite_real(mapping["step"], f"{path}.step")
-    if step <= 0:
-        _fail(f"{path}.step", f"must be positive, got {step}")
+    step = _positive(mapping["step"], f"{path}.step")
     if hi < lo:
         _fail(path, f"max {hi} is below min {lo}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -330,18 +303,6 @@ def _parse_p_grid(value, path: str) -> tuple:
         if p < 1:
             _fail(here, f"p must be >= 1, got {p}")
         out.append(p)
-    return tuple(out)
-
-
-def _parse_t_grid(value, path: str) -> tuple:
-    if not isinstance(value, list) or not value:
-        _fail(path, "expected a non-empty list")
-    out = []
-    for i, x in enumerate(value):
-        t = _finite_real(x, f"{path}[{i}]")
-        if t <= 0:
-            _fail(f"{path}[{i}]", f"t must be positive, got {t}")
-        out.append(t)
     return tuple(out)
 
 
@@ -377,25 +338,23 @@ def parse_config(text: str) -> ExperimentConfig:
         if "p" in sweep:
             ps = _parse_p_grid(sweep["p"], "sweep.p")
         if "t" in sweep:
-            ts = _parse_t_grid(sweep["t"], "sweep.t")
+            if not isinstance(sweep["t"], list) or not sweep["t"]:
+                _fail("sweep.t", "expected a non-empty list")
+            ts = tuple(_positive(x, f"sweep.t[{i}]")
+                       for i, x in enumerate(sweep["t"]))
 
     output_dir = None
-    write_curves = write_distributions = write_checks = True
+    writes = {"curves": True, "distributions": True, "checks": True}
     if "output" in raw:
         output = _require_mapping(raw["output"], "output")
-        _reject_unknown(output, {"directory", "curves", "distributions",
-                                 "checks"}, "output")
+        _reject_unknown(output, {"directory", *writes}, "output")
         if "directory" in output:
             if not isinstance(output["directory"], str) or not output["directory"]:
                 _fail("output.directory", "expected a nonempty string")
             output_dir = output["directory"]
-        for key, default in (("curves", True), ("distributions", True),
-                             ("checks", True)):
-            if key in output and not isinstance(output[key], bool):
-                _fail(f"output.{key}", "expected a boolean")
-        write_curves = output.get("curves", True)
-        write_distributions = output.get("distributions", True)
-        write_checks = output.get("checks", True)
+        for key in writes:
+            if key in output:
+                writes[key] = _flag(output[key], f"output.{key}")
 
     tolerances = {}
     if "tolerances" in raw:
@@ -407,16 +366,12 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigValidationError(f"tolerances: {exc}") from exc
 
-    seed = 0
-    if "seed" in raw:
-        seed = raw["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            _fail("seed", f"expected a nonnegative integer, got {seed!r}")
-
     return ExperimentConfig(
         systems=systems, alphas=alphas, ps=ps, ts=ts, output_dir=output_dir,
-        write_curves=write_curves, write_distributions=write_distributions,
-        write_checks=write_checks, tolerances=tolerances, seed=seed,
+        write_curves=writes["curves"],
+        write_distributions=writes["distributions"],
+        write_checks=writes["checks"], tolerances=tolerances,
+        seed=_seed(raw["seed"], "seed") if "seed" in raw else 0,
         from_file=True, source_text=text,
     )
 

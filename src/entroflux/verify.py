@@ -443,9 +443,6 @@ def fcs_checks(system_id: str, system: qm.QuantumSystem, tol: dict,
 
     evolved = system.heisenberg_reference_eig(-t)
     reference = system.reference_eig()
-    raw = np.abs(system.overlap(t)) ** 2 * reference.eigenvalues[:, None]
-    out.append(bounded_check("fcs_q_weights_nonneg", system_id,
-                        max(0.0, -float(raw.min())), 1e-14))
 
     rng = np.random.default_rng(407)
     positivity = 0.0

@@ -107,37 +107,77 @@ systems:
     assert system.tri is False
 
 
-def test_error_messages_name_offending_key():
-    with pytest.raises(ConfigValidationError, match="weights"):
-        cf.parse_config("""
-systems:
-  - id: bad
-    kind: classical
-    weights: [0.7, 0.7]
-""")
-    with pytest.raises(ConfigValidationError, match="hamiltonian"):
-        cf.parse_config("""
-systems:
-  - id: bad
-    kind: quantum
-    hamiltonian:
-      - [0, 1, 0]
-      - [1, 0, 0]
-    reference_state:
-      - [0.75, 0]
-      - [0, 0.25]
-""")
-    with pytest.raises(ConfigValidationError, match="beta"):
-        cf.parse_config("""
-systems:
-  - id: bad
-    kind: two_reservoir
-    left_hamiltonian: [[0, 0], [0, 1]]
-    right_hamiltonian: [[0, 0], [0, 1]]
-    beta_left: -1.0
-    beta_right: 2.0
-    coupling: [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-""")
+JUNCTION = ("kind: two_reservoir, left_hamiltonian: [[0, 0], [0, 1]], "
+            "right_hamiltonian: [[0, 0], [0, 1]], beta_left: 1.0, "
+            "beta_right: 2.0, coupling: [[0, 0, 0, 0], [0, 0, 0, 0], "
+            "[0, 0, 0, 0], [0, 0, 0, 0]]")
+
+
+def _one_system(body: str) -> str:
+    return f"systems: [{{{body}}}]\n"
+
+
+@pytest.mark.parametrize("text,path", [
+    (_one_system("kind: classical"), "systems[0].weights"),
+    (_one_system("kind: quantum, hamiltonian: [[0, 1], [1, 0]]"),
+     "systems[0].reference_state"),
+    (_one_system(JUNCTION.replace(", beta_right: 2.0", "")),
+     "systems[0].beta_right"),
+    (_one_system("kind: random"), "systems[0].dim"),
+    (_one_system("kind: random_classical, seed: 3"), "systems[0].size"),
+    (_one_system("kind: random, dim: 2, colour: red"), "systems[0].colour"),
+    (_one_system("kind: random, dim: 1"), "systems[0].dim"),
+    (_one_system("kind: random, dim: true"), "systems[0].dim"),
+    (_one_system("kind: random_classical, size: 1.5"), "systems[0].size"),
+    (_one_system("kind: random, dim: 2, seed: -1"), "systems[0].seed"),
+    (_one_system("kind: random_classical, size: 3, seed: x"),
+     "systems[0].seed"),
+    (_one_system("kind: random_classical, size: 3, tri: 1"),
+     "systems[0].tri"),
+    (_one_system("kind: random, dim: 2, spread: 0"), "systems[0].spread"),
+    (_one_system("kind: classical, weights: [0.7, 0.7]"),
+     "systems[0].weights"),
+    (_one_system(JUNCTION.replace("beta_left: 1.0", "beta_left: -1.0")),
+     "systems[0].beta_left"),
+    (_one_system("kind: quantum, hamiltonian: [[0, 1, 0], [1, 0, 0]], "
+                 "reference_state: [[0.75, 0], [0, 0.25]]"),
+     "systems[0].hamiltonian"),
+    (_one_system("kind: quantum, hamiltonian: [[0, 1, 0], [1, 0, 0], "
+                 "[0, 0, 1]], reference_state: [[0.75, 0], [0, 0.25]]"),
+     "systems[0]"),
+    (_one_system(JUNCTION.replace("coupling: [[0, 0, 0, 0], [0, 0, 0, 0], "
+                                  "[0, 0, 0, 0], [0, 0, 0, 0]]",
+                                  "coupling: [[0, 0], [0, 0]]")),
+     "systems[0].coupling"),
+    (MINIMAL + "output: {curves: 1}\n", "output.curves"),
+    (MINIMAL + "seed: true\n", "seed"),
+], ids=["classical-missing-weights", "quantum-missing-reference-state",
+        "junction-missing-beta-right", "random-missing-dim",
+        "random-classical-missing-size", "unknown-key", "dim-1", "dim-true",
+        "size-1.5", "seed-negative", "seed-string", "tri-integer",
+        "spread-zero", "weights-sum", "beta-negative", "hamiltonian-not-square",
+        "quantum-shape-mismatch",
+        "coupling-dimension", "output-curves-integer", "top-level-seed-bool"])
+def test_error_messages_name_offending_key(text, path):
+    with pytest.raises(ConfigValidationError) as info:
+        cf.parse_config(text)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("key,body", [
+    ("beta_left", JUNCTION.replace("beta_left: 1.0", "beta_left: .inf")),
+    ("beta_right", JUNCTION.replace("beta_right: 2.0", "beta_right: .inf")),
+    ("spread", "kind: random, dim: 2, spread: .inf"),
+], ids=["beta_left", "beta_right", "spread"])
+def test_non_finite_positive_reals_rejected_at_parse_time(key, body):
+    with pytest.raises(ConfigValidationError) as info:
+        cf.parse_config(_one_system(body))
+    assert str(info.value) == f"systems[0].{key}: must be finite, got inf"
+
+
+def test_hand_built_entry_of_unknown_kind_rejected():
+    with pytest.raises(ConfigValidationError, match=r"^systems\.x\.kind: "):
+        cf.SystemEntry("x", "bogus").build()
 
 
 def test_malformed_text_raises_parse_error():
@@ -347,6 +387,9 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     bad.write_text(MINIMAL + "\nsweep:\n  p: [0.5]\n")
     assert cli.main(["functionals", "-c", str(bad),
                      "-o", str(tmp_path / "x")]) == 2
+
+    assert cli.main(["model", "--seed", "-1"]) == 2
+    assert "config error: seed: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand", ["functionals", "fcs", "classical"])
