@@ -4,9 +4,10 @@ Configs are YAML mappings with four optional sections: ``systems`` (list
 of system declarations), ``sweep`` (alpha/p/t grids), ``output``
 (directory and table selection), ``tolerances`` (named overrides for the
 verification battery), plus a global ``seed``.  Complex matrix entries
-are written as [re, im] pairs; plain numbers are real entries.  The p
-grid accepts the string "inf" (or a YAML infinity) for the limiting
-functional.
+are written as [re, im] pairs; plain numbers are real entries, and every
+matrix must be Hermitian up to rounding.  Exponent literals without a
+decimal point (1e-9) are numbers, as 1.0e-9 is.  The p grid accepts the
+string "inf" (or a YAML infinity) for the limiting functional.
 
 Malformed YAML raises ConfigParseError; structurally valid YAML that
 violates a constraint raises ConfigValidationError naming the offending
@@ -14,7 +15,9 @@ key.  Both map to the config-error exit code in the CLI.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +30,22 @@ from .models import (
     random_classical_system,
     random_system,
 )
-from .quantum import QuantumSystem
+from .quantum import QuantumSystem, hermitian_deviation
 from .verify import merge_tolerances
 
 DEFAULT_ALPHAS = tuple(float(a) for a in np.round(np.arange(-1.0, 2.0001, 0.05), 10))
 DEFAULT_PS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 64.0, math.inf)
 DEFAULT_TS = (0.5, 1.0)
+
+
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 safe loading, plus exponent literals without a decimal point
+    (``1e-3``) read as floats rather than strings."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                              re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"),
+                              list("-+0123456789"))
 
 
 def _fail(path: str, message: str):
@@ -107,17 +120,22 @@ def _probabilities(value, path: str) -> np.ndarray:
 
 
 def _entry(value, path: str) -> complex:
-    """One matrix entry: a real number or an [re, im] pair."""
+    """One matrix entry: a finite real number or [re, im] pair."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 \
+        out = complex(value)
+    elif isinstance(value, list) and len(value) == 2 \
             and all(isinstance(x, (int, float)) and not isinstance(x, bool)
                     for x in value):
-        return complex(value[0], value[1])
-    _fail(path, f"expected a number or [re, im] pair, got {value!r}")
+        out = complex(value[0], value[1])
+    else:
+        _fail(path, f"expected a number or [re, im] pair, got {value!r}")
+    if not cmath.isfinite(out):
+        _fail(path, f"must be finite, got {value!r}")
+    return out
 
 
 def parse_matrix(value, path: str) -> np.ndarray:
+    """A Hermitian matrix: the builders may symmetrize it only by rounding."""
     if not isinstance(value, list) or not value:
         _fail(path, "expected a nonempty list of rows")
     rows = []
@@ -131,6 +149,10 @@ def parse_matrix(value, path: str) -> np.ndarray:
     mat = np.array(rows, dtype=complex)
     if mat.shape[0] != mat.shape[1]:
         _fail(path, f"matrix must be square, got shape {mat.shape}")
+    deviation, bound = hermitian_deviation(mat)
+    if deviation > bound:
+        _fail(path, f"deviates from Hermitian by {deviation:.3e} "
+                    f"(tolerance {bound:.3e})")
     return mat
 
 
@@ -309,7 +331,7 @@ def _parse_p_grid(value, path: str) -> tuple:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML config; defaults fill whatever is absent."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"malformed config: {exc}") from exc
     if raw is None:

@@ -15,14 +15,30 @@ of functions of m_t and w0 reduces to the overlap O = V* exp(-itH) V
 (``QuantumSystem.overlap``):
 
 * finite p: the bracket is the Gram matrix of m_t^(alpha/p) w0^((1-alpha)/p),
-  whose singular values are those of
-  diag(nu^(alpha/p)) O diag(nu^((1-alpha)/p));
+  whose singular values s_i are those of
+  y = diag(nu^(alpha/p)) O diag(nu^((1-alpha)/p)), and the trace is
+  sum_i s_i^p;
 * p = oo: the exponent is unitarily equivalent to
   (1-alpha) diag(log nu) + alpha O* diag(log nu) O, whose eigenvalues enter
   a log-sum-exp.
 
 The family is convex in alpha, vanishes at alpha in {0, 1}, decreases in p,
 and for time-reversal invariant systems obeys e(alpha) = e(1 - alpha).
+
+The Schatten sum log sum_i s_i^p is taken by one kernel per index.  For
+p >= 2 the kernels read G = y* y, after y is divided by its largest entry
+magnitude:
+
+* p = 2: log tr G = log sum_ij |y_ij|^2, no matrix product;
+* p = 4: log ||G||_F^2, one product;
+* p = 6: log tr(G^3) = log <G^2, G>, two products;
+* any other p >= 2: the eigenvalues lambda_i = s_i^2 of G;
+* p in [1, 2): the singular values of y themselves.  G squares the
+  condition number, so its small eigenvalues, and the s_i^p for p < 2
+  that they feed, would lose relative accuracy.
+
+The ``functional_kernel_svd`` row of the verification battery compares
+every p >= 2 kernel with the singular values of the same y.
 """
 from __future__ import annotations
 
@@ -78,10 +94,45 @@ def _finite_p(p: float) -> float:
     return p
 
 
-def _log_schatten(y: np.ndarray, p: float) -> float:
-    """log sum_i s_i^p over the nonzero singular values s_i of ``y``."""
+def _weighted_overlap(nu: np.ndarray, overlap: np.ndarray, alpha: float,
+                      p: float) -> np.ndarray:
+    """diag(nu^(alpha/p)) O diag(nu^((1-alpha)/p)), whose Schatten p-sum is
+    exp(e_[p,t](alpha))."""
+    return (nu ** (alpha / p))[:, None] * overlap * nu ** ((1.0 - alpha) / p)
+
+
+def _log_schatten_svd(y: np.ndarray, p: float) -> float:
+    """log sum_i s_i^p over the nonzero singular values s_i of ``y``, by SVD."""
     singulars = np.linalg.svd(y, compute_uv=False)   # descending, so zeros trail
     return logsumexp(p * np.log(singulars[:np.count_nonzero(singulars)]))
+
+
+def _log_schatten(y: np.ndarray, p: float) -> float:
+    """log sum_i s_i^p over the nonzero singular values s_i of ``y``, p >= 1,
+    by the kernel for this p (see the module docstring).
+
+    For p >= 2, ``y`` is first divided by its largest entry magnitude m and
+    p log m added back: the entries of G = y* y are then at most n and its
+    trace at least 1, so no kernel overflows or underflows.
+    """
+    if p < 2.0:
+        return _log_schatten_svd(y, p)
+    scale = float(np.abs(y).max())
+    if scale == 0.0:
+        return -math.inf
+    y = y / scale
+    if p == 2.0:
+        value = math.log(np.vdot(y, y).real)
+    else:
+        gram = y.conj().T @ y
+        if p == 4.0:
+            value = math.log(np.vdot(gram, gram).real)
+        elif p == 6.0:
+            value = math.log(np.vdot(gram @ gram, gram).real)
+        else:
+            lam = np.linalg.eigvalsh(gram)
+            value = logsumexp(p / 2.0 * np.log(lam[lam > 0.0]))
+    return value + p * math.log(scale)
 
 
 def functional(system: QuantumSystem, p: float, alpha, t: float):
@@ -109,8 +160,7 @@ def functional(system: QuantumSystem, p: float, alpha, t: float):
             # term)) and its singular values below n times that, so both are finite
             elif (min(alpha, 1.0 - alpha) / p * math.log(nu[0]) + math.log(nu.size)
                   < _LOG_DOUBLE_MAX):
-                y = (nu ** (alpha / p))[:, None] * overlap * nu ** ((1.0 - alpha) / p)
-                value = _log_schatten(y, p)
+                value = _log_schatten(_weighted_overlap(nu, overlap, alpha, p), p)
             else:
                 value = math.inf
         except np.linalg.LinAlgError:

@@ -38,10 +38,18 @@ def as_matrix(value, dim: int | None = None) -> np.ndarray:
     return mat
 
 
+def hermitian_deviation(mat: np.ndarray) -> tuple[float, float]:
+    """(max |A - A*| / 2, HERMITIAN_ATOL * max(1, max |A_ij|)): how far the
+    Hermitian part (A + A*) / 2 moves A, and the largest move that counts as
+    rounding."""
+    return (float(np.abs(mat - mat.conj().T).max()) / 2.0,
+            HERMITIAN_ATOL * max(1.0, float(np.abs(mat).max())))
+
+
 def _symmetrize(matrix, what: str) -> np.ndarray:
     mat = as_matrix(matrix)
-    correction = np.abs(mat - mat.conj().T).max() / 2.0
-    if correction > HERMITIAN_ATOL * max(1.0, np.abs(mat).max()):
+    correction, bound = hermitian_deviation(mat)
+    if correction > bound:
         warnings.warn(
             f"{what} deviates from Hermitian by {correction:.3e}; symmetrized",
             stacklevel=3,

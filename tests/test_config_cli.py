@@ -175,6 +175,80 @@ def test_non_finite_positive_reals_rejected_at_parse_time(key, body):
     assert str(info.value) == f"systems[0].{key}: must be finite, got inf"
 
 
+SKEW = "[[0, 1], [2, 0]]"
+
+
+@pytest.mark.parametrize("key,body", [
+    ("hamiltonian", f"kind: quantum, hamiltonian: {SKEW}, "
+                    "reference_state: [[0.75, 0], [0, 0.25]]"),
+    ("reference_state", "kind: quantum, hamiltonian: [[0, 1], [1, 0]], "
+                        "reference_state: [[0.5, 1], [2, 0.5]]"),
+    ("left_hamiltonian", JUNCTION.replace("left_hamiltonian: [[0, 0], [0, 1]]",
+                                          f"left_hamiltonian: {SKEW}")),
+    ("right_hamiltonian", JUNCTION.replace(
+        "right_hamiltonian: [[0, 0], [0, 1]]", f"right_hamiltonian: {SKEW}")),
+    ("coupling", JUNCTION.replace("[[0, 0, 0, 0], [0, 0, 0, 0]",
+                                  "[[0, 1, 0, 0], [2, 0, 0, 0]")),
+], ids=["hamiltonian", "reference_state", "left_hamiltonian",
+        "right_hamiltonian", "coupling"])
+def test_non_hermitian_inline_matrices_rejected(key, body):
+    with pytest.raises(ConfigValidationError) as info:
+        cf.parse_config(_one_system(body))
+    assert str(info.value) == (f"systems[0].{key}: deviates from Hermitian "
+                               f"by 5.000e-01 (tolerance 2.000e-12)")
+
+
+def test_non_finite_matrix_entry_rejected_at_parse_time():
+    with pytest.raises(ConfigValidationError) as info:
+        cf.parse_config(_one_system(
+            "kind: quantum, hamiltonian: [[0, 1], [1, [0, .nan]]], "
+            "reference_state: [[0.75, 0], [0, 0.25]]"))
+    assert str(info.value) == \
+        "systems[0].hamiltonian[1][1]: must be finite, got [0, nan]"
+
+
+def test_hermitian_up_to_rounding_is_accepted():
+    cfg = cf.parse_config(_one_system(
+        "kind: quantum, hamiltonian: [[0, 1], [1.00000000000001, 0]], "
+        "reference_state: [[0.75, 0], [0, 0.25]]"))
+    _, _, system = cfg.build_systems()[0]
+    assert system.hamiltonian.matrix[0, 1] == pytest.approx(1.0, abs=1e-13)
+
+
+def test_cli_non_hermitian_hamiltonian_exits_two(tmp_path, capsys):
+    bad = tmp_path / "skew.yaml"
+    bad.write_text(QUBIT.replace("- [1, 0]\n    reference_state",
+                                 "- [2, 0]\n    reference_state"))
+    assert cli.main(["functionals", "-c", str(bad),
+                     "-o", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "systems[0].hamiltonian: deviates from Hermitian by 5.000e-01" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text,read", [
+    ("systems: [{kind: random, dim: 2, spread: 1e-3}]\n",
+     lambda cfg: cfg.systems[0].params["spread"]),
+    (MINIMAL + "tolerances: {tv: 1e-3}\n", lambda cfg: cfg.tolerances["tv"]),
+    (MINIMAL + "sweep: {alpha: {min: 0, max: 0.002, step: 1E-3}}\n",
+     lambda cfg: cfg.alphas[1]),
+], ids=["spread", "tolerances.tv", "sweep.alpha.step"])
+def test_exponent_literals_without_a_point_are_numbers(text, read):
+    assert read(cf.parse_config(text)) == 1e-3
+
+
+def test_integers_point_exponents_and_inf_parse_as_before():
+    cfg = cf.parse_config(MINIMAL + """
+sweep: {p: [1, 2.0e+0, "inf"], t: [1, 1.0e-9]}
+tolerances: {tv: 1.0e-9}
+seed: 7
+""")
+    assert cfg.ps == (1.0, 2.0, math.inf)
+    assert cfg.ts == (1.0, 1e-9)
+    assert cfg.tolerances == {"tv": 1e-9}
+    assert cfg.seed == 7 and isinstance(cfg.seed, int)
+
+
 def test_hand_built_entry_of_unknown_kind_rejected():
     with pytest.raises(ConfigValidationError, match=r"^systems\.x\.kind: "):
         cf.SystemEntry("x", "bogus").build()

@@ -244,6 +244,53 @@ def test_kawasaki_endpoint_property(dim, seed):
     assert abs(fn.functional(system, math.inf, 1.0, 1.0)) < 1e-11
 
 
+@st.composite
+def quantum_systems(draw):
+    """Systems of dim 2-12 with ||H|| = 1 whose reference eigenvalue ratio
+    reaches e^-27, just above the 1e-12 positivity floor: seeded random
+    ones, and ones whose w0 has at most three distinct eigenvalues over a
+    random basis."""
+    dim = draw(st.integers(min_value=2, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    spread = draw(st.floats(min_value=0.05, max_value=13.5))
+    if not draw(st.booleans()):
+        return random_system(dim, tri=bool(seed % 2), seed=seed, spread=spread)
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    basis, _ = np.linalg.qr(raw)
+    nu = np.exp(-spread * rng.integers(0, 3, size=dim))
+    nu /= nu.sum()
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = (h + h.conj().T) / 2.0
+    return qm.QuantumSystem(h / np.linalg.norm(h, 2),
+                            (basis * nu) @ basis.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quantum_systems(), st.floats(min_value=-1.0, max_value=2.0),
+       st.floats(min_value=0.1, max_value=20.0),
+       st.one_of(st.sampled_from([2.0, 4.0, 6.0]),
+                 st.floats(min_value=2.0, max_value=1e4)))
+def test_schatten_kernel_matches_svd_property(system, alpha, t, p):
+    # log sum_i s_i^p moves by about p * eps under a relative rounding of y,
+    # in either route, so the kernels are compared as log ||y||_p = value / p
+    y = fn._weighted_overlap(system.reference_eig().eigenvalues,
+                             system.overlap(t), alpha, p)
+    assert fn._log_schatten(y, p) / p == pytest.approx(
+        fn._log_schatten_svd(y, p) / p, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(quantum_systems(), st.floats(min_value=-1.0, max_value=2.0),
+       st.floats(min_value=0.1, max_value=20.0),
+       st.lists(st.floats(min_value=64.0, max_value=1e4, exclude_min=True),
+                min_size=1, max_size=4))
+def test_functional_decreases_in_p_beyond_64_property(system, alpha, t, ps):
+    values = [fn.functional(system, p, alpha, t) for p in sorted(ps)]
+    values.append(fn.functional(system, math.inf, alpha, t))
+    assert np.diff(values).max(initial=0.0) <= 1e-10
+
+
 def test_canonical_model_functional_is_finite_and_convex():
     system = canonical_model().system
     alphas = np.linspace(-1.0, 2.0, 25)
