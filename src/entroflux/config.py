@@ -39,13 +39,13 @@ DEFAULT_TS = (0.5, 1.0)
 
 
 class _Loader(yaml.SafeLoader):
-    """YAML 1.1 safe loading, plus exponent literals without a decimal point
-    (``1e-3``) read as floats rather than strings."""
+    """YAML 1.1 safe loading, plus the exponent literals that YAML 1.1 leaves
+    strings (``1e-3``, ``1.0e3``, ``.5e1``: no point, or no exponent sign)
+    read as floats."""
 
 
-_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
-                              re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"),
-                              list("-+0123456789"))
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 
 def _fail(path: str, message: str):

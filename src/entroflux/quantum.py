@@ -79,7 +79,8 @@ class DensityMatrix(HermitianOperator):
     """Strictly positive unit-trace Hermitian matrix.
 
     States whose smallest eigenvalue falls below 1e-12 times the largest are
-    rejected rather than regularized.
+    rejected rather than regularized.  ``eigenvalues`` keeps the ascending
+    spectrum that this check computes.
     """
 
     def __post_init__(self):
@@ -94,6 +95,7 @@ class DensityMatrix(HermitianOperator):
                 f"{evals[0]:.3e} vs max {evals[-1]:.3e}"
             )
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigenvalues", evals)
 
 
 @dataclass(frozen=True, eq=False)

@@ -237,6 +237,16 @@ def test_exponent_literals_without_a_point_are_numbers(text, read):
     assert read(cf.parse_config(text)) == 1e-3
 
 
+@pytest.mark.parametrize("literal,value", [
+    ("1.0e3", 1000.0), ("2.5E2", 250.0), (".5e1", 5.0), ("1.e3", 1000.0),
+    ("+1.0e3", 1000.0), ("1.5e-1", 0.15), ("1.5E+2", 150.0), ("2.", 2.0),
+])
+def test_exponent_literals_with_a_point_are_numbers(literal, value):
+    cfg = cf.parse_config(
+        f"systems: [{{kind: random, dim: 2, spread: {literal}}}]\n")
+    assert cfg.systems[0].params["spread"] == value
+
+
 def test_integers_point_exponents_and_inf_parse_as_before():
     cfg = cf.parse_config(MINIMAL + """
 sweep: {p: [1, 2.0e+0, "inf"], t: [1, 1.0e-9]}

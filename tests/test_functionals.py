@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +291,62 @@ def test_functional_decreases_in_p_beyond_64_property(system, alpha, t, ps):
     values = [fn.functional(system, p, alpha, t) for p in sorted(ps)]
     values.append(fn.functional(system, math.inf, alpha, t))
     assert np.diff(values).max(initial=0.0) <= 1e-10
+
+
+# dim 40 puts a few alphas in a stack, so this grid spans several stacks
+STACKED_GRID = np.linspace(-1.0, 2.0, 61)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, 6.0, 64.0, math.inf])
+def test_alpha_array_spanning_several_stacks_equals_scalar_calls(p):
+    system = random_system(40, seed=61)
+    assert fn._STACK_ENTRIES // 40 ** 2 < STACKED_GRID.size
+    values = fn.functional(system, p, STACKED_GRID, 0.7)
+    assert np.array_equal(values, [fn.functional(system, p, a, 0.7)
+                                   for a in STACKED_GRID])
+
+
+def test_overflow_in_a_later_stack_names_its_alpha():
+    system = random_system(40, tri=True, seed=1, spread=12.0)
+    grid = STACKED_GRID.copy()
+    grid[45], grid[55] = 50.0, 60.0
+    with pytest.raises(NumericalDomainError,
+                       match=r"p=1\.0, alpha=50\.0, t=1\.0"):
+        fn.functional(system, 1.0, grid, 1.0)
+
+
+def test_failed_lapack_call_in_a_stack_names_its_alpha(monkeypatch):
+    system = random_system(40, seed=62)
+    nu = system.reference_eig().eigenvalues
+    bad = fn._weighted_overlap(nu, system.overlap(1.0), STACKED_GRID[33], 1.0)
+    bad /= np.abs(bad).max()
+    svd = np.linalg.svd
+
+    def failing_svd(y, **kwargs):
+        # the kernel may rescale y, so matrices are compared up to a factor
+        if any(np.allclose(m / np.abs(m).max(), bad)
+               for m in y.reshape(-1, 40, 40)):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(y, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(NumericalDomainError,
+                       match=re.escape(f"alpha={STACKED_GRID[33]}, t=1.0")):
+        fn.functional(system, 1.0, STACKED_GRID, 1.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 64.0])
+def test_all_zero_matrix_in_a_stack_gives_minus_inf(p):
+    system = random_system(5, seed=63)
+    y = fn._weighted_overlap(system.reference_eig().eigenvalues,
+                             system.overlap(1.0), np.array([0.2, 0.5, 1.4]), p)
+    y[1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = fn._log_schatten(y, p)
+    assert values[1] == -math.inf
+    assert np.array_equal(values[[0, 2]], [fn._log_schatten(y[0], p),
+                                           fn._log_schatten(y[2], p)])
 
 
 def test_canonical_model_functional_is_finite_and_convex():
