@@ -21,7 +21,6 @@ from .errors import (
 )
 from .fcs import fcs_cgf, fcs_distribution, modular_spectral_measure
 from .functionals import (
-    OperatorSpaceElement,
     functional,
     naive_functional,
     transfer_functional,
@@ -58,7 +57,6 @@ __all__ = [
     "ExperimentConfig",
     "HermitianOperator",
     "NumericalDomainError",
-    "OperatorSpaceElement",
     "QuantumSystem",
     "ReservoirModel",
     "SpectralMeasure",

@@ -150,7 +150,7 @@ def es_distribution(system: ClassicalSystem, t: int) -> SpectralMeasure:
     """Law of the mean entropy production rate under the reference state."""
     tt = _integer_positive_time(t)
     sig = mean_ep_observable(system, tt).values
-    return build_measure(sig, system.reference_state, total=1.0)
+    return build_measure(sig, system.reference_state)
 
 
 def variational_functional(system: ClassicalSystem, alpha, t: int):

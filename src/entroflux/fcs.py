@@ -24,8 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalDomainError
-from .functionals import OperatorSpaceElement
-from .measures import ATOM_TOL, WEIGHT_DROP, SpectralMeasure, build_measure, logsumexp
+from .measures import WEIGHT_DROP, SpectralMeasure, build_measure, logsumexp
 from .quantum import QuantumSystem, as_matrix, matrix_power
 
 
@@ -42,8 +41,7 @@ def _overlap_route(system: QuantumSystem, t: float):
 def fcs_distribution(system: QuantumSystem, t: float) -> SpectralMeasure:
     """Two-time counting measure of the entropy observable over [0, t]."""
     nu, jumps, transition = _overlap_route(system, t)
-    return build_measure(jumps, transition * nu[None, :], total=1.0,
-                         tol=ATOM_TOL, drop=WEIGHT_DROP)
+    return build_measure(jumps, transition * nu[None, :], drop=WEIGHT_DROP)
 
 
 def fcs_cgf(measure: SpectralMeasure, alpha, t: float):
@@ -58,12 +56,12 @@ def fcs_cgf(measure: SpectralMeasure, alpha, t: float):
 
 
 def relative_modular_apply(system: QuantumSystem, t: float,
-                           element) -> OperatorSpaceElement:
+                           element) -> np.ndarray:
     """Relative modular operator Delta(A) = w_t A w0^(-1)."""
     mat = as_matrix(element, system.dim)
     evolved = system.heisenberg_reference_eig(-t).reconstruct()
     inverse = matrix_power(system.reference_eig(), -1.0)
-    return OperatorSpaceElement(evolved @ mat @ inverse)
+    return evolved @ mat @ inverse
 
 
 def modular_spectral_measure(system: QuantumSystem, t: float) -> SpectralMeasure:
@@ -76,5 +74,4 @@ def modular_spectral_measure(system: QuantumSystem, t: float) -> SpectralMeasure
     ``fcs_modular_tv_breaks`` checks that it fails otherwise.
     """
     nu, jumps, transition = _overlap_route(system, t)
-    return build_measure(-jumps, transition * nu[:, None], total=1.0,
-                         tol=ATOM_TOL, drop=WEIGHT_DROP)
+    return build_measure(-jumps, transition * nu[:, None], drop=WEIGHT_DROP)

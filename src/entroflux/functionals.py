@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,20 +73,6 @@ _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _PERTURBATION_TRIALS = 8
 _PERTURBATION_SEED = 734
 _STACK_ENTRIES = 1 << 13
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorSpaceElement:
-    """Arbitrary square complex matrix, viewed as a vector in operator space."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _validate_p(p: float) -> float:
@@ -295,7 +280,7 @@ def araki_masuda_norm(element, system: QuantumSystem, p: float) -> float:
 
 
 def transfer_apply(system: QuantumSystem, p: float, element,
-                   t: float) -> OperatorSpaceElement:
+                   t: float) -> np.ndarray:
     """Transfer operator U_p(t) A = A_{-t} exp(-S_{-t}/p) exp(S0/p).
 
     Equivalently A_{-t} w_t^(1/p) w0^(-1/p) with w_t the evolved reference
@@ -312,15 +297,16 @@ def transfer_apply(system: QuantumSystem, p: float, element,
     if not np.isfinite(out).all():
         raise NumericalDomainError(
             f"U_p(t) A is not finite in double precision at p={p}, t={t}")
-    return OperatorSpaceElement(out)
+    return out
 
 
 def transfer_functional(system: QuantumSystem, p: float, alpha, t: float):
-    """log ||U_{p/alpha}(t) 1||_p^p = p log ||w_t^(alpha/p) w0^(-alpha/p)||_p,
-    per alpha.
+    """log ||U_{p/alpha}(t) 1||_p^p = log sum_i s_i^p, per alpha, where the s_i
+    are the singular values of w_t^(alpha/p) w0^((1-alpha)/p).
 
-    The transferred identity is formed directly from the closed form, so
-    every alpha != 0 is admissible even when the formal index p/alpha leaves
+    That matrix is the transferred identity w_t^(alpha/p) w0^(-alpha/p) times
+    the norm's weight w0^(1/p), formed directly from the two spectra, so every
+    alpha != 0 is admissible even when the formal index p/alpha leaves
     [1, oo).  For time-reversal invariant systems the value is
     e_[p,t](alpha), checked by the ``functional_transfer_bridge`` row of the
     verification battery; in general it is e_[p,t](1 - alpha), checked by
@@ -337,11 +323,9 @@ def transfer_functional(system: QuantumSystem, p: float, alpha, t: float):
         # nu <= 1, so every entry and singular value below stays under n^4 nu_min^-|alpha/p|
         if abs(alpha) / p * -math.log(nu[0]) + 4 * math.log(nu.size) >= _LOG_DOUBLE_MAX:
             raise NumericalDomainError(
-                f"w_t^(alpha/p) w0^(-alpha/p) would leave double precision at "
+                f"w_t^(alpha/p) w0^((1-alpha)/p) would leave double precision at "
                 f"p={p}, alpha={alpha}, t={t}")
-        grow = matrix_power(evolved, alpha / p)
-        shrink = matrix_power(reference, -alpha / p)
-        transferred = OperatorSpaceElement(grow @ shrink)
-        return p * float(np.log(araki_masuda_norm(transferred, system, p)))
+        return float(_log_schatten(matrix_power(evolved, alpha / p)
+                                   @ matrix_power(reference, (1.0 - alpha) / p), p))
 
     return per_alpha(point, alpha)

@@ -14,15 +14,13 @@ NEGATIVE_WEIGHT_FLOOR = -1e-12
 
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
-    """Positive measure sum_k w_k * delta(x - a_k) with strictly increasing atoms.
-
-    ``total`` is the mass the weights are expected to carry; construction
-    fails if the actual sum strays from it by more than 1e-10.
+    """Probability measure sum_k w_k * delta(x - a_k) with strictly increasing
+    atoms; construction fails if the weights' sum strays from 1 by more than
+    1e-10.
     """
 
     atoms: np.ndarray
     weights: np.ndarray
-    total: float = 1.0
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float).ravel()
@@ -38,9 +36,9 @@ class SpectralMeasure:
                 f"negative weight {weights.min():g} below tolerance"
             )
         weights = np.maximum(weights, 0.0)
-        if abs(weights.sum() - self.total) > 1e-10:
+        if abs(weights.sum() - 1.0) > 1e-10:
             raise NumericalDomainError(
-                f"weights sum to {weights.sum():.17g}, expected {self.total:.17g}"
+                f"weights sum to {weights.sum():.17g}, expected 1"
             )
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
@@ -51,9 +49,9 @@ class SpectralMeasure:
     def mean(self) -> float:
         return float(np.dot(self.atoms, self.weights))
 
-    def mass_at(self, value: float, tol: float = ATOM_TOL) -> float:
-        """Total weight carried by atoms within ``tol`` of ``value``."""
-        return float(_masses_near(self, np.array([value], dtype=float), tol)[0])
+    def mass_at(self, value: float) -> float:
+        """Total weight carried by atoms within ATOM_TOL of ``value``."""
+        return float(_masses_near(self, np.array([value], dtype=float))[0])
 
 
 def logsumexp(exponents: np.ndarray):
@@ -66,11 +64,10 @@ def logsumexp(exponents: np.ndarray):
     return float(out) if exponents.ndim == 1 else out
 
 
-def _masses_near(measure: SpectralMeasure, values: np.ndarray,
-                 tol: float) -> np.ndarray:
-    """Weight of the atoms a with |a - v| <= tol, for every v in ``values``.
+def _masses_near(measure: SpectralMeasure, values: np.ndarray) -> np.ndarray:
+    """Weight of the atoms a with |a - v| <= ATOM_TOL, for every v in ``values``.
 
-    Each window is found by binary search on v -+ tol.  Those keys round
+    Each window is found by binary search on v -+ ATOM_TOL.  Those keys round
     differently from a - v, so each edge is then stepped onto the predicate
     itself; the predicate is monotone along the sorted atoms, so an edge only
     ever moves one way.  Windows are summed directly, because differences of
@@ -88,18 +85,19 @@ def _masses_near(measure: SpectralMeasure, values: np.ndarray,
                 return k
             k = k - left + right
 
-    lo = edge(np.searchsorted(atoms, values - tol, "left"), lambda gap: gap < -tol)
-    hi = edge(np.searchsorted(atoms, values + tol, "right"), lambda gap: gap <= tol)
+    lo = edge(np.searchsorted(atoms, values - ATOM_TOL, "left"),
+              lambda gap: gap < -ATOM_TOL)
+    hi = edge(np.searchsorted(atoms, values + ATOM_TOL, "right"),
+              lambda gap: gap <= ATOM_TOL)
     padded = np.append(measure.weights, 0.0)   # so that hi = size is a valid start
     sums = np.add.reduceat(padded, np.column_stack((lo, hi)).ravel())[::2]
     return np.where(hi > lo, sums, 0.0)
 
 
-def build_measure(values, weights, total: float = 1.0, tol: float = ATOM_TOL,
-                  drop: float = 0.0) -> SpectralMeasure:
+def build_measure(values, weights, drop: float = 0.0) -> SpectralMeasure:
     """Aggregate raw (value, weight) pairs into a ``SpectralMeasure``.
 
-    Values closer than ``tol`` (consecutively, after sorting) fall into one
+    Values closer than ATOM_TOL (consecutively, after sorting) fall into one
     atom located at the unweighted mean of its cluster.  Aggregated weights
     below ``drop`` are removed as numerically zero.
     """
@@ -112,28 +110,26 @@ def build_measure(values, weights, total: float = 1.0, tol: float = ATOM_TOL,
     weights = weights[order]
     # gap-based clustering keeps exact duplicates together and never splits
     # a group of values produced by one degenerate transition
-    boundaries = np.flatnonzero(np.diff(values) > tol)
+    boundaries = np.flatnonzero(np.diff(values) > ATOM_TOL)
     starts = np.concatenate(([0], boundaries + 1))
     mass = np.add.reduceat(weights, starts)
     keep = ~(mass < drop)          # keeps a NaN mass instead of dropping it
     if not keep.any():
         raise NumericalDomainError("all weights were dropped as numerically zero")
     atoms = np.add.reduceat(values, starts) / np.diff(np.append(starts, values.size))
-    return SpectralMeasure(atoms[keep], mass[keep], total=total)
+    return SpectralMeasure(atoms[keep], mass[keep])
 
 
-def total_variation(first: SpectralMeasure, second: SpectralMeasure,
-                    tol: float = ATOM_TOL) -> float:
-    """Total-variation distance, matching atoms of the two measures within ``tol``."""
+def total_variation(first: SpectralMeasure, second: SpectralMeasure) -> float:
+    """Total-variation distance, matching atoms of the two measures within ATOM_TOL."""
     merged = np.sort(np.concatenate((first.atoms, second.atoms)))
-    keep = np.concatenate(([True], np.diff(merged) > tol))
+    keep = np.concatenate(([True], np.diff(merged) > ATOM_TOL))
     points = merged[keep]
-    dev = np.abs(_masses_near(first, points, tol) - _masses_near(second, points, tol))
+    dev = np.abs(_masses_near(first, points) - _masses_near(second, points))
     return 0.5 * float(np.sum(dev))
 
 
-def fluctuation_symmetry_residual(measure: SpectralMeasure, t: float,
-                                  tol: float = ATOM_TOL) -> float:
+def fluctuation_symmetry_residual(measure: SpectralMeasure, t: float) -> float:
     """Largest violation of m(-a) = exp(-t a) * m(a) over the measure's atoms.
 
     Where exp(-t a) overflows against a zero mass the term is NaN and is
@@ -141,6 +137,6 @@ def fluctuation_symmetry_residual(measure: SpectralMeasure, t: float,
     """
     atoms = measure.atoms
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = np.abs(_masses_near(measure, -atoms, tol)
-                      - np.exp(-t * atoms) * _masses_near(measure, atoms, tol))
+        gaps = np.abs(_masses_near(measure, -atoms)
+                      - np.exp(-t * atoms) * _masses_near(measure, atoms))
     return float(np.fmax.reduce(gaps, initial=0.0))

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalDomainError
+from .measures import logsumexp
 
 HERMITIAN_ATOL = 1e-12
 POSITIVITY_REL = 1e-12
@@ -275,40 +276,43 @@ def schrodinger_evolve(system: QuantumSystem, state, t: float) -> DensityMatrix:
     return DensityMatrix(heisenberg_evolve(system, state, -t).matrix)
 
 
-def _state_pair(rho, nu):
+def _two_state(rho, nu):
+    """log r, log n and W_ij = |<u_i|v_j>|^2 for rho = sum_i r_i |u_i><u_i|
+    and nu = sum_j n_j |v_j><v_j|: each state diagonalized once."""
     r = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
     n = nu if isinstance(nu, DensityMatrix) else DensityMatrix(nu)
     if r.dim != n.dim:
         raise ValueError(f"state dims differ: {r.dim} vs {n.dim}")
-    return r, n
+    r_eig, n_eig = eig(r), eig(n)
+    weights = np.abs(r_eig.eigenvectors.conj().T @ n_eig.eigenvectors) ** 2
+    return np.log(r_eig.eigenvalues), np.log(n_eig.eigenvalues), weights
 
 
 def q_relative_entropy(rho, nu) -> float:
-    """Relative entropy tr(rho (log nu - log rho)).
+    """Relative entropy tr(rho (log nu - log rho))
+    = sum_ij r_i W_ij (log n_j - log r_i).
 
     With this sign convention the value is nonpositive and vanishes exactly
     when the states coincide.
     """
-    r, n = _state_pair(rho, nu)
-    value = np.trace(r.matrix @ (matrix_log(n) - matrix_log(r)))
-    return float(value.real)
+    log_r, log_n, weights = _two_state(rho, nu)
+    return float(np.sum(np.exp(log_r)[:, None] * weights
+                        * (log_n[None, :] - log_r[:, None])))
 
 
 def q_renyi_entropy(rho, nu, alpha):
-    """Renyi relative entropy log tr(rho^alpha nu^(1-alpha)), per alpha.
+    """Renyi relative entropy log tr(rho^alpha nu^(1-alpha)), per alpha: the
+    log-sum-exp of alpha log r_i + log W_ij + (1-alpha) log n_j.
 
-    Each state is diagonalized once per call, whatever the number of alphas.
+    Each state is diagonalized once per call; each alpha then costs O(n^2).
     """
-    r, n = _state_pair(rho, nu)
-    rho_eig, nu_eig = eig(r), eig(n)
+    log_r, log_n, weights = _two_state(rho, nu)
+    log_w = np.log(weights, out=np.full(weights.shape, -np.inf),
+                   where=weights > 0.0).ravel()
 
     def point(alpha: float) -> float:
-        trace = np.trace(matrix_power(rho_eig, alpha)
-                         @ matrix_power(nu_eig, 1.0 - alpha)).real
-        if trace <= 0.0:
-            raise NumericalDomainError(
-                f"Renyi trace is not positive at alpha={alpha}: {trace:.3e}")
-        return float(np.log(trace))
+        return logsumexp(np.add.outer(alpha * log_r, (1.0 - alpha) * log_n)
+                         .ravel() + log_w)
 
     return per_alpha(point, alpha)
 

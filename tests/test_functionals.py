@@ -174,12 +174,19 @@ def test_am_norm_of_zero_is_exactly_zero(p):
 
 
 def test_transfer_functional_matches_on_tri_system():
-    system = random_system(5, tri=True, seed=55)
-    for p in (1.0, 2.0, 4.0):
-        for alpha in (-0.5, 0.3, 1.5):
-            got = fn.transfer_functional(system, p, alpha, 1.0)
-            want = fn.functional(system, p, alpha, 1.0)
-            assert got == pytest.approx(want, abs=1e-10)
+    # the second reference spectrum spans 1e10, where a route that forms
+    # w0^(-alpha/p) w0^(1/p) loses about 6e-7 to cancellation
+    rng = np.random.default_rng(5)
+    basis, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    nu = np.geomspace(1.0, 1e-10, 4)
+    h = rng.normal(size=(4, 4))
+    wide = qm.QuantumSystem(h + h.T, (basis * (nu / nu.sum())) @ basis.T)
+    for system in (random_system(5, tri=True, seed=55), wide):
+        for p in (1.0, 2.0, 4.0):
+            for alpha in (-0.5, 0.3, 1.5):
+                got = fn.transfer_functional(system, p, alpha, 1.0)
+                want = fn.functional(system, p, alpha, 1.0)
+                assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_transfer_functional_reflects_alpha_without_tri():
@@ -196,7 +203,7 @@ def test_transfer_apply_group_law():
     two_step = fn.transfer_apply(system, p,
                                  fn.transfer_apply(system, p, a, 0.4), 0.6)
     one_step = fn.transfer_apply(system, p, a, 1.0)
-    np.testing.assert_allclose(two_step.matrix, one_step.matrix, atol=1e-11)
+    np.testing.assert_allclose(two_step, one_step, atol=1e-11)
 
 
 def test_transfer_apply_intertwines_evolution():
@@ -205,8 +212,7 @@ def test_transfer_apply_intertwines_evolution():
     a = rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 4))
     t, p = 0.9, 2.0
-    lhs = fn.transfer_apply(
-        system, p, a @ fn.transfer_apply(system, p, b, t).matrix, -t).matrix
+    lhs = fn.transfer_apply(system, p, a @ fn.transfer_apply(system, p, b, t), -t)
     moved = system.propagator(-t) @ a @ system.propagator(t)
     np.testing.assert_allclose(lhs, moved @ b, atol=1e-11)
 
@@ -280,6 +286,24 @@ def test_schatten_kernel_matches_svd_property(system, alpha, t, p):
                              system.overlap(t), alpha, p)
     assert fn._log_schatten(y, p) / p == pytest.approx(
         fn._log_schatten_svd(y, p) / p, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quantum_systems(),
+       st.floats(min_value=-2.0, max_value=3.0).filter(lambda a: a != 0.0),
+       st.floats(min_value=1.0, max_value=4.0),
+       st.floats(min_value=0.1, max_value=20.0))
+def test_transfer_functional_matches_am_norm_route_property(system, alpha,
+                                                            stretch, t):
+    # the norm route multiplies w0^(-alpha/p) by w0^(1/p) and so loses about
+    # eps (nu_max/nu_min)^(|alpha|/p) to cancellation; p keeps that below e^6
+    nu = system.reference_eig().eigenvalues
+    p = stretch * max(1.0, abs(alpha) * math.log(nu[-1] / nu[0]) / 6.0)
+    transferred = (qm.matrix_power(system.heisenberg_reference_eig(-t), alpha / p)
+                   @ qm.matrix_power(system.reference_eig(), -alpha / p))
+    want = p * math.log(fn.araki_masuda_norm(transferred, system, p))
+    got = fn.transfer_functional(system, p, alpha, t)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,7 +22,7 @@ def test_build_measure_merges_nearby_atoms():
 
 
 def test_build_measure_drops_negligible_weights():
-    m = build_measure([0.0, 5.0], [1.0, 1e-16], total=1.0, drop=1e-14)
+    m = build_measure([0.0, 5.0], [1.0, 1e-16], drop=1e-14)
     assert len(m) == 1
     assert m.atoms[0] == 0.0
 
@@ -106,7 +106,7 @@ def _loop_mass_at(measure, value, tol=ATOM_TOL):
     return float(measure.weights[sel].sum())
 
 
-def _loop_build_measure(values, weights, total=1.0, tol=ATOM_TOL, drop=0.0):
+def _loop_build_measure(values, weights, tol=ATOM_TOL, drop=0.0):
     values = np.asarray(values, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
     order = np.argsort(values, kind="stable")
@@ -123,7 +123,7 @@ def _loop_build_measure(values, weights, total=1.0, tol=ATOM_TOL, drop=0.0):
             continue
         atoms.append(values[lo:hi].mean())
         mass.append(w)
-    return SpectralMeasure(np.array(atoms), np.array(mass), total=total)
+    return SpectralMeasure(np.array(atoms), np.array(mass))
 
 
 def _loop_total_variation(first, second, tol=ATOM_TOL):

@@ -127,6 +127,41 @@ def test_renyi_interpolates_relative_entropy_slope():
     assert slope == pytest.approx(-qm.q_relative_entropy(rho, nu), abs=1e-8)
 
 
+@st.composite
+def state_pairs(draw):
+    """Two density matrices of dim 2-12 in independent random bases, each
+    with spectrum ratio down to e^-27, just above the 1e-12 positivity
+    floor: spread-out spectra, or ones with at most three distinct values."""
+    dim = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    degenerate = draw(st.booleans())
+    states = []
+    for _ in range(2):
+        spread = draw(st.floats(min_value=0.05, max_value=13.5))
+        levels = (rng.integers(0, 3, size=dim) if degenerate
+                  else np.r_[0.0, 2.0, rng.uniform(0.0, 2.0, dim - 2)])
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        basis, _ = np.linalg.qr(raw)
+        nu = np.exp(-spread * levels)
+        nu /= nu.sum()
+        states.append(qm.DensityMatrix((basis * nu) @ basis.conj().T))
+    return states
+
+
+@settings(max_examples=60, deadline=None)
+@given(state_pairs(), st.floats(min_value=-2.0, max_value=3.0))
+def test_two_state_entropies_match_matrix_functions_property(states, alpha):
+    # the matrix-function forms: tr(rho (log nu - log rho)) and
+    # log tr(rho^alpha nu^(1-alpha))
+    rho, nu = states
+    relative = np.trace(rho.matrix @ (qm.matrix_log(nu) - qm.matrix_log(rho))).real
+    renyi = math.log(np.trace(qm.matrix_power(rho, alpha)
+                              @ qm.matrix_power(nu, 1.0 - alpha)).real)
+    for got, want in ((qm.q_relative_entropy(rho, nu), relative),
+                      (qm.q_renyi_entropy(rho, nu, alpha), renyi)):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_entropy_observable_matches_minus_log():
     s = qm.entropy_observable(FLIP)
     np.testing.assert_allclose(s.matrix, -np.diag(np.log([0.75, 0.25])),
