@@ -160,7 +160,8 @@ def random_system(dim: int, tri: bool = False, seed: int | None = None,
     the reference state, w0 = exp(-R)/tr, to spectral norm ``spread``, so
     functional values stay in a regime where double-precision margins are
     uniform across ``dim``.  Draws are rejected until the reference
-    visibly fails to commute with the Hamiltonian.
+    visibly fails to commute with the Hamiltonian.  Without ``tri`` the
+    draw is complex and the flag is detected, so dim 2 is still TRI.
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
@@ -183,7 +184,7 @@ def random_system(dim: int, tri: bool = False, seed: int | None = None,
         state = matrix_exp(-r)
         state = state / np.trace(state).real
         if np.abs(_commutator(h, state)).max() > COMMUTATION_FLOOR:
-            return QuantumSystem(h, state, tri=tri)
+            return QuantumSystem(h, state, tri=True if tri else None)
     raise NumericalDomainError(
         f"no non-commuting draw in {MAX_GENERATION_ATTEMPTS} attempts"
     )

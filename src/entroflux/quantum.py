@@ -176,8 +176,9 @@ class QuantumSystem:
     """Hamiltonian plus a faithful reference state.
 
     ``tri`` marks time-reversal invariance, realized here as realness of
-    both matrices in the standard basis.  When left unset it is detected
-    from the entries; when set to True it is enforced.
+    both matrices in the standard basis.  Every dim-2 system has it: any two
+    2 x 2 Hermitian matrices are real in a common basis.  When left unset
+    the flag is detected; when set it must equal the detected value.
     """
 
     hamiltonian: HermitianOperator
@@ -196,13 +197,12 @@ class QuantumSystem:
             raise ValueError(
                 f"Hamiltonian dim {h.dim} does not match state dim {rho.dim}"
             )
-        real = h.is_real() and rho.is_real()
-        if self.tri is None:
-            object.__setattr__(self, "tri", real)
-        elif self.tri and not real:
+        detected = h.dim == 2 or (h.is_real() and rho.is_real())
+        if self.tri not in (None, detected):
             raise ValueError(
-                "tri=True requires real Hamiltonian and reference state entries"
-            )
+                f"tri={self.tri} contradicts the matrices: time-reversal "
+                f"invariance holds for real entries and for every dim-2 system")
+        object.__setattr__(self, "tri", detected)
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "reference_state", rho)
 

@@ -1,23 +1,21 @@
-"""One-shot verification battery.
+"""One-shot verification battery: one ordered table of rows, ``ROWS``.
 
-Every library invariant is exercised here against a built-in roster of
-systems (plus any the caller supplies): classical chains, random quantum
-systems with and without time-reversal invariance, a commuting system, a
-qubit with closed-form counting statistics, and the canonical coupled
-reservoirs.  Checks that are supposed to fail off the invariance class
-(symmetry on a non-TRI system, the naive functional's endpoint) are
-reported as expected failures and do not fail the suite.
-
-The library computes each quantity by one route; every identity between
-two routes is checked here, as one battery row.  The check rows of the
-``fcs`` and ``classical`` subcommands reuse the residual helpers below.
-Rows read whole curves: every e(alpha) route is called once per
-(system, p, t) with the row's alpha grid, never once per alpha.
+The library computes each quantity by one route; each row checks one
+identity between two routes.  A row names its tolerance, its status rule,
+the system kinds it applies to and a residual function of a per-system
+``Context``, whose curve cache evaluates each (p, t, alpha) once.
+``run_battery`` runs the rows on a built-in roster, the caller's systems
+and the fixed systems of the batch rows.  Off time-reversal invariance a
+``TRI`` row is reported as ``<name>_breaks``, which asserts that the
+violation is present.  A ``NumericalDomainError`` in a row is re-raised
+naming the row and the system.  The ``fcs`` and ``classical`` subcommands
+reuse the status helpers and the classical residuals.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +25,7 @@ from . import functionals as fn
 from . import measures as ms
 from . import models as md
 from . import quantum as qm
+from .errors import NumericalDomainError
 
 PASS = "pass"
 FAIL = "fail"
@@ -54,10 +53,18 @@ DEFAULT_TOLERANCES = {
 _ALPHAS_COARSE = np.round(np.arange(-1.0, 2.0001, 0.25), 10)
 _ALPHAS_FINE = np.round(np.arange(-1.0, 2.0001, 0.05), 10)
 _ALPHAS_SPARSE = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+_QUARTERS = (0.25, 0.5, 0.75)
+_REFLECTED = np.array([-0.5, 0.3, 1.2])
 _P_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, math.inf)
 _P_FULL = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 64.0, math.inf)
 _T_GRID = (0.5, 1.0, math.pi / 2)
 _DIFF_STEP = 1e-4
+_H_PAIR = np.array([_DIFF_STEP, -_DIFF_STEP])
+
+BOUNDED = "bounded"    # pass when residual <= tolerance
+TRI = "tri"            # BOUNDED under TRI, else <name>_breaks at violation_floor
+BREAKS = "breaks"      # xfail when residual > tolerance: the violation is the point
+ABOVE = "above"        # pass when the value is strictly above the tolerance
 
 
 @dataclass(frozen=True)
@@ -76,17 +83,15 @@ class CheckResult:
 
 
 def bounded_check(name: str, system_id: str, residual: float,
-                  tolerance: float) -> CheckResult:
-    status = PASS if residual <= tolerance else FAIL
+                  tolerance: float, rule: str = BOUNDED) -> CheckResult:
+    """Status of ``residual`` against ``tolerance`` under a BOUNDED, BREAKS
+    or ABOVE rule."""
+    if rule == BOUNDED:
+        status = PASS if residual <= tolerance else FAIL
+    else:
+        status = (XFAIL if rule == BREAKS else PASS) if residual > tolerance \
+            else FAIL
     return CheckResult(name, system_id, float(residual), float(tolerance), status)
-
-
-def expected_violation_check(name: str, system_id: str, residual: float,
-                             floor: float) -> CheckResult:
-    """A check whose point is that the bound is broken off the invariance
-    class; it reports xfail when the violation is present."""
-    status = XFAIL if residual > floor else FAIL
-    return CheckResult(name, system_id, float(residual), float(floor), status)
 
 
 def tri_check(name: str, system_id: str, residual: float, tri: bool,
@@ -96,14 +101,8 @@ def tri_check(name: str, system_id: str, residual: float, tri: bool,
     ``name + "_breaks"``, which asserts the violation is present."""
     if tri:
         return bounded_check(name, system_id, residual, tol[key])
-    return expected_violation_check(name + "_breaks", system_id, residual,
-                                    tol["violation_floor"])
-
-
-def strictly_above_check(name: str, system_id: str, value: float,
-                         floor: float) -> CheckResult:
-    status = PASS if value > floor else FAIL
-    return CheckResult(name, system_id, float(value), float(floor), status)
+    return bounded_check(name + "_breaks", system_id, residual,
+                         tol["violation_floor"], BREAKS)
 
 
 def merge_tolerances(overrides=None) -> dict:
@@ -126,6 +125,59 @@ def suite_passed(results) -> bool:
 def _sup(values) -> float:
     """Largest absolute entry of a curve or of a stack of curves."""
     return float(np.abs(values).max())
+
+
+def _central(pair) -> float:
+    """(e(h) - e(-h)) / 2h from the values at ``_H_PAIR``."""
+    plus, minus = pair
+    return (plus - minus) / (2 * _DIFF_STEP)
+
+
+def _complex_gaussians(seed: int, dim: int, count: int):
+    """Seeded dim x dim matrices with standard normal real and imaginary parts."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            for _ in range(count)]
+
+
+def _sigma(system: qm.QuantumSystem) -> np.ndarray:
+    return qm.entropy_production_observable(system).matrix
+
+
+class Context:
+    """What the rows of one system share: the core system (``model.system``
+    for reservoirs), its time-reversal flag, the time of its counting rows,
+    the counting measure per t and e_[p,t](alpha) per (p, t) and alpha."""
+
+    def __init__(self, kind: str, obj):
+        self.obj = obj
+        self.system = obj.system if kind == "reservoir" else obj
+        self.tri = obj.is_tri if kind == "classical" \
+            else getattr(self.system, "tri", None)
+        self.fcs_t = math.pi / 2 if kind == "qubit" else 1.0
+        self._curves = {}
+        self._counting = {}
+
+    def curve(self, p: float, alphas, t: float) -> np.ndarray:
+        """e_[p,t] at ``alphas``.  The alphas not yet held at (p, t) are
+        evaluated in one ``functional`` call; grid entries equal scalar calls
+        bit for bit, so no value depends on which row asked first."""
+        held = self._curves.setdefault((p, t), {})
+        grid = np.atleast_1d(np.asarray(alphas, dtype=float)).tolist()
+        missing = [a for a in dict.fromkeys(grid) if a not in held]
+        if missing:
+            values = fn.functional(self.system, p, np.array(missing), t)
+            held.update(zip(missing, values.tolist()))
+        return np.array([held[a] for a in grid])
+
+    def counting(self, t: float) -> ms.SpectralMeasure:
+        if t not in self._counting:
+            self._counting[t] = fc.fcs_distribution(self.system, t)
+        return self._counting[t]
+
+    def evolved(self, t: float) -> qm.DensityMatrix:
+        """The reference state evolved to time t."""
+        return qm.schrodinger_evolve(self.system, self.system.reference_state, t)
 
 
 # -- classical ----------------------------------------------------------
@@ -156,449 +208,395 @@ def classical_fourway_residual(system: cl.ClassicalSystem, alphas, times) -> flo
     return worst
 
 
-def classical_checks(system_id: str, system: cl.ClassicalSystem, tol: dict):
-    out = []
-    sym = classical_symmetry_residual(system, _ALPHAS_SPARSE, (1, 2))
-    out.append(tri_check("classical_symmetry", system_id, sym, system.is_tri,
-                         tol, "symmetry"))
+def _classical_mean_ep(c: Context, t: int) -> float:
+    """w0(Sigma_t)."""
+    return float(np.sum(c.system.reference_state
+                        * cl.mean_ep_observable(c.system, t).values))
 
-    values = cl.classical_functional(system, _ALPHAS_FINE, 1)
-    second = np.diff(values, 2)
-    out.append(bounded_check("classical_convexity", system_id,
-                        max(0.0, -float(second.min())), tol["convexity"]))
 
-    h = _DIFF_STEP
-    plus, minus = cl.classical_functional(system, np.array([h, -h]), 1)
-    slope = (plus - minus) / (2 * h)
-    mean_ep = float(np.sum(system.reference_state
-                           * cl.mean_ep_observable(system, 1).values))
-    out.append(bounded_check("classical_derivative", system_id,
-                        abs(slope + mean_ep), tol["derivative"]))
-
+def _classical_telescoping(c: Context) -> float:
     # Sigma_t telescopes: it is the time average of the evolved one-step
     # rate sigma = log(w1 / w0)
-    w0 = system.reference_state
-    sigma = np.log(cl.evolve_state(system, w0, 1).probabilities) - np.log(w0)
-    floor = 0.0
-    telescoping = 0.0
-    for t in (1, 2, 3):
-        direct = cl.mean_ep_observable(system, t).values
-        floor = min(floor, float(np.sum(w0 * direct)))
-        summed = sum(cl.evolve_observable(system, sigma, s).values
-                     for s in range(1, t + 1)) / t
-        telescoping = max(telescoping, float(np.abs(direct - summed).max()))
-    out.append(bounded_check("classical_second_law", system_id,
-                        max(0.0, -floor), tol["second_law"]))
-    out.append(bounded_check("classical_ep_telescoping", system_id, telescoping,
-                             tol["classical_identity"]))
+    s, w0 = c.system, c.system.reference_state
+    sigma = np.log(cl.evolve_state(s, w0, 1).probabilities) - np.log(w0)
+    return max(_sup(cl.mean_ep_observable(s, t).values
+                    - sum(cl.evolve_observable(s, sigma, k).values
+                          for k in range(1, t + 1)) / t)
+               for t in (1, 2, 3))
 
-    es = max(ms.fluctuation_symmetry_residual(cl.es_distribution(system, t), t)
-             for t in (1, 2))
-    out.append(tri_check("classical_es_symmetry", system_id, es, system.is_tri,
-                         tol, "tv"))
-    if not system.is_tri:
-        sample = np.array([-0.5, 0.3, 1.2])
-        reflect = _sup(cl.classical_transfer_functional(system, 2.0, sample, 1)
-                       - cl.classical_functional(system, 1.0 - sample, 1))
-        out.append(bounded_check("classical_transfer_reflection", system_id,
-                            reflect, tol["classical_identity"]))
 
+def _classical_duality(c: Context) -> float:
+    s = c.system
     rng = np.random.default_rng(404)
-    f = rng.standard_normal(system.size)
-    rho = rng.dirichlet(np.ones(system.size)) * 0.9 + 0.1 / system.size
-    dual = 0.0
-    for t in (3, -2):
-        lhs = float(np.sum(cl.evolve_state(system, rho, t).probabilities * f))
-        rhs = float(np.sum(rho * cl.evolve_observable(system, f, t).values))
-        dual = max(dual, abs(lhs - rhs))
-    out.append(bounded_check("classical_duality", system_id, dual, tol["exact"]))
-    return out
+    f = rng.standard_normal(s.size)
+    rho = rng.dirichlet(np.ones(s.size)) * 0.9 + 0.1 / s.size
+    return max(abs(float(np.sum(cl.evolve_state(s, rho, t).probabilities * f))
+                   - float(np.sum(rho * cl.evolve_observable(s, f, t).values)))
+               for t in (3, -2))
 
 
-def classical_identity_batch(tol: dict, count: int = 20):
-    worst = max(classical_fourway_residual(
-        md.random_classical_system(3 + 2 * k, seed=100 + k, tri=True),
-        (-0.7, 0.3, 0.5, 1.4), (1, 3)) for k in range(count))
-    return [bounded_check("classical_identity_fourway", f"classical-tri-batch-{count}",
-                     worst, tol["classical_identity"])]
+# -- reservoirs and the quantum core --------------------------------------
+
+def _model_assembly(c: Context) -> float:
+    model = c.obj
+    built_h = model.left_embedded + model.right_embedded + model.coupling
+    res_h = float(np.abs(c.system.hamiltonian.matrix - built_h).max())
+    gibbs = np.kron(md._gibbs(model.left_hamiltonian, model.beta_left),
+                    md._gibbs(model.right_hamiltonian, model.beta_right))
+    res_w = float(np.abs(c.system.reference_state.matrix - gibbs).max())
+    return max(res_h, res_w)
 
 
-# -- quantum core -------------------------------------------------------
+def _quantum_sigma_traceless(c: Context) -> float:
+    sigma = _sigma(c.system)
+    return max(abs(complex(np.trace(sigma))),
+               abs(complex(np.trace(c.system.reference_state.matrix @ sigma))))
 
-def quantum_core_checks(system_id: str, system: qm.QuantumSystem, tol: dict):
-    out = []
-    floor = min(qm.mean_ep_expectation(system, t) for t in (0.1, 1.0, 10.0))
-    out.append(bounded_check("quantum_second_law", system_id,
-                        max(0.0, -floor), tol["second_law"]))
 
-    res = 0.0
-    for t in (0.5, 1.0):
-        evolved = qm.schrodinger_evolve(system, system.reference_state, t)
-        rel = qm.q_relative_entropy(evolved, system.reference_state)
-        res = max(res, abs(qm.mean_ep_expectation(system, t) + rel / t))
-    out.append(bounded_check("quantum_ep_identity", system_id, res, tol["bridge"]))
+def _quantum_sigma_spectrum(c: Context) -> float:
+    lam = np.linalg.eigvalsh(qm.mean_ep_observable(c.system, 1.0).matrix)
+    return float(np.abs(lam + lam[::-1]).max())
 
-    lam0 = system.reference_eig().eigenvalues
-    drift = 0.0
-    for t in (0.7, 2.3):
-        lam_t = np.linalg.eigvalsh(
-            qm.schrodinger_evolve(system, system.reference_state, t).matrix)
-        drift = max(drift, float(np.abs(np.sort(lam_t) - lam0).max()))
-    out.append(bounded_check("quantum_unitarity", system_id, drift, tol["bridge"]))
 
-    direct = qm.mean_ep_observable(system, 1.0).matrix
-    sigma = qm.entropy_production_observable(system).matrix
-    integral = qm.evolved_integral(system, sigma, 1.0)
-    out.append(bounded_check("quantum_ep_quadrature", system_id,
-                        float(np.linalg.norm(direct - integral)),
-                        tol["quadrature"]))
-
-    w0 = system.reference_state.matrix
-    traceless = max(abs(complex(np.trace(sigma))),
-                    abs(complex(np.trace(w0 @ sigma))))
-    out.append(bounded_check("quantum_sigma_traceless", system_id,
-                        traceless, tol["bridge"]))
-
-    if system.tri:
-        lam = np.linalg.eigvalsh(direct)
-        out.append(bounded_check("quantum_sigma_spectrum", system_id,
-                            float(np.abs(lam + lam[::-1]).max()), tol["bridge"]))
-
-    rng = np.random.default_rng(405)
-    raw = rng.standard_normal((system.dim, system.dim)) \
-        + 1j * rng.standard_normal((system.dim, system.dim))
+def _quantum_duality(c: Context) -> float:
+    s = c.system
+    [raw] = _complex_gaussians(405, s.dim, 1)
     obs = (raw + raw.conj().T) / 2
-    dual = 0.0
-    for t in (1.3, -0.4):
-        lhs = np.trace(qm.schrodinger_evolve(system, system.reference_state,
-                                             t).matrix @ obs)
-        rhs = np.trace(w0 @ qm.heisenberg_evolve(system, obs, t).matrix)
-        dual = max(dual, abs(complex(lhs - rhs)))
-    out.append(bounded_check("quantum_duality", system_id, dual, tol["exact"]))
-    return out
-
-
-def quantum_second_law_batch(tol: dict, count: int = 20):
-    floor = 0.0
-    for k in range(count):
-        system = md.random_system(2 + (k % 7), tri=(k % 2 == 0), seed=300 + k)
-        for t in (0.1, 1.0, 10.0):
-            floor = min(floor, qm.mean_ep_expectation(system, t))
-    return [bounded_check("quantum_second_law_batch", f"quantum-batch-{count}",
-                     max(0.0, -floor), tol["second_law"])]
+    return max(abs(complex(
+        np.trace(c.evolved(t).matrix @ obs)
+        - np.trace(s.reference_state.matrix @ qm.heisenberg_evolve(s, obs, t).matrix)))
+        for t in (1.3, -0.4))
 
 
 # -- entropic functionals -----------------------------------------------
 
-def functional_checks(system_id: str, system: qm.QuantumSystem, tol: dict):
-    out = []
-    if system.tri:
-        coarse = {(p, t): fn.functional(system, p, _ALPHAS_COARSE, t)
-                  for p in _P_GRID for t in _T_GRID}
-    else:
-        coarse = {(2.0, 1.0): fn.functional(system, 2.0, _ALPHAS_COARSE, 1.0)}
-    sym = max(_sup(curve - curve[::-1]) for curve in coarse.values())
-    out.append(tri_check("functional_symmetry", system_id, sym, system.tri,
-                         tol, "symmetry"))
+def _functional_symmetry(c: Context) -> float:
+    grid = [(p, t) for p in _P_GRID for t in _T_GRID] if c.tri else [(2.0, 1.0)]
+    return max(_sup(curve - curve[::-1])
+               for curve in (c.curve(p, _ALPHAS_COARSE, t) for p, t in grid))
 
-    kaw = max(_sup(fn.functional(system, p, (0.0, 1.0), t))
-              for p in _P_FULL for t in (0.5, 1.0))
-    out.append(bounded_check("functional_kawasaki", system_id, kaw, tol["kawasaki"]))
 
-    bend = max(-float(np.diff(fn.functional(system, p, _ALPHAS_FINE, 1.0), 2).min())
-               for p in (1.0, 2.0, math.inf))
-    out.append(bounded_check("functional_convexity", system_id,
-                        max(0.0, bend), tol["convexity"]))
+def _functional_derivative(c: Context) -> float:
+    mean_ep = qm.mean_ep_expectation(c.system, 1.0)
+    return max(abs(_central(c.curve(p, _H_PAIR, 1.0)) + mean_ep) for p in _P_FULL)
 
-    by_p = np.array([fn.functional(system, p, (0.25, 0.5, 0.75), 1.0)
-                     for p in _P_FULL])
-    grow = float(np.diff(by_p, axis=0).max())
-    gap = _sup(by_p[-2] - by_p[-1])
-    out.append(bounded_check("functional_p_monotone", system_id,
-                        max(0.0, grow), tol["p_monotone"]))
-    out.append(bounded_check("functional_p_limit", system_id, gap, tol["p_limit"]))
 
-    h = _DIFF_STEP
-    mean_ep = qm.mean_ep_expectation(system, 1.0)
-    drift = 0.0
-    for p in _P_FULL:
-        plus, minus = fn.functional(system, p, (h, -h), 1.0)
-        drift = max(drift, abs((plus - minus) / (2 * h) + mean_ep))
-    out.append(bounded_check("functional_derivative", system_id, drift,
-                        tol["derivative"]))
+def _functional_renyi_bridge(c: Context) -> float:
+    grids = [(_ALPHAS_COARSE, 0.5), (_ALPHAS_COARSE, 1.0)] if c.tri \
+        else [(np.array([0.4]), 1.0)]
+    return max(_sup(qm.q_renyi_entropy(c.evolved(t), c.system.reference_state, alphas)
+                    - c.curve(2.0, alphas, t))
+               for alphas, t in grids)
 
-    pair = (0.3, 1.2)
-    vres = _sup(fn.variational_max(system, pair, 1.0)
-                - fn.functional(system, math.inf, pair, 1.0))
-    out.append(bounded_check("functional_variational", system_id, vres,
-                        tol["bridge"]))
 
-    if system.tri:
-        bres = 0.0
-        for t in (0.5, 1.0):
-            evolved = qm.schrodinger_evolve(system, system.reference_state, t)
-            renyi = qm.q_renyi_entropy(evolved, system.reference_state,
-                                       _ALPHAS_COARSE)
-            bres = max(bres, _sup(renyi - coarse[2.0, t]))
-    else:
-        evolved = qm.schrodinger_evolve(system, system.reference_state, 1.0)
-        bres = abs(qm.q_renyi_entropy(evolved, system.reference_state, 0.4)
-                   - fn.functional(system, 2.0, 0.4, 1.0))
-    out.append(tri_check("functional_renyi_bridge", system_id, bres, system.tri,
-                         tol, "bridge"))
-
+def _functional_transfer(c: Context) -> float:
+    """The transfer form against e(alpha) under TRI, else e(1 - alpha)."""
     sample = np.array([-0.5, 0.3, 0.8, 1.5])
-    target = sample if system.tri else 1.0 - sample
-    tres = max(_sup(fn.transfer_functional(system, p, sample, 1.0)
-                    - fn.functional(system, p, target, 1.0))
+    target = sample if c.tri else 1.0 - sample
+    return max(_sup(fn.transfer_functional(c.system, p, sample, 1.0)
+                    - c.curve(p, target, 1.0))
                for p in (1.0, 2.0, 4.0))
-    out.append(bounded_check("functional_transfer_bridge" if system.tri
-                             else "functional_transfer_reflection",
-                             system_id, tres, tol["bridge"]))
 
-    rng = np.random.default_rng(406)
-    a_mat = rng.standard_normal((system.dim, system.dim)) \
-        + 1j * rng.standard_normal((system.dim, system.dim))
-    b_mat = rng.standard_normal((system.dim, system.dim)) \
-        + 1j * rng.standard_normal((system.dim, system.dim))
 
-    double = fn.transfer_apply(
-        system, 3.0, fn.transfer_apply(system, 3.0, a_mat, 0.7), 0.3)
-    single = fn.transfer_apply(system, 3.0, a_mat, 1.0)
-    scale = float(np.linalg.norm(single))
-    out.append(bounded_check("transfer_group_law", system_id,
-                        float(np.linalg.norm(double - single)) / scale,
-                        tol["bridge"]))
+def _transfer_group_law(c: Context) -> float:
+    s = c.system
+    [a_mat] = _complex_gaussians(406, s.dim, 1)
+    double = fn.transfer_apply(s, 3.0, fn.transfer_apply(s, 3.0, a_mat, 0.7), 0.3)
+    single = fn.transfer_apply(s, 3.0, a_mat, 1.0)
+    return float(np.linalg.norm(double - single)) / float(np.linalg.norm(single))
 
-    t = 0.9
-    inner = a_mat @ fn.transfer_apply(system, 2.0, b_mat, t)
-    lhs = fn.transfer_apply(system, 2.0, inner, -t)
-    moved = system.propagator(-t) @ a_mat @ system.propagator(t)
-    rhs = moved @ b_mat
-    scale = float(np.linalg.norm(rhs))
-    out.append(bounded_check("transfer_intertwine", system_id,
-                        float(np.linalg.norm(lhs - rhs)) / scale,
-                        tol["bridge"]))
 
+def _transfer_intertwine(c: Context) -> float:
+    s, t = c.system, 0.9
+    a_mat, b_mat = _complex_gaussians(406, s.dim, 2)
+    lhs = fn.transfer_apply(s, 2.0, a_mat @ fn.transfer_apply(s, 2.0, b_mat, t), -t)
+    rhs = s.propagator(-t) @ a_mat @ s.propagator(t) @ b_mat
+    return float(np.linalg.norm(lhs - rhs)) / float(np.linalg.norm(rhs))
+
+
+def _transfer_isometry(c: Context) -> float:
+    s = c.system
+    [a_mat] = _complex_gaussians(406, s.dim, 1)
     iso = 0.0
     for p in (1.0, 2.0, 3.5):
-        base = fn.araki_masuda_norm(a_mat, system, p)
-        moved = fn.araki_masuda_norm(fn.transfer_apply(system, p, a_mat, 0.8),
-                                     system, p)
+        base = fn.araki_masuda_norm(a_mat, s, p)
+        moved = fn.araki_masuda_norm(fn.transfer_apply(s, p, a_mat, 0.8), s, p)
         iso = max(iso, abs(moved - base) / base)
-    out.append(bounded_check("transfer_isometry", system_id, iso, tol["bridge"]))
-
-    unit = max(abs(fn.araki_masuda_norm(np.eye(system.dim), system, p) - 1.0)
-               for p in (1.0, 2.0, 7.0))
-    out.append(bounded_check("am_norm_unit", system_id, unit, tol["exact"]))
-
-    nu = system.reference_eig().eigenvalues
-    overlap = system.overlap(1.0)
-    kernel = 0.0
-    for p in (2.0, 3.0, 4.0, 6.0, 64.0):
-        y = fn._weighted_overlap(nu, overlap, _ALPHAS_COARSE, p)
-        kernel = max(kernel, _sup(fn._log_schatten(y, p)
-                                  - fn._log_schatten_svd(y, p)))
-    out.append(bounded_check("functional_kernel_svd", system_id, kernel,
-                             tol["bridge"]))
-    return out
+    return iso
 
 
-def naive_kawasaki_batch(tol: dict, count: int = 20):
-    violations = []
-    for k in range(count):
-        system = md.random_system(3 + (k % 4), tri=(k % 2 == 0), seed=500 + k)
-        violations.append(abs(fn.naive_functional(system, 1.0, 1.0)))
-    violations.sort()
-    # all but at most one must stay clear of the floor
-    return [expected_violation_check("naive_kawasaki_breaks", f"quantum-batch-{count}",
-                                violations[1], tol["violation_floor"])]
+def _functional_kernel_svd(c: Context) -> float:
+    nu, overlap = c.system.reference_eig().eigenvalues, c.system.overlap(1.0)
+    stacks = {p: fn._weighted_overlap(nu, overlap, _ALPHAS_COARSE, p)
+              for p in (2.0, 3.0, 4.0, 6.0, 64.0)}
+    return max(_sup(fn._log_schatten(y, p) - fn._log_schatten_svd(y, p))
+               for p, y in stacks.items())
 
 
 # -- counting statistics / modular --------------------------------------
 
-def fcs_checks(system_id: str, system: qm.QuantumSystem, tol: dict,
-               t: float = 1.0):
-    out = []
-    counting = fc.fcs_distribution(system, t)
-    out.append(bounded_check("fcs_normalization", system_id,
-                        abs(float(counting.weights.sum()) - 1.0), tol["tv"]))
+def _fcs_es_symmetry(c: Context) -> float:
+    counting = c.counting(c.fcs_t)
+    es = ms.fluctuation_symmetry_residual(counting, c.fcs_t)
+    if c.tri:
+        es = max(es, float(np.abs(counting.atoms + counting.atoms[::-1]).max()))
+    return es
 
-    es = ms.fluctuation_symmetry_residual(counting, t)
-    if system.tri:
-        atoms = counting.atoms
-        es = max(es, float(np.abs(atoms + atoms[::-1]).max()))
-    out.append(tri_check("fcs_es_symmetry", system_id, es, system.tri, tol, "tv"))
-    modular = fc.modular_spectral_measure(system, t)
-    out.append(tri_check("fcs_modular_tv", system_id,
-                         ms.total_variation(counting, modular), system.tri,
-                         tol, "tv"))
-    if not system.tri:
-        reversed_system = qm.QuantumSystem(-system.hamiltonian.matrix,
-                                           system.reference_state.matrix)
-        twisted = fc.modular_spectral_measure(reversed_system, t)
-        out.append(bounded_check("fcs_time_reversal_twist", system_id,
-                            ms.total_variation(counting, twisted), tol["tv"]))
 
-    bres = _sup(fc.fcs_cgf(counting, _ALPHAS_COARSE, t)
-                - fn.functional(system, 2.0, _ALPHAS_COARSE, t))
-    out.append(bounded_check("fcs_cgf_bridge", system_id, bres, tol["bridge"]))
-
-    h = _DIFF_STEP
-    plus, minus = fc.fcs_cgf(counting, np.array([h, -h]), t)
-    slope = (plus - minus) / (2 * h)
-    out.append(bounded_check("fcs_mean_derivative", system_id,
-                        abs(counting.mean() + slope / t), tol["derivative"]))
-
-    evolved = system.heisenberg_reference_eig(-t)
-    reference = system.reference_eig()
-
-    rng = np.random.default_rng(407)
+def _fcs_modular_positivity(c: Context) -> float:
     positivity = 0.0
-    for _ in range(4):
-        a_mat = rng.standard_normal((system.dim, system.dim)) \
-            + 1j * rng.standard_normal((system.dim, system.dim))
-        image = fc.relative_modular_apply(system, t, a_mat)
+    for a_mat in _complex_gaussians(407, c.system.dim, 4):
+        image = fc.relative_modular_apply(c.system, c.fcs_t, a_mat)
         ip = complex(np.trace(a_mat.conj().T @ image))
         positivity = max(positivity, -ip.real, abs(ip.imag))
-    out.append(bounded_check("fcs_modular_positivity", system_id,
-                        max(0.0, positivity), tol["exact"]))
+    return positivity
 
+
+def _fcs_modular_eigenoperator(c: Context) -> float:
+    s, t, last = c.system, c.fcs_t, c.system.dim - 1
+    evolved = s.heisenberg_reference_eig(-t)
+    reference = s.reference_eig()
     eigop = 0.0
-    for i, j in ((0, 0), (system.dim - 1, 0), (0, system.dim - 1)):
+    for i, j in ((0, 0), (last, 0), (0, last)):
         a_mat = np.outer(evolved.eigenvectors[:, i],
                          reference.eigenvectors[:, j].conj())
-        image = fc.relative_modular_apply(system, t, a_mat)
+        image = fc.relative_modular_apply(s, t, a_mat)
         ratio = evolved.eigenvalues[i] / reference.eigenvalues[j]
         eigop = max(eigop, float(np.abs(image - ratio * a_mat).max()))
-    out.append(bounded_check("fcs_modular_eigenoperator", system_id, eigop,
-                        tol["bridge"]))
-    return out
+    return eigop
 
 
-def qubit_closed_form_check(system_id: str, system: qm.QuantumSystem,
-                            tol: dict):
-    t = math.pi / 2
-    counting = fc.fcs_distribution(system, t)
+def _fcs_qubit_closed_form(c: Context) -> float:
+    counting = c.counting(c.fcs_t)
     atom = 2.0 / math.pi * math.log(3.0)
-    res = max(
-        abs(counting.mass_at(atom) - 0.75),
-        abs(counting.mass_at(-atom) - 0.25),
-        abs(float(counting.weights.sum()) - 1.0),
-    )
+    res = max(abs(counting.mass_at(atom) - 0.75), abs(counting.mass_at(-atom) - 0.25),
+              abs(float(counting.weights.sum()) - 1.0))
     present = sorted(counting.atoms[counting.weights > 1e-13])
     if len(present) != 2:
-        res = max(res, 1.0)
-    else:
-        res = max(res, abs(present[0] + atom), abs(present[1] - atom))
-    return [bounded_check("fcs_qubit_closed_form", system_id, res, tol["exact"])]
+        return max(res, 1.0)
+    return max(res, abs(present[0] + atom), abs(present[1] - atom))
 
 
-def commuting_checks(system_id: str, system: qm.QuantumSystem, tol: dict):
-    out = []
-    collapse = max(_sup(fn.functional(system, p, (-1.0, 0.5, 2.0), t))
-                   for p in (1.0, 2.0, 64.0, math.inf)
-                   for t in (0.7, 1.0))
-    out.append(bounded_check("functional_commuting_collapse", system_id, collapse,
-                        tol["exact"]))
-    out.append(bounded_check("naive_commuting_endpoint", system_id,
-                        abs(fn.naive_functional(system, 1.0, 1.0)),
-                        tol["exact"]))
-    counting = fc.fcs_distribution(system, 1.0)
-    res = max(float(np.abs(counting.atoms).max()),
-              abs(counting.mass_at(0.0) - 1.0))
-    out.append(bounded_check("fcs_commuting_point", system_id, res, tol["exact"]))
-    sigma = qm.entropy_production_observable(system).matrix
-    out.append(bounded_check("quantum_sigma_commuting_zero", system_id,
-                        float(np.abs(sigma).max()), tol["exact"]))
-    return out
+# -- fixed systems -------------------------------------------------------
+
+def _quantum_second_law_batch(c: Context) -> float:
+    systems = [md.random_system(2 + (k % 7), tri=(k % 2 == 0), seed=300 + k)
+               for k in range(20)]
+    return max(0.0, -min(qm.mean_ep_expectation(system, t)
+                         for system in systems for t in (0.1, 1.0, 10.0)))
 
 
-# -- reservoirs ----------------------------------------------------------
-
-def reservoir_checks(system_id: str, model: md.ReservoirModel, tol: dict):
-    out = []
-    assembled = model.system
-    built_h = model.left_embedded + model.right_embedded + model.coupling
-    res_h = float(np.abs(assembled.hamiltonian.matrix - built_h).max())
-    gibbs = np.kron(md._gibbs(model.left_hamiltonian, model.beta_left),
-                    md._gibbs(model.right_hamiltonian, model.beta_right))
-    res_w = float(np.abs(assembled.reference_state.matrix - gibbs).max())
-    out.append(bounded_check("model_assembly", system_id, max(res_h, res_w),
-                        tol["exact"]))
-
-    balance = max(md.flux_balance_residual(model, t, side)
-                  for t in (0.5, 1.0, 2.0) for side in ("left", "right"))
-    out.append(bounded_check("model_flux_balance", system_id, balance,
-                        tol["flux_balance"]))
-
-    combined = md.entropy_production_decomposition(model)
-    direct = qm.entropy_production_observable(assembled).matrix
-    out.append(bounded_check("model_sigma_flux_form", system_id,
-                        float(np.abs(combined - direct).max()),
-                        tol["decomposition"]))
-
-    if model.beta_left != model.beta_right:
-        out.append(strictly_above_check("model_heat_flow", system_id,
-                                   qm.mean_ep_expectation(assembled, 1.0),
-                                   1e-10))
-    out.append(bounded_check("model_tri_flag", system_id,
-                        0.0 if assembled.tri else 1.0, 0.5))
-    return out
+def _naive_kawasaki_batch(c: Context) -> float:
+    violations = sorted(
+        abs(fn.naive_functional(md.random_system(3 + (k % 4), tri=(k % 2 == 0),
+                                                 seed=500 + k), 1.0, 1.0))
+        for k in range(20))
+    return violations[1]    # all but at most one must stay clear of the floor
 
 
-def reservoir_special_checks(tol: dict):
-    out = []
-    h_local = np.diag([0.0, 1.0])
-
-    decoupled = md.build_two_reservoir(h_local, h_local, 1.0, 2.0,
-                                       np.zeros((4, 4)))
-    collapse = max(_sup(fn.functional(decoupled.system, p, (0.5, 1.5), 1.0))
-                   for p in (2.0, math.inf))
-    out.append(bounded_check("model_decoupled_collapse", "reservoir-decoupled",
-                        collapse, tol["exact"]))
-
-    sigma_z = np.diag([1.0, -1.0])
-    balanced = md.build_two_reservoir(h_local, h_local, 1.3, 1.3,
-                                      0.2 * np.kron(sigma_z, sigma_z))
-    sigma = qm.entropy_production_observable(balanced.system).matrix
-    out.append(bounded_check("model_equilibrium_sigma", "reservoir-balanced",
-                        float(np.abs(sigma).max()), tol["exact"]))
-    return out
-
-
-def sigma_decomposition_batch(tol: dict, count: int = 10):
+def _sigma_decomposition_batch(c: Context) -> float:
     worst = 0.0
     rng = np.random.default_rng(42)
-    for _ in range(count):
-        n_l = int(rng.integers(2, 4))
-        n_r = int(rng.integers(2, 4))
-
-        def local(n):
-            raw = rng.standard_normal((n, n))
-            return (raw + raw.T) / 2
-
-        v_raw = rng.standard_normal((n_l * n_r, n_l * n_r))
+    for _ in range(10):
+        n_l, n_r = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        # in draw order: coupling, left and right Hamiltonians, temperatures
+        v, h_l, h_r = (rng.standard_normal((n, n)) for n in (n_l * n_r, n_l, n_r))
         model = md.build_two_reservoir(
-            local(n_l), local(n_r),
+            (h_l + h_l.T) / 2, (h_r + h_r.T) / 2,
             float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)),
-            0.3 * (v_raw + v_raw.T) / 2)
+            0.3 * (v + v.T) / 2)
         combined = md.entropy_production_decomposition(model)
-        direct = qm.entropy_production_observable(model.system).matrix
-        worst = max(worst, float(np.abs(combined - direct).max()))
-    return [bounded_check("model_sigma_decomposition",
-                     f"reservoir-batch-{count}", worst, tol["decomposition"])]
+        worst = max(worst, float(np.abs(combined - _sigma(model.system)).max()))
+    return worst
 
 
-# -- output formatting ----------------------------------------------------
-
-def format_round_trip_check(tol: dict):
-    model = md.canonical_model()
-    samples = np.concatenate([fn.functional(model.system, p, (-0.6, 0.35, 1.7), 1.0)
+def _format_round_trip(c: Context) -> float:
+    samples = np.concatenate([c.curve(p, (-0.6, 0.35, 1.7), 1.0)
                               for p in (1.0, 2.0, math.inf)]).tolist()
-    samples += [qm.mean_ep_expectation(model.system, 0.5), math.pi, 1e-300]
-    bad = sum(1 for v in samples if float("%.17g" % v) != v)
-    return [bounded_check("format_round_trip", "format", float(bad), 0.5)]
+    samples += [qm.mean_ep_expectation(c.system, 0.5), math.pi, 1e-300]
+    return float(sum(1 for v in samples if float("%.17g" % v) != v))
+
+
+def fixed_systems():
+    """The systems that close the battery.  A fixed system's kind is its id,
+    so it runs only its own rows; the batch rows build their own systems."""
+    h_local, sigma_z = np.diag([0.0, 1.0]), np.diag([1.0, -1.0])
+    decoupled = md.build_two_reservoir(h_local, h_local, 1.0, 2.0,
+                                       np.zeros((4, 4)))
+    balanced = md.build_two_reservoir(h_local, h_local, 1.3, 1.3,
+                                      0.2 * np.kron(sigma_z, sigma_z))
+    return [(sid, sid, obj) for sid, obj in (
+        ("classical-tri-batch-20", None), ("quantum-batch-20", None),
+        ("reservoir-batch-10", None), ("reservoir-decoupled", decoupled.system),
+        ("reservoir-balanced", balanced.system),
+        ("format", md.canonical_model().system))]
+
+
+# -- the table -----------------------------------------------------------
+
+class Row(NamedTuple):
+    """One battery row.  ``tolerance`` is a key of the merged tolerances or
+    a fixed bound; ``only`` narrows the systems of ``kinds`` further."""
+
+    name: str
+    tolerance: str | float
+    kinds: tuple
+    residual: Callable[[Context], float]
+    rule: str = BOUNDED
+    only: Callable[[Context], bool] | None = None
+
+
+def _tri(c: Context) -> bool:
+    return c.tri
+
+
+def _not_tri(c: Context) -> bool:
+    return not c.tri
+
+
+CLASSICAL = ("classical",)
+RESERVOIR = ("reservoir",)
+CORE = ("quantum", "commuting", "qubit", "reservoir")
+FUNCTIONAL = ("quantum", "qubit", "reservoir")    # the fcs rows too
+
+ROWS = (
+    Row("classical_symmetry", "symmetry", CLASSICAL,
+        lambda c: classical_symmetry_residual(c.system, _ALPHAS_SPARSE, (1, 2)),
+        rule=TRI),
+    Row("classical_convexity", "convexity", CLASSICAL,
+        lambda c: max(0.0, -float(np.diff(
+            cl.classical_functional(c.system, _ALPHAS_FINE, 1), 2).min()))),
+    Row("classical_derivative", "derivative", CLASSICAL,
+        lambda c: abs(_central(cl.classical_functional(c.system, _H_PAIR, 1))
+                      + _classical_mean_ep(c, 1))),
+    Row("classical_second_law", "second_law", CLASSICAL,
+        lambda c: max(0.0, -min(_classical_mean_ep(c, t) for t in (1, 2, 3)))),
+    Row("classical_ep_telescoping", "classical_identity", CLASSICAL,
+        _classical_telescoping),
+    Row("classical_es_symmetry", "tv", CLASSICAL,
+        lambda c: max(ms.fluctuation_symmetry_residual(
+            cl.es_distribution(c.system, t), t) for t in (1, 2)), rule=TRI),
+    Row("classical_transfer_reflection", "classical_identity", CLASSICAL,
+        lambda c: _sup(cl.classical_transfer_functional(c.system, 2.0, _REFLECTED, 1)
+                       - cl.classical_functional(c.system, 1.0 - _REFLECTED, 1)),
+        only=_not_tri),
+    Row("classical_duality", "exact", CLASSICAL, _classical_duality),
+
+    Row("model_assembly", "exact", RESERVOIR, _model_assembly),
+    Row("model_flux_balance", "flux_balance", RESERVOIR,
+        lambda c: max(md.flux_balance_residual(c.obj, t, side)
+                      for t in (0.5, 1.0, 2.0) for side in ("left", "right"))),
+    Row("model_sigma_flux_form", "decomposition", RESERVOIR,
+        lambda c: float(np.abs(md.entropy_production_decomposition(c.obj)
+                               - _sigma(c.system)).max())),
+    Row("model_heat_flow", 1e-10, RESERVOIR,
+        lambda c: qm.mean_ep_expectation(c.system, 1.0), rule=ABOVE,
+        only=lambda c: c.obj.beta_left != c.obj.beta_right),
+    Row("model_tri_flag", 0.5, RESERVOIR, lambda c: 0.0 if c.system.tri else 1.0),
+
+    Row("quantum_second_law", "second_law", CORE,
+        lambda c: max(0.0, -min(qm.mean_ep_expectation(c.system, t)
+                                for t in (0.1, 1.0, 10.0)))),
+    Row("quantum_ep_identity", "bridge", CORE,
+        lambda c: max(abs(qm.mean_ep_expectation(c.system, t)
+                          + qm.q_relative_entropy(c.evolved(t),
+                                                  c.system.reference_state) / t)
+                      for t in (0.5, 1.0))),
+    Row("quantum_unitarity", "bridge", CORE,
+        lambda c: max(_sup(np.sort(np.linalg.eigvalsh(c.evolved(t).matrix))
+                           - c.system.reference_eig().eigenvalues)
+                      for t in (0.7, 2.3))),
+    Row("quantum_ep_quadrature", "quadrature", CORE,
+        lambda c: float(np.linalg.norm(
+            qm.mean_ep_observable(c.system, 1.0).matrix
+            - qm.evolved_integral(c.system, _sigma(c.system), 1.0)))),
+    Row("quantum_sigma_traceless", "bridge", CORE, _quantum_sigma_traceless),
+    Row("quantum_sigma_spectrum", "bridge", CORE, _quantum_sigma_spectrum, only=_tri),
+    Row("quantum_duality", "exact", CORE, _quantum_duality),
+
+    Row("functional_symmetry", "symmetry", FUNCTIONAL, _functional_symmetry,
+        rule=TRI),
+    Row("functional_kawasaki", "kawasaki", FUNCTIONAL,
+        lambda c: max(_sup(c.curve(p, (0.0, 1.0), t))
+                      for p in _P_FULL for t in (0.5, 1.0))),
+    Row("functional_convexity", "convexity", FUNCTIONAL,
+        lambda c: max(0.0, max(-float(np.diff(c.curve(p, _ALPHAS_FINE, 1.0), 2).min())
+                               for p in (1.0, 2.0, math.inf)))),
+    Row("functional_p_monotone", "p_monotone", FUNCTIONAL,
+        lambda c: max(0.0, float(np.diff([c.curve(p, _QUARTERS, 1.0)
+                                          for p in _P_FULL], axis=0).max()))),
+    Row("functional_p_limit", "p_limit", FUNCTIONAL,
+        lambda c: _sup(c.curve(64.0, _QUARTERS, 1.0)
+                       - c.curve(math.inf, _QUARTERS, 1.0))),
+    Row("functional_derivative", "derivative", FUNCTIONAL, _functional_derivative),
+    Row("functional_variational", "bridge", FUNCTIONAL,
+        lambda c: _sup(fn.variational_max(c.system, (0.3, 1.2), 1.0)
+                       - c.curve(math.inf, (0.3, 1.2), 1.0))),
+    Row("functional_renyi_bridge", "bridge", FUNCTIONAL, _functional_renyi_bridge,
+        rule=TRI),
+    Row("functional_transfer_bridge", "bridge", FUNCTIONAL, _functional_transfer,
+        only=_tri),
+    Row("functional_transfer_reflection", "bridge", FUNCTIONAL, _functional_transfer,
+        only=_not_tri),
+    Row("transfer_group_law", "bridge", FUNCTIONAL, _transfer_group_law),
+    Row("transfer_intertwine", "bridge", FUNCTIONAL, _transfer_intertwine),
+    Row("transfer_isometry", "bridge", FUNCTIONAL, _transfer_isometry),
+    Row("am_norm_unit", "exact", FUNCTIONAL,
+        lambda c: max(abs(fn.araki_masuda_norm(np.eye(c.system.dim), c.system, p) - 1.0)
+                      for p in (1.0, 2.0, 7.0))),
+    Row("functional_kernel_svd", "bridge", FUNCTIONAL, _functional_kernel_svd),
+
+    Row("fcs_normalization", "tv", FUNCTIONAL,
+        lambda c: abs(float(c.counting(c.fcs_t).weights.sum()) - 1.0)),
+    Row("fcs_es_symmetry", "tv", FUNCTIONAL, _fcs_es_symmetry, rule=TRI),
+    Row("fcs_modular_tv", "tv", FUNCTIONAL,
+        lambda c: ms.total_variation(c.counting(c.fcs_t),
+                                     fc.modular_spectral_measure(c.system, c.fcs_t)),
+        rule=TRI),
+    Row("fcs_time_reversal_twist", "tv", FUNCTIONAL,
+        lambda c: ms.total_variation(c.counting(c.fcs_t), fc.modular_spectral_measure(
+            qm.QuantumSystem(-c.system.hamiltonian.matrix,
+                             c.system.reference_state.matrix), c.fcs_t)),
+        only=_not_tri),
+    Row("fcs_cgf_bridge", "bridge", FUNCTIONAL,
+        lambda c: _sup(fc.fcs_cgf(c.counting(c.fcs_t), _ALPHAS_COARSE, c.fcs_t)
+                       - c.curve(2.0, _ALPHAS_COARSE, c.fcs_t))),
+    Row("fcs_mean_derivative", "derivative", FUNCTIONAL,
+        lambda c: abs(c.counting(c.fcs_t).mean()
+                      + _central(fc.fcs_cgf(c.counting(c.fcs_t), _H_PAIR, c.fcs_t))
+                      / c.fcs_t)),
+    Row("fcs_modular_positivity", "exact", FUNCTIONAL, _fcs_modular_positivity),
+    Row("fcs_modular_eigenoperator", "bridge", FUNCTIONAL, _fcs_modular_eigenoperator),
+
+    Row("fcs_qubit_closed_form", "exact", ("qubit",), _fcs_qubit_closed_form),
+
+    Row("functional_commuting_collapse", "exact", ("commuting",),
+        lambda c: max(_sup(c.curve(p, (-1.0, 0.5, 2.0), t))
+                      for p in (1.0, 2.0, 64.0, math.inf) for t in (0.7, 1.0))),
+    Row("naive_commuting_endpoint", "exact", ("commuting",),
+        lambda c: abs(fn.naive_functional(c.system, 1.0, 1.0))),
+    Row("fcs_commuting_point", "exact", ("commuting",),
+        lambda c: max(float(np.abs(c.counting(1.0).atoms).max()),
+                      abs(c.counting(1.0).mass_at(0.0) - 1.0))),
+    Row("quantum_sigma_commuting_zero", "exact", ("commuting",),
+        lambda c: float(np.abs(_sigma(c.system)).max())),
+
+    Row("classical_identity_fourway", "classical_identity", ("classical-tri-batch-20",),
+        lambda c: max(classical_fourway_residual(
+            md.random_classical_system(3 + 2 * k, seed=100 + k, tri=True),
+            (-0.7, 0.3, 0.5, 1.4), (1, 3)) for k in range(20))),
+    Row("quantum_second_law_batch", "second_law", ("quantum-batch-20",),
+        _quantum_second_law_batch),
+    Row("naive_kawasaki_breaks", "violation_floor", ("quantum-batch-20",),
+        _naive_kawasaki_batch, rule=BREAKS),
+    Row("model_sigma_decomposition", "decomposition", ("reservoir-batch-10",),
+        _sigma_decomposition_batch),
+    Row("model_decoupled_collapse", "exact", ("reservoir-decoupled",),
+        lambda c: max(_sup(c.curve(p, (0.5, 1.5), 1.0)) for p in (2.0, math.inf))),
+    Row("model_equilibrium_sigma", "exact", ("reservoir-balanced",),
+        lambda c: float(np.abs(_sigma(c.system)).max())),
+    Row("format_round_trip", 0.5, ("format",), _format_round_trip),
+)
 
 
 # -- roster and driver ---------------------------------------------------
@@ -626,37 +624,34 @@ def default_systems():
     ]
 
 
-def run_battery(extra_systems=(), tolerances=None, include_batches=True):
-    """Run every check; returns the list of CheckResult rows."""
-    tol = merge_tolerances(tolerances)
-    results = []
-    for system_id, kind, obj in list(default_systems()) + list(extra_systems):
-        if kind == "classical":
-            results += classical_checks(system_id, obj, tol)
-        elif kind == "quantum":
-            results += quantum_core_checks(system_id, obj, tol)
-            results += functional_checks(system_id, obj, tol)
-            results += fcs_checks(system_id, obj, tol)
-        elif kind == "commuting":
-            results += quantum_core_checks(system_id, obj, tol)
-            results += commuting_checks(system_id, obj, tol)
-        elif kind == "qubit":
-            results += quantum_core_checks(system_id, obj, tol)
-            results += functional_checks(system_id, obj, tol)
-            results += fcs_checks(system_id, obj, tol, t=math.pi / 2)
-            results += qubit_closed_form_check(system_id, obj, tol)
-        elif kind == "reservoir":
-            results += reservoir_checks(system_id, obj, tol)
-            results += quantum_core_checks(system_id, obj.system, tol)
-            results += functional_checks(system_id, obj.system, tol)
-            results += fcs_checks(system_id, obj.system, tol)
+def check_system(system_id: str, kind: str, obj, tol: dict):
+    """The rows of ``ROWS`` that apply to one system, in table order."""
+    if not any(kind in row.kinds for row in ROWS):
+        raise ValueError(f"unknown system kind {kind!r}")
+    ctx = Context(kind, obj)
+    out = []
+    for row in ROWS:
+        if kind not in row.kinds or (row.only and not row.only(ctx)):
+            continue
+        try:
+            value = row.residual(ctx)
+        except NumericalDomainError as exc:
+            raise NumericalDomainError(
+                f"{row.name} on system {system_id}: {exc}") from exc
+        if row.rule == TRI:
+            out.append(tri_check(row.name, system_id, value, ctx.tri, tol,
+                                 row.tolerance))
         else:
-            raise ValueError(f"unknown system kind {kind!r}")
-    if include_batches:
-        results += classical_identity_batch(tol)
-        results += quantum_second_law_batch(tol)
-        results += naive_kawasaki_batch(tol)
-        results += sigma_decomposition_batch(tol)
-        results += reservoir_special_checks(tol)
-        results += format_round_trip_check(tol)
-    return results
+            bound = tol[row.tolerance] if isinstance(row.tolerance, str) \
+                else row.tolerance
+            out.append(bounded_check(row.name, system_id, value, bound, row.rule))
+    return out
+
+
+def run_battery(extra_systems=(), tolerances=None):
+    """Every row on the roster, then the extra systems, then the fixed
+    systems; returns the list of CheckResult rows."""
+    tol = merge_tolerances(tolerances)
+    systems = list(default_systems()) + list(extra_systems) + fixed_systems()
+    return [result for system_id, kind, obj in systems
+            for result in check_system(system_id, kind, obj, tol)]

@@ -7,6 +7,7 @@ import pytest
 
 from entroflux import cli, runner
 from entroflux import config as cf
+from entroflux import functionals as fn
 from entroflux.errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -104,7 +105,7 @@ systems:
     _, _, system = cfg.build_systems()[0]
     want = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     np.testing.assert_allclose(system.hamiltonian.matrix, want)
-    assert system.tri is False
+    assert system.tri is True       # every dim-2 system is time-reversal invariant
 
 
 JUNCTION = ("kind: two_reservoir, left_hamiltonian: [[0, 0], [0, 1]], "
@@ -501,6 +502,49 @@ def test_cli_numerical_domain_exits_three(monkeypatch, capsys):
     monkeypatch.setitem(cli.__dict__, "runner", runner)
     assert cli.main(["functionals"]) == 3
     assert "numerical domain error" in capsys.readouterr().err
+
+
+def test_cli_verify_domain_error_names_row_and_system(tmp_path, capsys,
+                                                       monkeypatch):
+    exact = fn.variational_max
+
+    def breaks_on_dim_3(system, alpha, t):
+        if system.dim == 3:     # no built-in system has dim 3 and this route
+            raise NumericalDomainError("synthetic breakdown")
+        return exact(system, alpha, t)
+
+    monkeypatch.setattr(fn, "variational_max", breaks_on_dim_3)
+    path = tmp_path / "probe.yaml"
+    path.write_text("systems:\n  - {id: probe-3, kind: random, dim: 3, seed: 2}\n")
+    assert cli.main(["verify", "-c", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical domain error: functional_variational on system probe-3: " \
+           "synthetic breakdown" in err
+
+
+DIM_2 = "systems:\n  - {id: qubit-2, kind: random, dim: 2, tri: false, seed: 1}\n"
+
+
+def test_cli_dim_2_complex_system_passes_as_tri(tmp_path, capsys):
+    path = tmp_path / "qubit.yaml"
+    path.write_text(DIM_2)
+    assert cli.main(["verify", "-c", str(path), "-o", str(tmp_path / "v")]) == 0
+    rows = (tmp_path / "v" / "checks.csv").read_text().splitlines()
+    mine = [row for row in rows if row.startswith("qubit-2,")]
+    assert any(",functional_symmetry," in row for row in mine)
+    assert not [row for row in rows if row.endswith(",fail")]
+    assert cli.main(["fcs", "-c", str(path), "-o", str(tmp_path / "f")]) == 0
+    checks = (tmp_path / "f" / "checks.csv").read_text().splitlines()[1:]
+    assert checks and all(row.startswith("qubit-2,fcs_tv_distance,")
+                          and row.endswith(",pass") for row in checks)
+
+
+def test_cli_tri_false_on_real_matrices_exits_two(tmp_path, capsys):
+    path = tmp_path / "real.yaml"
+    path.write_text(QUBIT.replace("kind: quantum", "kind: quantum\n    tri: false"))
+    assert cli.main(["verify", "-c", str(path)]) == 2
+    assert "config error: systems.flip: tri=False contradicts" \
+        in capsys.readouterr().err
 
 
 def test_cli_functional_overflow_exits_three(tmp_path, capsys):

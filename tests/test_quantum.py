@@ -257,3 +257,18 @@ def test_tri_flag_autodetected_for_real_matrices():
     assert FLIP.tri is True
     system = random_system(4, seed=31)
     assert system.tri is False
+
+
+def test_tri_flag_holds_for_every_qubit_and_must_match_detection():
+    # two 2 x 2 Hermitian matrices are real in a common basis
+    qubit = random_system(2, seed=1)
+    assert np.abs(qubit.hamiltonian.matrix.imag).max() > 1e-3
+    assert qubit.tri is True
+    assert qm.QuantumSystem(qubit.hamiltonian, qubit.reference_state,
+                            tri=True).tri is True
+    h = _random_hermitian(3, 23)
+    w = qm.matrix_exp(_random_hermitian(3, 24))
+    for h_mat, w_mat in ((qubit.hamiltonian, qubit.reference_state),
+                         (h.real, (w / np.trace(w)).real)):
+        with pytest.raises(ValueError, match="tri=False contradicts"):
+            qm.QuantumSystem(h_mat, w_mat, tri=False)

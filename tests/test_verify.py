@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from entroflux import classical as cl
 from entroflux import functionals as fn
 from entroflux import verify as vf
+from entroflux.errors import NumericalDomainError
 from entroflux.models import random_system
 
 
@@ -27,7 +29,7 @@ def test_battery_includes_expected_violations():
 
 
 def test_every_result_names_system_and_tolerance():
-    for r in vf.run_battery(include_batches=False):
+    for r in vf.run_battery():
         assert r.name
         assert r.system_id
         assert r.tolerance > 0
@@ -36,13 +38,12 @@ def test_every_result_names_system_and_tolerance():
 
 def test_extra_systems_are_checked():
     extra = [("probe-7", "quantum", random_system(3, tri=True, seed=7))]
-    results = vf.run_battery(extra_systems=extra, include_batches=False)
+    results = vf.run_battery(extra_systems=extra)
     assert any(r.system_id == "probe-7" for r in results)
 
 
 def test_tolerance_override_applies():
-    results = vf.run_battery(tolerances={"symmetry": 1e-30},
-                             include_batches=False)
+    results = vf.run_battery(tolerances={"symmetry": 1e-30})
     hits = [r for r in results if r.name == "functional_symmetry"]
     assert hits
     assert all(r.tolerance == 1e-30 for r in hits)
@@ -81,7 +82,7 @@ def test_variational_disagreement_is_a_fail_row(monkeypatch):
 
     monkeypatch.setattr(fn, "functional", shifted)
     system = random_system(4, tri=True, seed=21)
-    results = vf.functional_checks("probe", system, vf.merge_tolerances())
+    results = vf.check_system("probe", "quantum", system, vf.merge_tolerances())
     assert _status(results, "functional_variational") == vf.FAIL
 
 
@@ -89,12 +90,60 @@ def test_telescoping_disagreement_is_a_fail_row(monkeypatch):
     exact = cl.mean_ep_observable
     system = cl.ClassicalSystem([0.25, 0.5, 0.25])
     tol = vf.merge_tolerances()
-    assert _status(vf.classical_checks("probe", system, tol),
+    assert _status(vf.check_system("probe", "classical", system, tol),
                    "classical_ep_telescoping") == vf.PASS
 
     def shifted(system, t):
         return cl.ClassicalObservable(exact(system, t).values + 1e-9)
 
     monkeypatch.setattr(cl, "mean_ep_observable", shifted)
-    assert _status(vf.classical_checks("probe", system, tol),
+    assert _status(vf.check_system("probe", "classical", system, tol),
                    "classical_ep_telescoping") == vf.FAIL
+
+
+def test_no_system_gets_two_rows_of_one_name():
+    extra = [("probe-tri", "quantum", random_system(3, tri=True, seed=7)),
+             ("probe-asym", "quantum", random_system(3, tri=False, seed=8)),
+             ("probe-chain", "classical", cl.ClassicalSystem([0.2, 0.5, 0.3]))]
+    keys = [(r.system_id, r.name) for r in vf.run_battery(extra_systems=extra)]
+    assert len(keys) == len(set(keys))
+    assert {sid for sid, _ in keys} >= {sid for sid, _, _ in extra}
+
+
+def test_every_tolerance_key_is_read():
+    read = {row.tolerance for row in vf.ROWS if isinstance(row.tolerance, str)}
+    assert read <= set(vf.DEFAULT_TOLERANCES)
+    # TRI rows read violation_floor off time-reversal invariance; the check
+    # rows of the fcs and classical subcommands read tv, classical_identity
+    # and symmetry
+    read |= {"violation_floor", "tv", "classical_identity", "symmetry"}
+    assert read == set(vf.DEFAULT_TOLERANCES)
+
+
+@pytest.mark.parametrize("tri", [True, False])
+def test_battery_evaluates_each_curve_point_once(monkeypatch, tri):
+    exact = fn.functional
+    seen = []
+
+    def counting(system, p, alpha, t):
+        seen.extend((p, t, a) for a in np.atleast_1d(alpha).tolist())
+        return exact(system, p, alpha, t)
+
+    monkeypatch.setattr(fn, "functional", counting)
+    system = random_system(4, tri=tri, seed=9)
+    results = vf.check_system("probe", "quantum", system, vf.merge_tolerances())
+    assert vf.suite_passed(results)
+    assert len(seen) > 100
+    assert len(seen) == len(set(seen))
+
+
+def test_domain_error_names_row_and_system(monkeypatch):
+    def boom(system, alpha, t):
+        raise NumericalDomainError("synthetic breakdown")
+
+    monkeypatch.setattr(fn, "variational_max", boom)
+    with pytest.raises(NumericalDomainError,
+                       match="^functional_variational on system probe: "
+                             "synthetic breakdown$"):
+        vf.check_system("probe", "quantum", random_system(3, tri=True, seed=7),
+                        vf.merge_tolerances())
