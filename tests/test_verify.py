@@ -4,10 +4,30 @@ import numpy as np
 import pytest
 
 from entroflux import classical as cl
+from entroflux import config as cf
 from entroflux import functionals as fn
+from entroflux import runner
 from entroflux import verify as vf
 from entroflux.errors import NumericalDomainError
 from entroflux.models import random_system
+
+CHECKED = """
+systems:
+  - id: chain
+    kind: random_classical
+    size: 5
+    tri: true
+    seed: 3
+  - id: probe
+    kind: random
+    dim: 3
+    tri: true
+    seed: 7
+sweep:
+  alpha: [0.0, 0.5, 1.0]
+  p: [2]
+  t: [1.0]
+"""
 
 
 def test_default_battery_has_no_failures():
@@ -110,14 +130,26 @@ def test_no_system_gets_two_rows_of_one_name():
     assert {sid for sid, _ in keys} >= {sid for sid, _, _ in extra}
 
 
-def test_every_tolerance_key_is_read():
-    read = {row.tolerance for row in vf.ROWS if isinstance(row.tolerance, str)}
-    assert read <= set(vf.DEFAULT_TOLERANCES)
-    # TRI rows read violation_floor off time-reversal invariance; the check
-    # rows of the fcs and classical subcommands read tv, classical_identity
-    # and symmetry
-    read |= {"violation_floor", "tv", "classical_identity", "symmetry"}
-    assert read == set(vf.DEFAULT_TOLERANCES)
+def test_every_tolerance_key_is_read(monkeypatch):
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return dict.__getitem__(self, key)
+
+    exact = vf.merge_tolerances
+    monkeypatch.setattr(vf, "merge_tolerances",
+                        lambda overrides=None: Recording(exact(overrides)))
+    vf.run_battery()
+    by_rows = set(read)
+    read.clear()
+    # the check rows of the fcs and classical subcommands
+    cfg = cf.parse_config(CHECKED)
+    runner.run_fcs(cfg)
+    runner.run_classical(cfg)
+    assert read == {"tv", "classical_identity", "symmetry"}
+    assert by_rows | read == set(vf.DEFAULT_TOLERANCES)
 
 
 @pytest.mark.parametrize("tri", [True, False])
@@ -147,3 +179,22 @@ def test_domain_error_names_row_and_system(monkeypatch):
                              "synthetic breakdown$"):
         vf.check_system("probe", "quantum", random_system(3, tri=True, seed=7),
                         vf.merge_tolerances())
+
+
+@pytest.mark.parametrize("tri", [True, False])
+def test_rows_do_not_depend_on_which_row_filled_the_cache(monkeypatch, tri):
+    """Each row run alone on a fresh Context, and all rows in reverse order,
+    give the residuals of one pass in table order, bit for bit."""
+    system = random_system(4, tri=tri, seed=9)
+    tol = vf.merge_tolerances()
+    in_order = vf.check_system("probe", "quantum", system, tol)
+    rows = [row for row in vf.ROWS if "quantum" in row.kinds]
+    alone = []
+    for row in rows:
+        monkeypatch.setattr(vf, "ROWS", (row,))
+        alone += vf.check_system("probe", "quantum", system, tol)
+    monkeypatch.setattr(vf, "ROWS", tuple(reversed(rows)))
+    backwards = vf.check_system("probe", "quantum", system, tol)[::-1]
+    assert len(in_order) > 20
+    assert alone == in_order
+    assert backwards == in_order
