@@ -1,7 +1,5 @@
 """Entropic functionals and fluctuation statistics for finite systems."""
 from .classical import (
-    ClassicalObservable,
-    ClassicalState,
     ClassicalSystem,
     classical_functional,
     classical_transfer_functional,
@@ -47,8 +45,6 @@ from .version import __version__
 
 __all__ = [
     "CheckResult",
-    "ClassicalObservable",
-    "ClassicalState",
     "ClassicalSystem",
     "ConfigError",
     "ConfigParseError",

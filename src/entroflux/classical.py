@@ -5,6 +5,11 @@ point j to j+1 (mod N+1).  Observables are real functions on the phase
 space; states are strictly positive probability vectors.  Observables evolve
 forward along the flow, f_t(j) = f(j + t), and states by duality,
 rho_t(j) = rho(j - t), so that rho_t(f) = rho(f_t) for every t.
+
+``ClassicalSystem`` checks the reference weights where they enter.
+Observables and states are plain 1-D float arrays: arguments are checked
+(finite, of the system's size, positive and normalized for states), and
+derived values are returned as computed.
 """
 from __future__ import annotations
 
@@ -56,42 +61,6 @@ class ClassicalSystem:
         return bool(np.abs(w - w[::-1]).max() <= TRI_ATOL)
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalObservable:
-    """Real function on the phase space."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.values, dtype=float).ravel()
-        if vec.size < 1 or not np.isfinite(vec).all():
-            raise ValueError("observable values must be a nonempty finite vector")
-        object.__setattr__(self, "values", vec)
-
-
-@dataclass(frozen=True, eq=False)
-class ClassicalState:
-    """Strictly positive probability vector on the phase space."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        vec = _positive_probability_vector(self.probabilities, "state")
-        object.__setattr__(self, "probabilities", vec)
-
-
-def _as_values(f) -> np.ndarray:
-    if isinstance(f, ClassicalObservable):
-        return f.values
-    return ClassicalObservable(f).values
-
-
-def _as_probabilities(rho) -> np.ndarray:
-    if isinstance(rho, ClassicalState):
-        return rho.probabilities
-    return ClassicalState(rho).probabilities
-
-
 def _check_size(system: ClassicalSystem, vec: np.ndarray, what: str) -> None:
     if vec.size != system.size:
         raise ValueError(
@@ -99,23 +68,25 @@ def _check_size(system: ClassicalSystem, vec: np.ndarray, what: str) -> None:
         )
 
 
-def evolve_observable(system: ClassicalSystem, f, t: int) -> ClassicalObservable:
+def evolve_observable(system: ClassicalSystem, f, t: int) -> np.ndarray:
     """Evolve an observable by ``t`` steps: (f_t)(j) = f(j + t mod N+1)."""
-    values = _as_values(f)
+    values = np.asarray(f, dtype=float).ravel()
+    if values.size < 1 or not np.isfinite(values).all():
+        raise ValueError("observable values must be a nonempty finite vector")
     _check_size(system, values, "observable")
-    return ClassicalObservable(np.roll(values, -int(t)))
+    return np.roll(values, -int(t))
 
 
-def evolve_state(system: ClassicalSystem, rho, t: int) -> ClassicalState:
+def evolve_state(system: ClassicalSystem, rho, t: int) -> np.ndarray:
     """Evolve a state by ``t`` steps: (rho_t)(j) = rho(j - t mod N+1)."""
-    probs = _as_probabilities(rho)
+    probs = _positive_probability_vector(rho, "state")
     _check_size(system, probs, "state")
-    return ClassicalState(np.roll(probs, int(t)))
+    return np.roll(probs, int(t))
 
 
-def entropy_observable(system: ClassicalSystem) -> ClassicalObservable:
+def entropy_observable(system: ClassicalSystem) -> np.ndarray:
     """Information content of the reference state, S0 = -log w0."""
-    return ClassicalObservable(-np.log(system.reference_state))
+    return -np.log(system.reference_state)
 
 
 def _integer_positive_time(t) -> int:
@@ -125,7 +96,7 @@ def _integer_positive_time(t) -> int:
     return tt
 
 
-def mean_ep_observable(system: ClassicalSystem, t: int) -> ClassicalObservable:
+def mean_ep_observable(system: ClassicalSystem, t: int) -> np.ndarray:
     """Mean entropy production rate over ``t`` steps, (S_t - S0) / t.
 
     Its telescoped form, the time average of the evolved one-step rate
@@ -133,15 +104,14 @@ def mean_ep_observable(system: ClassicalSystem, t: int) -> ClassicalObservable:
     the verification battery.
     """
     tt = _integer_positive_time(t)
-    s0 = entropy_observable(system).values
-    st = np.roll(s0, -tt)
-    return ClassicalObservable((st - s0) / tt)
+    s0 = entropy_observable(system)
+    return (np.roll(s0, -tt) - s0) / tt
 
 
 def classical_functional(system: ClassicalSystem, alpha, t: int):
     """Entropic functional e_t(alpha) = log w0(exp(-alpha t Sigma_t)), per alpha."""
     tt = _integer_positive_time(t)
-    sig = mean_ep_observable(system, tt).values
+    sig = mean_ep_observable(system, tt)
     logw = np.log(system.reference_state)
     return logsumexp(logw - (np.asarray(alpha) * tt)[..., None] * sig)
 
@@ -149,7 +119,7 @@ def classical_functional(system: ClassicalSystem, alpha, t: int):
 def es_distribution(system: ClassicalSystem, t: int) -> SpectralMeasure:
     """Law of the mean entropy production rate under the reference state."""
     tt = _integer_positive_time(t)
-    sig = mean_ep_observable(system, tt).values
+    sig = mean_ep_observable(system, tt)
     return build_measure(sig, system.reference_state)
 
 
@@ -163,7 +133,7 @@ def variational_functional(system: ClassicalSystem, alpha, t: int):
     the verification battery.
     """
     tt = _integer_positive_time(t)
-    sig = mean_ep_observable(system, tt).values
+    sig = mean_ep_observable(system, tt)
     logw = np.log(system.reference_state)
     scale = (np.asarray(alpha) * tt)[..., None]
     exponents = (logw - scale * sig)[..., None, :]

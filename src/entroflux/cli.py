@@ -86,21 +86,28 @@ def main(argv=None) -> int:
         if args.subcommand in _SWEEPS:
             manifest, target = runner.execute(cfg, args.subcommand,
                                               args.output_dir)
-            rows = sum(manifest["rows"].values())
+            rows = sum(count for _, count in manifest["rows"].items())
             print(f"{args.subcommand}: wrote {rows} rows to {target}")
             return 0
         if args.subcommand == "model":
             sys.stdout.write(runner.run_model(cfg))
             return 0
         start = time.monotonic()
-        results, passed = runner.run_verify(cfg)
-        wall = time.monotonic() - start
-        print(runner.render_check_table(results))
         target = args.output_dir or cfg.output_dir
-        if target:
-            runner.write_outputs(target, "verify",
-                                 {"checks": runner.checks_to_table(results)},
-                                 cfg, wall)
+
+        def write(results):
+            if target:
+                runner.write_outputs(target, "verify",
+                                     {"checks": runner.checks_to_table(results)},
+                                     cfg, time.monotonic() - start)
+
+        try:
+            results, passed = runner.run_verify(cfg)
+        except NumericalDomainError as exc:
+            write(exc.results)      # the rows that ran before the error
+            raise
+        print(runner.render_check_table(results))
+        write(results)
         return 0 if passed else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

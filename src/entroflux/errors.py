@@ -6,8 +6,11 @@ class NumericalDomainError(ValueError):
 
     Raised for lost positivity, spectra outside the domain of a matrix
     function, and cross-checks between redundant computation routes that
-    disagree beyond their stated tolerance.
+    disagree beyond their stated tolerance.  ``results`` holds the
+    verification rows that ran before the error, when a battery raised it.
     """
+
+    results: tuple = ()
 
 
 class ConfigError(ValueError):

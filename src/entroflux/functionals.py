@@ -211,7 +211,7 @@ def naive_functional(system: QuantumSystem, alpha: float, t: float) -> float:
     alpha = 0 but, whenever H and w0 do not commute, generically fails the
     normalization e(1) = 0 that the ordered family keeps.
     """
-    sig = mean_ep_observable(system, t).matrix
+    sig = mean_ep_observable(system, t)
     lam, vecs = np.linalg.eigh(-alpha * t * sig)
     weight = (vecs * np.exp(lam)) @ vecs.conj().T
     trace = np.trace(system.reference_state.matrix @ weight).real
@@ -224,13 +224,14 @@ def variational_max(system: QuantumSystem, alpha, t: float):
     """e_[oo,t](alpha) as the maximum of rho -> S(rho|w0) - alpha t rho(Sigma_t),
     per alpha.
 
-    The maximizer is rho* = exp((1-alpha) log w0 + alpha log m_t) / Z.  The
-    objective is evaluated at rho* and at eight seeded perturbed density
-    matrices, none of which may exceed it beyond 1e-9.  Its agreement with
+    The maximizer is rho* = exp(K) / Z, K = (1-alpha) log w0 + alpha log m_t;
+    its entropy is read off the log-spectrum of K.  The objective is
+    evaluated at rho* and at eight seeded perturbed density matrices, each
+    checked, none of which may exceed it beyond 1e-9.  Its agreement with
     the p = oo functional is the ``functional_variational`` row of the
     verification battery.
     """
-    sig = mean_ep_observable(system, t).matrix
+    sig = mean_ep_observable(system, t)
     log_w0 = matrix_log(system.reference_eig())
     log_mt = matrix_log(system.heisenberg_reference_eig(t))
     rng = np.random.default_rng(_PERTURBATION_SEED)
@@ -244,23 +245,22 @@ def variational_max(system: QuantumSystem, alpha, t: float):
         random_state /= np.trace(random_state).real
         random_states.append(random_state)
 
-    def objective(rho_mat: np.ndarray, weight: np.ndarray) -> float:
-        # tr(rho (log w0 - alpha t Sigma_t)) - tr(rho log rho), the entropy
-        # read off the spectrum that the positivity check computes
-        rho = DensityMatrix(rho_mat)
-        lam = rho.eigenvalues
-        return float(np.vdot(weight, rho.matrix).real) - float(lam @ np.log(lam))
+    def objective(weight, rho, log_lam) -> float:
+        # tr(rho (log w0 - alpha t Sigma_t)) - tr(rho log rho), log_lam = log spec rho
+        return float(np.vdot(weight, rho).real) - float(np.exp(log_lam) @ log_lam)
 
     def point(alpha: float) -> float:
         combined = (1.0 - alpha) * log_w0 + alpha * log_mt
         lam, vecs = np.linalg.eigh((combined + combined.conj().T) / 2.0)
-        maximizer = (vecs * np.exp(lam - logsumexp(lam))) @ vecs.conj().T
+        log_lam = lam - logsumexp(lam)
+        maximizer = (vecs * np.exp(log_lam)) @ vecs.conj().T
         weight = log_w0 - alpha * t * sig
-        best = objective(maximizer, weight)
+        best = objective(weight, maximizer, log_lam)
         for random_state in random_states:
             rho = 0.85 * maximizer + 0.15 * random_state
-            rho /= np.trace(rho).real
-            trial = objective(rho, weight)
+            # the spectrum of the positivity check gives the entropy
+            checked = DensityMatrix(rho / np.trace(rho).real)
+            trial = objective(weight, checked.matrix, np.log(checked.eigenvalues))
             if trial > best + VARIATIONAL_SLACK:
                 raise NumericalDomainError(
                     f"perturbed state beats the maximizer by {trial - best:.3e} "

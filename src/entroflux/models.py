@@ -127,7 +127,7 @@ def flux_balance_residual(model: ReservoirModel, t: float,
         phi = flux_observables(model)[1]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    moved = heisenberg_evolve(model.system, local, t).matrix
+    moved = heisenberg_evolve(model.system, local, t)
     integral = evolved_integral(model.system, phi, t)
     return float(np.linalg.norm((moved - local) + integral))
 

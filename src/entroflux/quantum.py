@@ -5,6 +5,12 @@ Hermitian matrix; no differential equation is integrated anywhere.  Time
 evolution is conjugation by exp(+-itH): observables move forward,
 A_t = exp(itH) A exp(-itH), states move by duality,
 rho_t = exp(-itH) rho exp(itH).
+
+Matrices that enter the library are checked by value classes:
+``HermitianOperator`` and ``DensityMatrix`` hold a system's Hamiltonian and
+reference state, and ``DensityMatrix`` checks each matrix given as a state
+of a two-state entropy.  Derived matrices (evolved operators and states,
+the entropy observables) are complex arrays, their Hermitian part (A + A*) / 2.
 """
 from __future__ import annotations
 
@@ -47,6 +53,10 @@ def hermitian_deviation(mat: np.ndarray) -> tuple[float, float]:
             HERMITIAN_ATOL * max(1.0, float(np.abs(mat).max())))
 
 
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    return (mat + mat.conj().T) / 2.0
+
+
 def _symmetrize(matrix, what: str) -> np.ndarray:
     mat = as_matrix(matrix)
     correction, bound = hermitian_deviation(mat)
@@ -55,7 +65,7 @@ def _symmetrize(matrix, what: str) -> np.ndarray:
             f"{what} deviates from Hermitian by {correction:.3e}; symmetrized",
             stacklevel=3,
         )
-    return (mat + mat.conj().T) / 2.0
+    return _hermitian_part(mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +138,7 @@ def eig(operator) -> SpectralDecomposition:
         gap = np.abs(mat - mat.conj().T).max()
         if gap > HERMITIAN_ATOL * max(1.0, np.abs(mat).max()):
             raise ValueError(f"matrix is not Hermitian: asymmetry {gap:.3e}")
-        mat = (mat + mat.conj().T) / 2.0
+        mat = _hermitian_part(mat)
     evals, evecs = np.linalg.eigh(mat)
     dec = SpectralDecomposition(evals, evecs)
     scale = max(1.0, float(np.linalg.norm(mat)))
@@ -264,28 +274,31 @@ def per_alpha(point: Callable[[float], float], alpha):
     return np.array([point(a) for a in np.asarray(alpha, dtype=float).tolist()])
 
 
-def heisenberg_evolve(system: QuantumSystem, operator, t: float) -> HermitianOperator:
-    """A_t = exp(itH) A exp(-itH)."""
+def heisenberg_evolve(system: QuantumSystem, operator, t: float) -> np.ndarray:
+    """A_t = exp(itH) A exp(-itH), Hermitian part."""
     mat = as_matrix(operator, system.dim)
     u = system.propagator(-t)          # exp(itH)
-    return HermitianOperator(u @ mat @ u.conj().T)
+    return _hermitian_part(u @ mat @ u.conj().T)
 
 
-def schrodinger_evolve(system: QuantumSystem, state, t: float) -> DensityMatrix:
+def schrodinger_evolve(system: QuantumSystem, state, t: float) -> np.ndarray:
     """rho_t = exp(-itH) rho exp(itH), the Heisenberg evolution by -t."""
-    return DensityMatrix(heisenberg_evolve(system, state, -t).matrix)
+    return heisenberg_evolve(system, state, -t)
 
 
 def _two_state(rho, nu):
     """log r, log n and W_ij = |<u_i|v_j>|^2 for rho = sum_i r_i |u_i><u_i|
-    and nu = sum_j n_j |v_j><v_j|: each state diagonalized once."""
-    r = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    n = nu if isinstance(nu, DensityMatrix) else DensityMatrix(nu)
-    if r.dim != n.dim:
-        raise ValueError(f"state dims differ: {r.dim} vs {n.dim}")
-    r_eig, n_eig = eig(r), eig(n)
+    and nu = sum_j n_j |v_j><v_j|.  A state given as its
+    ``SpectralDecomposition`` is taken as checked; any other is checked as a
+    ``DensityMatrix`` and diagonalized once."""
+    r_eig, n_eig = (s if isinstance(s, SpectralDecomposition) else
+                    eig(s if isinstance(s, DensityMatrix) else DensityMatrix(s))
+                    for s in (rho, nu))
+    r, n = r_eig.eigenvalues, n_eig.eigenvalues
+    if r.size != n.size:
+        raise ValueError(f"state dims differ: {r.size} vs {n.size}")
     weights = np.abs(r_eig.eigenvectors.conj().T @ n_eig.eigenvectors) ** 2
-    return np.log(r_eig.eigenvalues), np.log(n_eig.eigenvalues), weights
+    return np.log(r), np.log(n), weights
 
 
 def q_relative_entropy(rho, nu) -> float:
@@ -304,7 +317,8 @@ def q_renyi_entropy(rho, nu, alpha):
     """Renyi relative entropy log tr(rho^alpha nu^(1-alpha)), per alpha: the
     log-sum-exp of alpha log r_i + log W_ij + (1-alpha) log n_j.
 
-    Each state is diagonalized once per call; each alpha then costs O(n^2).
+    Each state is diagonalized once per call, or not at all when given as
+    its ``SpectralDecomposition``; each alpha then costs O(n^2).
     """
     log_r, log_n, weights = _two_state(rho, nu)
     log_w = np.log(weights, out=np.full(weights.shape, -np.inf),
@@ -317,16 +331,16 @@ def q_renyi_entropy(rho, nu, alpha):
     return per_alpha(point, alpha)
 
 
-def entropy_observable(system: QuantumSystem) -> HermitianOperator:
+def entropy_observable(system: QuantumSystem) -> np.ndarray:
     """S0 = -log w0."""
-    return HermitianOperator(-matrix_log(system.reference_eig()))
+    return _hermitian_part(-matrix_log(system.reference_eig()))
 
 
-def entropy_production_observable(system: QuantumSystem) -> HermitianOperator:
+def entropy_production_observable(system: QuantumSystem) -> np.ndarray:
     """sigma = -i [H, log w0].  Hermitian and traceless."""
     h = system.hamiltonian.matrix
     logw = matrix_log(system.reference_eig())
-    return HermitianOperator(-1j * (h @ logw - logw @ h))
+    return _hermitian_part(-1j * (h @ logw - logw @ h))
 
 
 def adaptive_simpson_matrix(f: Callable[[float], np.ndarray], a: float, b: float,
@@ -378,7 +392,7 @@ def evolved_integral(system: QuantumSystem, operator, t: float) -> np.ndarray:
     return adaptive_simpson_matrix(evolved, 0.0, t)
 
 
-def mean_ep_observable(system: QuantumSystem, t: float) -> HermitianOperator:
+def mean_ep_observable(system: QuantumSystem, t: float) -> np.ndarray:
     """Mean entropy production rate Sigma_t = (S_t - S0) / t.
 
     Its other form, the time average of the evolved entropy production
@@ -387,13 +401,13 @@ def mean_ep_observable(system: QuantumSystem, t: float) -> HermitianOperator:
     """
     if t == 0:
         raise ValueError("time must be nonzero")
-    s0 = entropy_observable(system).matrix
+    s0 = entropy_observable(system)
     u = system.propagator(-t)
     st = u @ s0 @ u.conj().T
-    return HermitianOperator((st - s0) / t)
+    return _hermitian_part((st - s0) / t)
 
 
 def mean_ep_expectation(system: QuantumSystem, t: float) -> float:
     """w0(Sigma_t)."""
-    sig = mean_ep_observable(system, t).matrix
+    sig = mean_ep_observable(system, t)
     return float(np.trace(system.reference_state.matrix @ sig).real)

@@ -230,7 +230,7 @@ def run_model(cfg: ExperimentConfig) -> str:
                      + format_float(float(np.linalg.norm(phi_left)))
                      + " right="
                      + format_float(float(np.linalg.norm(phi_right))))
-        sigma = qm.entropy_production_observable(system).matrix
+        sigma = qm.entropy_production_observable(system)
         lines.append("  entropy production norm: "
                      + format_float(float(np.linalg.norm(sigma))))
         lines.append("  mean entropy production at t=1: "

@@ -8,8 +8,9 @@ the system kinds it applies to and a residual function of a per-system
 and the fixed systems of the batch rows.  Off time-reversal invariance a
 ``TRI`` row is reported as ``<name>_breaks``, which asserts that the
 violation is present.  A ``NumericalDomainError`` in a row is re-raised
-naming the row and the system.  The ``fcs`` and ``classical`` subcommands
-reuse the status helpers and the classical residuals.
+naming the row and the system, with the rows run before it in ``results``.
+The ``fcs`` and ``classical`` subcommands reuse the status helpers and the
+classical residuals.
 """
 from __future__ import annotations
 
@@ -123,7 +124,7 @@ def suite_passed(results) -> bool:
 
 
 def _sup(values) -> float:
-    """Largest absolute entry of a curve or of a stack of curves."""
+    """Largest absolute entry of a curve, a stack of curves or a matrix."""
     return float(np.abs(values).max())
 
 
@@ -138,10 +139,6 @@ def _complex_gaussians(seed: int, dim: int, count: int):
     rng = np.random.default_rng(seed)
     return [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             for _ in range(count)]
-
-
-def _sigma(system: qm.QuantumSystem) -> np.ndarray:
-    return qm.entropy_production_observable(system).matrix
 
 
 class Context:
@@ -175,7 +172,7 @@ class Context:
             self._counting[t] = fc.fcs_distribution(self.system, t)
         return self._counting[t]
 
-    def evolved(self, t: float) -> qm.DensityMatrix:
+    def evolved(self, t: float) -> np.ndarray:
         """The reference state evolved to time t."""
         return qm.schrodinger_evolve(self.system, self.system.reference_state, t)
 
@@ -211,16 +208,16 @@ def classical_fourway_residual(system: cl.ClassicalSystem, alphas, times) -> flo
 def _classical_mean_ep(c: Context, t: int) -> float:
     """w0(Sigma_t)."""
     return float(np.sum(c.system.reference_state
-                        * cl.mean_ep_observable(c.system, t).values))
+                        * cl.mean_ep_observable(c.system, t)))
 
 
 def _classical_telescoping(c: Context) -> float:
     # Sigma_t telescopes: it is the time average of the evolved one-step
     # rate sigma = log(w1 / w0)
     s, w0 = c.system, c.system.reference_state
-    sigma = np.log(cl.evolve_state(s, w0, 1).probabilities) - np.log(w0)
-    return max(_sup(cl.mean_ep_observable(s, t).values
-                    - sum(cl.evolve_observable(s, sigma, k).values
+    sigma = np.log(cl.evolve_state(s, w0, 1)) - np.log(w0)
+    return max(_sup(cl.mean_ep_observable(s, t)
+                    - sum(cl.evolve_observable(s, sigma, k)
                           for k in range(1, t + 1)) / t)
                for t in (1, 2, 3))
 
@@ -230,8 +227,8 @@ def _classical_duality(c: Context) -> float:
     rng = np.random.default_rng(404)
     f = rng.standard_normal(s.size)
     rho = rng.dirichlet(np.ones(s.size)) * 0.9 + 0.1 / s.size
-    return max(abs(float(np.sum(cl.evolve_state(s, rho, t).probabilities * f))
-                   - float(np.sum(rho * cl.evolve_observable(s, f, t).values)))
+    return max(abs(float(np.sum(cl.evolve_state(s, rho, t) * f))
+                   - float(np.sum(rho * cl.evolve_observable(s, f, t))))
                for t in (3, -2))
 
 
@@ -248,13 +245,13 @@ def _model_assembly(c: Context) -> float:
 
 
 def _quantum_sigma_traceless(c: Context) -> float:
-    sigma = _sigma(c.system)
+    sigma = qm.entropy_production_observable(c.system)
     return max(abs(complex(np.trace(sigma))),
                abs(complex(np.trace(c.system.reference_state.matrix @ sigma))))
 
 
 def _quantum_sigma_spectrum(c: Context) -> float:
-    lam = np.linalg.eigvalsh(qm.mean_ep_observable(c.system, 1.0).matrix)
+    lam = np.linalg.eigvalsh(qm.mean_ep_observable(c.system, 1.0))
     return float(np.abs(lam + lam[::-1]).max())
 
 
@@ -263,8 +260,8 @@ def _quantum_duality(c: Context) -> float:
     [raw] = _complex_gaussians(405, s.dim, 1)
     obs = (raw + raw.conj().T) / 2
     return max(abs(complex(
-        np.trace(c.evolved(t).matrix @ obs)
-        - np.trace(s.reference_state.matrix @ qm.heisenberg_evolve(s, obs, t).matrix)))
+        np.trace(c.evolved(t) @ obs)
+        - np.trace(s.reference_state.matrix @ qm.heisenberg_evolve(s, obs, t))))
         for t in (1.3, -0.4))
 
 
@@ -284,7 +281,9 @@ def _functional_derivative(c: Context) -> float:
 def _functional_renyi_bridge(c: Context) -> float:
     grids = [(_ALPHAS_COARSE, 0.5), (_ALPHAS_COARSE, 1.0)] if c.tri \
         else [(np.array([0.4]), 1.0)]
-    return max(_sup(qm.q_renyi_entropy(c.evolved(t), c.system.reference_state, alphas)
+    # the evolved state's spectrum is carried, not recomputed
+    return max(_sup(qm.q_renyi_entropy(c.system.heisenberg_reference_eig(-t),
+                                       c.system.reference_eig(), alphas)
                     - c.curve(2.0, alphas, t))
                for alphas, t in grids)
 
@@ -405,8 +404,8 @@ def _sigma_decomposition_batch(c: Context) -> float:
             (h_l + h_l.T) / 2, (h_r + h_r.T) / 2,
             float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)),
             0.3 * (v + v.T) / 2)
-        combined = md.entropy_production_decomposition(model)
-        worst = max(worst, float(np.abs(combined - _sigma(model.system)).max()))
+        worst = max(worst, _sup(md.entropy_production_decomposition(model)
+                                - qm.entropy_production_observable(model.system)))
     return worst
 
 
@@ -487,8 +486,8 @@ ROWS = (
         lambda c: max(md.flux_balance_residual(c.obj, t, side)
                       for t in (0.5, 1.0, 2.0) for side in ("left", "right"))),
     Row("model_sigma_flux_form", "decomposition", RESERVOIR,
-        lambda c: float(np.abs(md.entropy_production_decomposition(c.obj)
-                               - _sigma(c.system)).max())),
+        lambda c: _sup(md.entropy_production_decomposition(c.obj)
+                       - qm.entropy_production_observable(c.system))),
     Row("model_heat_flow", 1e-10, RESERVOIR,
         lambda c: qm.mean_ep_expectation(c.system, 1.0), rule=ABOVE,
         only=lambda c: c.obj.beta_left != c.obj.beta_right),
@@ -503,13 +502,14 @@ ROWS = (
                                                   c.system.reference_state) / t)
                       for t in (0.5, 1.0))),
     Row("quantum_unitarity", "bridge", CORE,
-        lambda c: max(_sup(np.sort(np.linalg.eigvalsh(c.evolved(t).matrix))
+        lambda c: max(_sup(np.sort(np.linalg.eigvalsh(c.evolved(t)))
                            - c.system.reference_eig().eigenvalues)
                       for t in (0.7, 2.3))),
     Row("quantum_ep_quadrature", "quadrature", CORE,
         lambda c: float(np.linalg.norm(
-            qm.mean_ep_observable(c.system, 1.0).matrix
-            - qm.evolved_integral(c.system, _sigma(c.system), 1.0)))),
+            qm.mean_ep_observable(c.system, 1.0)
+            - qm.evolved_integral(
+                c.system, qm.entropy_production_observable(c.system), 1.0)))),
     Row("quantum_sigma_traceless", "bridge", CORE, _quantum_sigma_traceless),
     Row("quantum_sigma_spectrum", "bridge", CORE, _quantum_sigma_spectrum, only=_tri),
     Row("quantum_duality", "exact", CORE, _quantum_duality),
@@ -579,7 +579,7 @@ ROWS = (
         lambda c: max(float(np.abs(c.counting(1.0).atoms).max()),
                       abs(c.counting(1.0).mass_at(0.0) - 1.0))),
     Row("quantum_sigma_commuting_zero", "exact", ("commuting",),
-        lambda c: float(np.abs(_sigma(c.system)).max())),
+        lambda c: _sup(qm.entropy_production_observable(c.system))),
 
     Row("classical_identity_fourway", "classical_identity", ("classical-tri-batch-20",),
         lambda c: max(classical_fourway_residual(
@@ -594,7 +594,7 @@ ROWS = (
     Row("model_decoupled_collapse", "exact", ("reservoir-decoupled",),
         lambda c: max(_sup(c.curve(p, (0.5, 1.5), 1.0)) for p in (2.0, math.inf))),
     Row("model_equilibrium_sigma", "exact", ("reservoir-balanced",),
-        lambda c: float(np.abs(_sigma(c.system)).max())),
+        lambda c: _sup(qm.entropy_production_observable(c.system))),
     Row("format_round_trip", 0.5, ("format",), _format_round_trip),
 )
 
@@ -636,8 +636,9 @@ def check_system(system_id: str, kind: str, obj, tol: dict):
         try:
             value = row.residual(ctx)
         except NumericalDomainError as exc:
-            raise NumericalDomainError(
-                f"{row.name} on system {system_id}: {exc}") from exc
+            error = NumericalDomainError(f"{row.name} on system {system_id}: {exc}")
+            error.results = tuple(out)
+            raise error from exc
         if row.rule == TRI:
             out.append(tri_check(row.name, system_id, value, ctx.tri, tol,
                                  row.tolerance))
@@ -650,8 +651,15 @@ def check_system(system_id: str, kind: str, obj, tol: dict):
 
 def run_battery(extra_systems=(), tolerances=None):
     """Every row on the roster, then the extra systems, then the fixed
-    systems; returns the list of CheckResult rows."""
+    systems; returns the list of CheckResult rows.  A domain error carries
+    every row that ran before it in ``results``."""
     tol = merge_tolerances(tolerances)
     systems = list(default_systems()) + list(extra_systems) + fixed_systems()
-    return [result for system_id, kind, obj in systems
-            for result in check_system(system_id, kind, obj, tol)]
+    results = []
+    for system_id, kind, obj in systems:
+        try:
+            results += check_system(system_id, kind, obj, tol)
+        except NumericalDomainError as exc:
+            exc.results = tuple(results) + exc.results
+            raise
+    return results

@@ -85,7 +85,7 @@ def test_criterion_3_bridge_identities():
     for system in quantum_fleet(count=8, dim_span=(2, 8)):
         for t in (0.5, 1.0):
             evolved = qm.schrodinger_evolve(
-                system, system.reference_state.matrix, t).matrix
+                system, system.reference_state.matrix, t)
             for a in alphas:
                 direct = fn.functional(system, 2.0, a, t)
                 renyi = qm.q_renyi_entropy(
@@ -150,7 +150,7 @@ def test_criterion_6_second_law_and_derivative():
         mean_ep = qm.mean_ep_expectation(system, t)
         assert mean_ep >= -1e-12
         evolved = qm.schrodinger_evolve(
-            system, system.reference_state.matrix, t).matrix
+            system, system.reference_state.matrix, t)
         via_entropy = -qm.q_relative_entropy(
             evolved, system.reference_state.matrix) / t
         assert abs(mean_ep - via_entropy) <= 1e-10
@@ -186,7 +186,7 @@ def test_criterion_8_reservoir_physics():
         for side in ("left", "right"):
             assert md.flux_balance_residual(model, t, side) <= 1e-8
     combined = md.entropy_production_decomposition(model)
-    direct = qm.entropy_production_observable(model.system).matrix
+    direct = qm.entropy_production_observable(model.system)
     assert np.abs(combined - direct).max() <= 1e-10
     assert qm.mean_ep_expectation(model.system, 1.0) > 1e-10
 

@@ -28,18 +28,18 @@ E_HALF = -0.043840314666364601
 
 def test_observable_shift():
     f = cl.evolve_observable(REFERENCE, [1.0, 2.0, 3.0], 1)
-    np.testing.assert_allclose(f.values, [2.0, 3.0, 1.0])
+    np.testing.assert_allclose(f, [2.0, 3.0, 1.0])
 
 
 def test_state_shift_opposes_observable_shift():
     rho = cl.evolve_state(REFERENCE, [0.25, 0.5, 0.25], 1)
-    np.testing.assert_allclose(rho.probabilities, [0.25, 0.25, 0.5])
+    np.testing.assert_allclose(rho, [0.25, 0.25, 0.5])
 
 
 def test_shift_period():
     f = [0.3, -1.0, 2.0]
     rolled = cl.evolve_observable(REFERENCE, f, 3)
-    np.testing.assert_allclose(rolled.values, f)
+    np.testing.assert_allclose(rolled, f)
 
 
 @given(st.integers(min_value=0, max_value=12))
@@ -47,24 +47,24 @@ def test_evolution_duality(t):
     """Pairing of evolved observable with a state matches the dual shift."""
     f = np.array([0.2, -0.7, 1.3])
     rho = np.array([0.5, 0.3, 0.2])
-    lhs = float(cl.evolve_observable(REFERENCE, f, t).values @ rho)
-    rhs = float(f @ cl.evolve_state(REFERENCE, rho, t).probabilities)
+    lhs = float(cl.evolve_observable(REFERENCE, f, t) @ rho)
+    rhs = float(f @ cl.evolve_state(REFERENCE, rho, t))
     assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
 def test_entropy_observable_is_minus_log():
     s = cl.entropy_observable(REFERENCE)
-    np.testing.assert_allclose(s.values, -np.log([0.25, 0.5, 0.25]))
+    np.testing.assert_allclose(s, -np.log([0.25, 0.5, 0.25]))
 
 
 def test_mean_ep_observable_reference_chain():
     sigma = cl.mean_ep_observable(REFERENCE, 1)
-    np.testing.assert_allclose(sigma.values, [-math.log(2), math.log(2), 0.0],
+    np.testing.assert_allclose(sigma, [-math.log(2), math.log(2), 0.0],
                                atol=1e-15)
 
 
 def test_mean_ep_mean_vanishes_only_at_full_period():
-    vals = cl.mean_ep_observable(REFERENCE, 3).values
+    vals = cl.mean_ep_observable(REFERENCE, 3)
     np.testing.assert_allclose(vals, 0.0, atol=1e-15)
 
 
@@ -113,7 +113,7 @@ def test_es_distribution_obeys_fluctuation_symmetry():
 def test_es_distribution_mean_matches_mean_ep():
     m = cl.es_distribution(LOPSIDED, 2)
     sigma = cl.mean_ep_observable(LOPSIDED, 2)
-    expected = float(sigma.values @ LOPSIDED.reference_state)
+    expected = float(sigma @ LOPSIDED.reference_state)
     assert m.mean() == pytest.approx(expected, abs=1e-14)
 
 
@@ -184,6 +184,29 @@ def test_rejects_invalid_weights():
         cl.ClassicalSystem([0.5, 0.5, 0.1])
     with pytest.raises(ValueError):
         cl.ClassicalSystem([1.0, 0.0])
+
+
+def test_derived_values_are_plain_arrays():
+    for value in (cl.evolve_observable(REFERENCE, [1.0, 2.0, 3.0], 1),
+                  cl.evolve_state(REFERENCE, [0.25, 0.5, 0.25], 1),
+                  cl.entropy_observable(REFERENCE),
+                  cl.mean_ep_observable(REFERENCE, 2)):
+        assert type(value) is np.ndarray
+        assert value.shape == (3,) and value.dtype == float
+
+
+@pytest.mark.parametrize("values", [[1.0, math.nan, 2.0], [1.0, math.inf, 2.0],
+                                    [], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+def test_evolve_observable_rejects_non_finite_or_wrongly_sized(values):
+    with pytest.raises(ValueError):
+        cl.evolve_observable(REFERENCE, values, 1)
+
+
+@pytest.mark.parametrize("probs", [[0.25, math.nan, 0.75], [0.5, 0.5],
+                                   [0.5, 0.5, 0.0], [0.2, 0.2, 0.2]])
+def test_evolve_state_rejects_invalid_or_wrongly_sized(probs):
+    with pytest.raises(ValueError):
+        cl.evolve_state(REFERENCE, probs, 1)
 
 
 def test_rejects_non_integer_time():

@@ -8,6 +8,7 @@ import pytest
 from entroflux import cli, runner
 from entroflux import config as cf
 from entroflux import functionals as fn
+from entroflux import verify as vf
 from entroflux.errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -520,6 +521,32 @@ def test_cli_verify_domain_error_names_row_and_system(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "numerical domain error: functional_variational on system probe-3: " \
            "synthetic breakdown" in err
+
+
+def test_cli_verify_domain_error_writes_the_rows_that_ran(tmp_path, capsys,
+                                                         monkeypatch):
+    text = "systems:\n  - {id: probe-3, kind: random, dim: 3, seed: 2}\n"
+    tol = vf.merge_tolerances()
+    roster = [r for sid, kind, obj in vf.default_systems()
+              for r in vf.check_system(sid, kind, obj, tol)]
+    [(sid, kind, obj)] = cf.parse_config(text).build_systems()
+    probe = vf.check_system(sid, kind, obj, tol)
+    failing = [r.name for r in probe].index("functional_variational")
+    exact = fn.variational_max
+
+    def breaks_on_dim_3(system, alpha, t):
+        if system.dim == 3:     # no built-in system has dim 3 and this route
+            raise NumericalDomainError("synthetic breakdown")
+        return exact(system, alpha, t)
+
+    monkeypatch.setattr(fn, "variational_max", breaks_on_dim_3)
+    path, out = tmp_path / "probe.yaml", tmp_path / "out"
+    path.write_text(text)
+    assert cli.main(["verify", "-c", str(path), "-o", str(out)]) == 3
+    assert "functional_variational on system probe-3" in capsys.readouterr().err
+    ran = roster + probe[:failing]
+    assert (out / "checks.csv").read_text() == runner.checks_to_table(ran).to_csv()
+    assert json.loads((out / "run.json").read_text())["rows"] == {"checks": len(ran)}
 
 
 DIM_2 = "systems:\n  - {id: qubit-2, kind: random, dim: 2, tri: false, seed: 1}\n"

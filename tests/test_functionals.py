@@ -61,7 +61,7 @@ def test_renyi_bridge_on_tri_system():
         evolved = qm.schrodinger_evolve(system, system.reference_state.matrix,
                                         t)
         for alpha in (-0.3, 0.4, 1.2):
-            via_renyi = qm.q_renyi_entropy(evolved.matrix,
+            via_renyi = qm.q_renyi_entropy(evolved,
                                            system.reference_state.matrix,
                                            alpha)
             got = fn.functional(system, 2.0, alpha, t)
@@ -74,7 +74,7 @@ def test_bridge_uses_backward_state_without_tri():
     t, alpha = 1.0, 0.6
     backward = qm.schrodinger_evolve(system, system.reference_state.matrix,
                                      -t)
-    via_renyi = qm.q_renyi_entropy(backward.matrix,
+    via_renyi = qm.q_renyi_entropy(backward,
                                    system.reference_state.matrix, alpha)
     got = fn.functional(system, 2.0, alpha, t)
     assert got == pytest.approx(via_renyi, abs=1e-11)

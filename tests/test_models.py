@@ -74,7 +74,7 @@ def test_sigma_decomposes_into_fluxes():
     model = md.canonical_model()
     sigma = md.entropy_production_decomposition(model)
     np.testing.assert_allclose(
-        sigma, qm.entropy_production_observable(model.system).matrix,
+        sigma, qm.entropy_production_observable(model.system),
         atol=1e-10)
 
 
@@ -82,14 +82,14 @@ def test_equal_temperatures_kill_entropy_production():
     h = np.diag([0.0, 1.0])
     v = 0.2 * np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
     model = md.build_two_reservoir(h, h, 1.3, 1.3, v)
-    sigma = qm.entropy_production_observable(model.system).matrix
+    sigma = qm.entropy_production_observable(model.system)
     assert np.abs(sigma).max() < 1e-12
 
 
 def test_decoupled_model_is_stationary():
     h = np.diag([0.0, 1.0])
     model = md.build_two_reservoir(h, h, 1.0, 2.0, np.zeros((4, 4)))
-    sigma = qm.entropy_production_observable(model.system).matrix
+    sigma = qm.entropy_production_observable(model.system)
     assert np.abs(sigma).max() < 1e-13
 
 
@@ -185,5 +185,5 @@ def test_random_reservoirs_satisfy_flux_decomposition(dim, seed):
     model = md.build_two_reservoir(h_l, h_r, 1.0, 2.0, v)
     sigma = md.entropy_production_decomposition(model)
     np.testing.assert_allclose(
-        sigma, qm.entropy_production_observable(model.system).matrix,
+        sigma, qm.entropy_production_observable(model.system),
         atol=1e-10)

@@ -84,7 +84,7 @@ def test_propagator_group_law():
 
 def test_heisenberg_flip_exchanges_diagonal():
     moved = qm.heisenberg_evolve(FLIP, W0, math.pi / 2)
-    np.testing.assert_allclose(moved.matrix, np.diag([0.25, 0.75]),
+    np.testing.assert_allclose(moved, np.diag([0.25, 0.75]),
                                atol=1e-14)
 
 
@@ -93,9 +93,31 @@ def test_heisenberg_schrodinger_duality():
     a = _random_hermitian(4, 6)
     rho = system.reference_state.matrix
     t = 1.3
-    lhs = np.trace(rho @ qm.heisenberg_evolve(system, a, t).matrix)
-    rhs = np.trace(qm.schrodinger_evolve(system, rho, t).matrix @ a)
+    lhs = np.trace(rho @ qm.heisenberg_evolve(system, a, t))
+    rhs = np.trace(qm.schrodinger_evolve(system, rho, t) @ a)
     assert lhs.real == pytest.approx(rhs.real, abs=1e-12)
+
+
+def test_derived_values_are_hermitian_arrays():
+    system = random_system(4, seed=5)
+    a = _random_hermitian(4, 6)
+    for value in (qm.heisenberg_evolve(system, a, 0.7),
+                  qm.schrodinger_evolve(system, system.reference_state, 0.7),
+                  qm.entropy_observable(system),
+                  qm.entropy_production_observable(system),
+                  qm.mean_ep_observable(system, 0.7)):
+        assert type(value) is np.ndarray
+        assert value.shape == (4, 4) and value.dtype == complex
+        assert (value == value.conj().T).all()
+
+
+@pytest.mark.parametrize("evolve", [qm.heisenberg_evolve, qm.schrodinger_evolve])
+def test_evolution_rejects_non_finite_or_wrongly_sized_operators(evolve):
+    system = random_system(3, seed=4)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(system, np.diag([1.0, math.nan, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="does not match dim"):
+        evolve(system, np.eye(2), 1.0)
 
 
 def test_relative_entropy_frozen_value():
@@ -164,18 +186,18 @@ def test_two_state_entropies_match_matrix_functions_property(states, alpha):
 
 def test_entropy_observable_matches_minus_log():
     s = qm.entropy_observable(FLIP)
-    np.testing.assert_allclose(s.matrix, -np.diag(np.log([0.75, 0.25])),
+    np.testing.assert_allclose(s, -np.diag(np.log([0.75, 0.25])),
                                atol=1e-14)
 
 
 def test_entropy_production_observable_flip_qubit():
     sigma = qm.entropy_production_observable(FLIP)
-    np.testing.assert_allclose(sigma.matrix, -math.log(3) * SY, atol=1e-13)
+    np.testing.assert_allclose(sigma, -math.log(3) * SY, atol=1e-13)
 
 
 def test_entropy_production_traceless_and_centered():
     system = random_system(6, seed=13)
-    sigma = qm.entropy_production_observable(system).matrix
+    sigma = qm.entropy_production_observable(system)
     assert abs(np.trace(sigma)) < 1e-12
     assert abs(np.trace(system.reference_state.matrix @ sigma)) < 1e-12
 
@@ -183,7 +205,7 @@ def test_entropy_production_traceless_and_centered():
 def test_mean_ep_observable_flip_qubit():
     sigma_bar = qm.mean_ep_observable(FLIP, math.pi / 2)
     want = (2 / math.pi) * np.diag([math.log(3), -math.log(3)])
-    np.testing.assert_allclose(sigma_bar.matrix, want, atol=1e-12)
+    np.testing.assert_allclose(sigma_bar, want, atol=1e-12)
 
 
 def test_mean_ep_expectation_flip_qubit():
@@ -196,7 +218,7 @@ def test_mean_ep_matches_relative_entropy_route():
     t = 0.8
     direct = qm.mean_ep_expectation(system, t)
     evolved = qm.schrodinger_evolve(system, system.reference_state.matrix, t)
-    via_entropy = -qm.q_relative_entropy(evolved.matrix,
+    via_entropy = -qm.q_relative_entropy(evolved,
                                          system.reference_state.matrix) / t
     assert direct == pytest.approx(via_entropy, abs=1e-11)
 
@@ -214,7 +236,7 @@ def test_commuting_pair_produces_no_entropy():
     h = np.diag([0.0, 1.0, 2.0])
     w = np.diag([0.5, 0.3, 0.2])
     system = qm.QuantumSystem(h, w)
-    sigma = qm.entropy_production_observable(system).matrix
+    sigma = qm.entropy_production_observable(system)
     assert np.abs(sigma).max() < 1e-14
     assert qm.mean_ep_expectation(system, 2.0) == pytest.approx(0.0,
                                                                 abs=1e-13)

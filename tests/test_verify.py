@@ -6,6 +6,7 @@ import pytest
 from entroflux import classical as cl
 from entroflux import config as cf
 from entroflux import functionals as fn
+from entroflux import quantum as qm
 from entroflux import runner
 from entroflux import verify as vf
 from entroflux.errors import NumericalDomainError
@@ -114,7 +115,7 @@ def test_telescoping_disagreement_is_a_fail_row(monkeypatch):
                    "classical_ep_telescoping") == vf.PASS
 
     def shifted(system, t):
-        return cl.ClassicalObservable(exact(system, t).values + 1e-9)
+        return exact(system, t) + 1e-9
 
     monkeypatch.setattr(cl, "mean_ep_observable", shifted)
     assert _status(vf.check_system("probe", "classical", system, tol),
@@ -198,3 +199,18 @@ def test_rows_do_not_depend_on_which_row_filled_the_cache(monkeypatch, tri):
     assert len(in_order) > 20
     assert alone == in_order
     assert backwards == in_order
+
+
+def test_wide_reference_spectrum_runs_every_row():
+    """A valid state with spectrum ratio 1e11, near the positivity floor:
+    the maximizer and the evolved state are read off carried spectra, so no
+    row stops the battery, and the two rows on those routes pass."""
+    rng = np.random.default_rng(5)
+    basis, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    nu = np.geomspace(1.0, 1e-11, 4)
+    h = rng.normal(size=(4, 4))
+    wide = qm.QuantumSystem(h + h.T, (basis * (nu / nu.sum())) @ basis.T)
+    # returns, so no row raised a NumericalDomainError
+    results = vf.check_system("wide", "quantum", wide, vf.merge_tolerances())
+    for name in ("functional_variational", "functional_renyi_bridge"):
+        assert _status(results, name) == vf.PASS
