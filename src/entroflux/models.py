@@ -113,9 +113,9 @@ def flux_balance_residual(model: ReservoirModel, t: float,
                           side: str = "left") -> float:
     """Residual of H_local(t) - H_local = -integral_0^t Phi(s) ds.
 
-    The time integral runs over the Heisenberg-evolved flux, computed with
-    adaptive quadrature; the residual is the Frobenius norm of the
-    difference.
+    The time integral of the Heisenberg-evolved flux is taken in closed
+    form in the eigenbasis of H (``quantum.evolved_integral``); the residual
+    is the Frobenius norm of the difference.
     """
     if t == 0:
         return 0.0

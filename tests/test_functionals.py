@@ -11,6 +11,7 @@ from entroflux import functionals as fn
 from entroflux import quantum as qm
 from entroflux.errors import NumericalDomainError
 from entroflux.models import canonical_model, random_system
+from strategies import quantum_systems
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 W0 = np.diag([0.75, 0.25])
@@ -250,28 +251,6 @@ def test_kawasaki_endpoint_property(dim, seed):
     system = random_system(dim, tri=bool(seed % 2), seed=seed)
     assert abs(fn.functional(system, 2.0, 1.0, 1.0)) < 1e-11
     assert abs(fn.functional(system, math.inf, 1.0, 1.0)) < 1e-11
-
-
-@st.composite
-def quantum_systems(draw):
-    """Systems of dim 2-12 with ||H|| = 1 whose reference eigenvalue ratio
-    reaches e^-27, just above the 1e-12 positivity floor: seeded random
-    ones, and ones whose w0 has at most three distinct eigenvalues over a
-    random basis."""
-    dim = draw(st.integers(min_value=2, max_value=12))
-    seed = draw(st.integers(min_value=0, max_value=10_000))
-    spread = draw(st.floats(min_value=0.05, max_value=13.5))
-    if not draw(st.booleans()):
-        return random_system(dim, tri=bool(seed % 2), seed=seed, spread=spread)
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    basis, _ = np.linalg.qr(raw)
-    nu = np.exp(-spread * rng.integers(0, 3, size=dim))
-    nu /= nu.sum()
-    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (h + h.conj().T) / 2.0
-    return qm.QuantumSystem(h / np.linalg.norm(h, 2),
-                            (basis * nu) @ basis.conj().T)
 
 
 @settings(max_examples=60, deadline=None)

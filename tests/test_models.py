@@ -70,6 +70,16 @@ def test_flux_balance_keeps_only_its_time_in_the_memo():
     assert set(memo) - before <= {("u", -t) for t in times}
 
 
+@pytest.mark.parametrize("t", [200.0, 2000.0])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_flux_balance_at_long_times_runs_no_quadrature(monkeypatch, t, side):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the flux integral is exact, not quadrature")
+
+    monkeypatch.setattr(qm, "adaptive_simpson_matrix", no_quadrature)
+    assert md.flux_balance_residual(md.canonical_model(), t, side) <= 1e-8
+
+
 def test_sigma_decomposes_into_fluxes():
     model = md.canonical_model()
     sigma = md.entropy_production_decomposition(model)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from entroflux import quantum as qm
 from entroflux.errors import NumericalDomainError
 from entroflux.models import random_system
+from strategies import quantum_systems
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -264,6 +265,47 @@ def test_simpson_quadrature_raises_when_depth_runs_out():
 def test_simpson_quadrature_raises_on_non_finite_integrand():
     with pytest.raises(NumericalDomainError, match="error estimate nan"):
         qm.adaptive_simpson_matrix(lambda s: np.array([[math.nan]]), 0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(quantum_systems(), st.sampled_from([-0.7, 0.3, 1.0, 5.0]),
+       st.integers(min_value=0, max_value=10_000))
+def test_evolved_integral_matches_quadrature_property(system, t, seed):
+    a = _random_hermitian(system.dim, seed)
+    a /= np.linalg.norm(a, 2)
+    dec = system.hamiltonian_eig()
+
+    def evolved(s):
+        prop = dec.apply(lambda lam: np.exp(1j * s * lam))
+        return prop @ a @ prop.conj().T
+
+    gap = qm.evolved_integral(system, a, t) - qm.adaptive_simpson_matrix(evolved, 0.0, t)
+    assert np.linalg.norm(gap) <= 1e-8
+
+
+@pytest.mark.parametrize("t", [-0.7, 0.3, 5.0, 2000.0])
+def test_evolved_integral_of_a_conserved_operator_is_t_times_it(t):
+    # H has a repeated level and A acts inside its eigenspaces, so they commute;
+    # in H's eigenbasis every weight A meets is the w = 0 weight, exactly t
+    levels, inner = np.array([0.0, 1.0, 1.0, 2.5]), np.diag([0.4, -0.3, 0.2, -1.1])
+    diagonal = qm.QuantumSystem(np.diag(levels), np.eye(4) / 4)
+    assert np.array_equal(qm.evolved_integral(diagonal, inner, t), t * inner)
+    basis = np.linalg.qr(_random_hermitian(4, 41))[0]
+    inner = inner.astype(complex)
+    inner[1:3, 1:3] = _random_hermitian(2, 42)
+    h = (basis * levels) @ basis.conj().T
+    a = basis @ inner @ basis.conj().T
+    assert np.abs(h @ a - a @ h).max() < 1e-13
+    rotated = qm.QuantumSystem(h, np.eye(4) / 4)
+    # rounding splits the repeated level by about eps, a phase of t eps
+    np.testing.assert_allclose(qm.evolved_integral(rotated, a, t), t * a, rtol=0,
+                               atol=1e-12 * abs(t) * np.abs(a).max())
+
+
+def test_evolved_integral_over_no_time_is_zero():
+    system = random_system(5, seed=3)
+    got = qm.evolved_integral(system, _random_hermitian(5, 4), 0.0)
+    assert np.array_equal(got, np.zeros((5, 5)))
 
 
 def test_tri_flag_rejects_complex_matrices():

@@ -5,6 +5,7 @@ import pytest
 
 from entroflux import classical as cl
 from entroflux import config as cf
+from entroflux import fcs as fc
 from entroflux import functionals as fn
 from entroflux import quantum as qm
 from entroflux import runner
@@ -120,6 +121,41 @@ def test_telescoping_disagreement_is_a_fail_row(monkeypatch):
     monkeypatch.setattr(cl, "mean_ep_observable", shifted)
     assert _status(vf.check_system("probe", "classical", system, tol),
                    "classical_ep_telescoping") == vf.FAIL
+
+
+def test_battery_runs_quadrature_once_per_core_system(monkeypatch):
+    calls = []
+    quadrature = qm.adaptive_simpson_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(qm, "adaptive_simpson_matrix", counted)
+    vf.run_battery()
+    core = [sid for sid, kind, _ in vf.default_systems()
+            if kind in ("quantum", "commuting", "qubit", "reservoir")]
+    assert len(core) == 6
+    assert len(calls) == len(core)
+
+
+def test_fcs_mean_derivative_five_point_stencil(monkeypatch):
+    """The stencil's O(h^4) error passes the 1e11-ratio system, where a
+    central difference reads 1.5e-6; a cgf with a 1 % wrong rate still fails."""
+    rng = np.random.default_rng(5)
+    basis, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    nu = np.geomspace(1.0, 1e-11, 4)
+    h = rng.normal(size=(4, 4))
+    wide = qm.QuantumSystem(h + h.T, (basis * (nu / nu.sum())) @ basis.T)
+    tol = vf.merge_tolerances()
+    assert _status(vf.check_system("wide", "quantum", wide, tol),
+                   "fcs_mean_derivative") == vf.PASS
+    cgf = fc.fcs_cgf
+    monkeypatch.setattr(fc, "fcs_cgf",
+                        lambda measure, alpha, t: cgf(measure, 1.01 * alpha, t))
+    system = random_system(4, tri=True, seed=21)
+    assert _status(vf.check_system("probe", "quantum", system, tol),
+                   "fcs_mean_derivative") == vf.FAIL
 
 
 def test_no_system_gets_two_rows_of_one_name():
