@@ -32,8 +32,6 @@ from .models import (
     random_system,
 )
 from .quantum import (
-    DensityMatrix,
-    HermitianOperator,
     QuantumSystem,
     entropy_production_observable,
     mean_ep_expectation,
@@ -49,9 +47,7 @@ __all__ = [
     "ConfigError",
     "ConfigParseError",
     "ConfigValidationError",
-    "DensityMatrix",
     "ExperimentConfig",
-    "HermitianOperator",
     "NumericalDomainError",
     "QuantumSystem",
     "ReservoirModel",

@@ -59,9 +59,9 @@ import numpy as np
 from .errors import NumericalDomainError
 from .measures import logsumexp
 from .quantum import (
-    DensityMatrix,
     QuantumSystem,
     as_matrix,
+    density_matrix,
     matrix_log,
     matrix_power,
     mean_ep_observable,
@@ -214,7 +214,7 @@ def naive_functional(system: QuantumSystem, alpha: float, t: float) -> float:
     sig = mean_ep_observable(system, t)
     lam, vecs = np.linalg.eigh(-alpha * t * sig)
     weight = (vecs * np.exp(lam)) @ vecs.conj().T
-    trace = np.trace(system.reference_state.matrix @ weight).real
+    trace = np.trace(system.reference_state @ weight).real
     if trace <= 0.0:
         raise NumericalDomainError(f"trace is not positive: {trace:.3e}")
     return float(np.log(trace))
@@ -259,8 +259,8 @@ def variational_max(system: QuantumSystem, alpha, t: float):
         for random_state in random_states:
             rho = 0.85 * maximizer + 0.15 * random_state
             # the spectrum of the positivity check gives the entropy
-            checked = DensityMatrix(rho / np.trace(rho).real)
-            trial = objective(weight, checked.matrix, np.log(checked.eigenvalues))
+            checked, spectrum = density_matrix(rho / np.trace(rho).real)
+            trial = objective(weight, checked, np.log(spectrum))
             if trial > best + VARIATIONAL_SLACK:
                 raise NumericalDomainError(
                     f"perturbed state beats the maximizer by {trial - best:.3e} "

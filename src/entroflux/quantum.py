@@ -7,11 +7,13 @@ A_t = exp(itH) A exp(-itH), states move by duality,
 rho_t = exp(-itH) rho exp(itH); time integrals of A_t are closed forms in
 the eigenbasis of H (``evolved_integral``).
 
-Matrices that enter the library are checked by value classes:
-``HermitianOperator`` and ``DensityMatrix`` hold a system's Hamiltonian and
-reference state, and ``DensityMatrix`` checks each matrix given as a state
-of a two-state entropy.  Derived matrices (evolved operators and states,
-the entropy observables) are complex arrays, their Hermitian part (A + A*) / 2.
+Every matrix is a plain complex array.  Matrices are checked where they
+enter: ``QuantumSystem`` stores the Hermitian parts (A + A*) / 2 of its
+Hamiltonian and reference state, warning when that moves an entry by more
+than rounding, and ``density_matrix`` checks the reference state and every
+matrix given as a state of a two-state entropy (unit trace, strictly
+positive).  Derived matrices (evolved operators and states, the entropy
+observables) are Hermitian parts too.
 """
 from __future__ import annotations
 
@@ -32,11 +34,8 @@ QUADRATURE_ATOL = 1e-9
 
 
 def as_matrix(value, dim: int | None = None) -> np.ndarray:
-    """Square complex matrix with finite entries, of dimension ``dim`` if given.
-
-    ``value`` is an array-like or any wrapper exposing ``.matrix``.
-    """
-    mat = np.asarray(getattr(value, "matrix", value), dtype=complex)
+    """Square complex matrix with finite entries, of dimension ``dim`` if given."""
+    mat = np.asarray(value, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if dim is not None and mat.shape[0] != dim:
@@ -69,45 +68,24 @@ def _symmetrize(matrix, what: str) -> np.ndarray:
     return _hermitian_part(mat)
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """Square complex matrix, symmetrized to (A + A*) / 2 on construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _symmetrize(self.matrix, "operator"))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def is_real(self, atol: float = HERMITIAN_ATOL) -> bool:
-        return bool(np.abs(self.matrix.imag).max() <= atol)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix(HermitianOperator):
-    """Strictly positive unit-trace Hermitian matrix.
+def density_matrix(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian part of a strictly positive unit-trace matrix, with its
+    ascending spectrum.
 
     States whose smallest eigenvalue falls below 1e-12 times the largest are
-    rejected rather than regularized.  ``eigenvalues`` keeps the ascending
-    spectrum that this check computes.
+    rejected rather than regularized.
     """
-
-    def __post_init__(self):
-        mat = _symmetrize(self.matrix, "density matrix")
-        trace = np.trace(mat).real
-        if abs(trace - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace is {trace:.17g}, expected 1")
-        evals = np.linalg.eigvalsh(mat)
-        if evals[0] <= POSITIVITY_REL * evals[-1]:
-            raise NumericalDomainError(
-                f"density matrix is not strictly positive: min eigenvalue "
-                f"{evals[0]:.3e} vs max {evals[-1]:.3e}"
-            )
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "eigenvalues", evals)
+    mat = _symmetrize(matrix, "density matrix")
+    trace = np.trace(mat).real
+    if abs(trace - 1.0) > TRACE_ATOL:
+        raise ValueError(f"density matrix trace is {trace:.17g}, expected 1")
+    evals = np.linalg.eigvalsh(mat)
+    if evals[0] <= POSITIVITY_REL * evals[-1]:
+        raise NumericalDomainError(
+            f"density matrix is not strictly positive: min eigenvalue "
+            f"{evals[0]:.3e} vs max {evals[-1]:.3e}"
+        )
+    return mat, evals
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,19 +105,16 @@ class SpectralDecomposition:
 def eig(operator) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raw arrays are accepted but must be Hermitian to entrywise 1e-12
-    (relative to the largest entry).  The reconstruction U diag(lam) U* is
+    The matrix must be Hermitian to entrywise 1e-12 (relative to the largest
+    entry); its Hermitian part is diagonalized.  The reconstruction U diag(lam) U* is
     verified against the input to 1e-10 in Frobenius norm, relative to the
     Frobenius norm of the input (or to 1 for near-zero matrices).
     """
-    if isinstance(operator, HermitianOperator):     # symmetrized on construction
-        mat = operator.matrix
-    else:
-        mat = as_matrix(operator)
-        gap = np.abs(mat - mat.conj().T).max()
-        if gap > HERMITIAN_ATOL * max(1.0, np.abs(mat).max()):
-            raise ValueError(f"matrix is not Hermitian: asymmetry {gap:.3e}")
-        mat = _hermitian_part(mat)
+    mat = as_matrix(operator)
+    gap = np.abs(mat - mat.conj().T).max()
+    if gap > HERMITIAN_ATOL * max(1.0, np.abs(mat).max()):
+        raise ValueError(f"matrix is not Hermitian: asymmetry {gap:.3e}")
+    mat = _hermitian_part(mat)
     evals, evecs = np.linalg.eigh(mat)
     dec = SpectralDecomposition(evals, evecs)
     scale = max(1.0, float(np.linalg.norm(mat)))
@@ -184,7 +159,8 @@ def matrix_exp(operator) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuantumSystem:
-    """Hamiltonian plus a faithful reference state.
+    """Hamiltonian plus a faithful reference state, stored as the Hermitian
+    parts of the given matrices; the state is checked by ``density_matrix``.
 
     ``tri`` marks time-reversal invariance, realized here as realness of
     both matrices in the standard basis.  Every dim-2 system has it: any two
@@ -192,23 +168,19 @@ class QuantumSystem:
     the flag is detected; when set it must equal the detected value.
     """
 
-    hamiltonian: HermitianOperator
-    reference_state: DensityMatrix
+    hamiltonian: np.ndarray
+    reference_state: np.ndarray
     tri: bool | None = None
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        h = self.hamiltonian
-        if not isinstance(h, HermitianOperator):
-            h = HermitianOperator(h)
-        rho = self.reference_state
-        if not isinstance(rho, DensityMatrix):
-            rho = DensityMatrix(rho)
-        if h.dim != rho.dim:
-            raise ValueError(
-                f"Hamiltonian dim {h.dim} does not match state dim {rho.dim}"
-            )
-        detected = h.dim == 2 or (h.is_real() and rho.is_real())
+        h = _symmetrize(self.hamiltonian, "Hamiltonian")
+        rho, _ = density_matrix(self.reference_state)
+        if h.shape != rho.shape:
+            raise ValueError(f"Hamiltonian dim {h.shape[0]} does not match "
+                             f"state dim {rho.shape[0]}")
+        detected = h.shape[0] == 2 or all(
+            np.abs(m.imag).max() <= HERMITIAN_ATOL for m in (h, rho))
         if self.tri not in (None, detected):
             raise ValueError(
                 f"tri={self.tri} contradicts the matrices: time-reversal "
@@ -219,7 +191,7 @@ class QuantumSystem:
 
     @property
     def dim(self) -> int:
-        return self.hamiltonian.dim
+        return self.hamiltonian.shape[0]
 
     # -- cached spectral data; systems are immutable so these never go stale
 
@@ -290,11 +262,10 @@ def schrodinger_evolve(system: QuantumSystem, state, t: float) -> np.ndarray:
 def _two_state(rho, nu):
     """log r, log n and W_ij = |<u_i|v_j>|^2 for rho = sum_i r_i |u_i><u_i|
     and nu = sum_j n_j |v_j><v_j|.  A state given as its
-    ``SpectralDecomposition`` is taken as checked; any other is checked as a
-    ``DensityMatrix`` and diagonalized once."""
-    r_eig, n_eig = (s if isinstance(s, SpectralDecomposition) else
-                    eig(s if isinstance(s, DensityMatrix) else DensityMatrix(s))
-                    for s in (rho, nu))
+    ``SpectralDecomposition`` is taken as checked; any other is checked by
+    ``density_matrix`` and diagonalized once."""
+    r_eig, n_eig = (s if isinstance(s, SpectralDecomposition)
+                    else eig(density_matrix(s)[0]) for s in (rho, nu))
     r, n = r_eig.eigenvalues, n_eig.eigenvalues
     if r.size != n.size:
         raise ValueError(f"state dims differ: {r.size} vs {n.size}")
@@ -339,7 +310,7 @@ def entropy_observable(system: QuantumSystem) -> np.ndarray:
 
 def entropy_production_observable(system: QuantumSystem) -> np.ndarray:
     """sigma = -i [H, log w0].  Hermitian and traceless."""
-    h = system.hamiltonian.matrix
+    h = system.hamiltonian
     logw = matrix_log(system.reference_eig())
     return _hermitian_part(-1j * (h @ logw - logw @ h))
 
@@ -419,4 +390,4 @@ def mean_ep_observable(system: QuantumSystem, t: float) -> np.ndarray:
 def mean_ep_expectation(system: QuantumSystem, t: float) -> float:
     """w0(Sigma_t)."""
     sig = mean_ep_observable(system, t)
-    return float(np.trace(system.reference_state.matrix @ sig).real)
+    return float(np.trace(system.reference_state @ sig).real)

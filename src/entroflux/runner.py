@@ -221,7 +221,7 @@ def run_model(cfg: ExperimentConfig) -> str:
         lines.append(f"  tri: {system.tri}")
         lines.append("  hamiltonian:")
         lines.extend("    " + _matrix_row(row)
-                     for row in system.hamiltonian.matrix)
+                     for row in system.hamiltonian)
         lines.append("  reference state eigenvalues: "
                      + " ".join(format_float(v)
                                 for v in system.reference_eig().eigenvalues))

@@ -245,17 +245,17 @@ def _classical_duality(c: Context) -> float:
 def _model_assembly(c: Context) -> float:
     model = c.obj
     built_h = model.left_embedded + model.right_embedded + model.coupling
-    res_h = float(np.abs(c.system.hamiltonian.matrix - built_h).max())
+    res_h = float(np.abs(c.system.hamiltonian - built_h).max())
     gibbs = np.kron(md._gibbs(model.left_hamiltonian, model.beta_left),
                     md._gibbs(model.right_hamiltonian, model.beta_right))
-    res_w = float(np.abs(c.system.reference_state.matrix - gibbs).max())
+    res_w = float(np.abs(c.system.reference_state - gibbs).max())
     return max(res_h, res_w)
 
 
 def _quantum_sigma_traceless(c: Context) -> float:
     sigma = qm.entropy_production_observable(c.system)
     return max(abs(complex(np.trace(sigma))),
-               abs(complex(np.trace(c.system.reference_state.matrix @ sigma))))
+               abs(complex(np.trace(c.system.reference_state @ sigma))))
 
 
 def _quantum_sigma_spectrum(c: Context) -> float:
@@ -284,7 +284,7 @@ def _quantum_duality(c: Context) -> float:
     obs = (raw + raw.conj().T) / 2
     return max(abs(complex(
         np.trace(c.evolved(t) @ obs)
-        - np.trace(s.reference_state.matrix @ qm.heisenberg_evolve(s, obs, t))))
+        - np.trace(s.reference_state @ qm.heisenberg_evolve(s, obs, t))))
         for t in (1.3, -0.4))
 
 
@@ -522,7 +522,7 @@ ROWS = (
     Row("quantum_ep_identity", "bridge", CORE,
         lambda c: max(abs(qm.mean_ep_expectation(c.system, t)
                           + qm.q_relative_entropy(c.evolved(t),
-                                                  c.system.reference_state) / t)
+                                                  c.system.reference_eig()) / t)
                       for t in (0.5, 1.0))),
     Row("quantum_unitarity", "bridge", CORE,
         lambda c: max(_sup(np.sort(np.linalg.eigvalsh(c.evolved(t)))
@@ -574,8 +574,8 @@ ROWS = (
         rule=TRI),
     Row("fcs_time_reversal_twist", "tv", FUNCTIONAL,
         lambda c: ms.total_variation(c.counting(c.fcs_t), fc.modular_spectral_measure(
-            qm.QuantumSystem(-c.system.hamiltonian.matrix,
-                             c.system.reference_state.matrix), c.fcs_t)),
+            qm.QuantumSystem(-c.system.hamiltonian,
+                             c.system.reference_state), c.fcs_t)),
         only=_not_tri),
     Row("fcs_cgf_bridge", "bridge", FUNCTIONAL,
         lambda c: _sup(fc.fcs_cgf(c.counting(c.fcs_t), _ALPHAS_COARSE, c.fcs_t)

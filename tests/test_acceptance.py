@@ -85,11 +85,11 @@ def test_criterion_3_bridge_identities():
     for system in quantum_fleet(count=8, dim_span=(2, 8)):
         for t in (0.5, 1.0):
             evolved = qm.schrodinger_evolve(
-                system, system.reference_state.matrix, t)
+                system, system.reference_state, t)
             for a in alphas:
                 direct = fn.functional(system, 2.0, a, t)
                 renyi = qm.q_renyi_entropy(
-                    evolved, system.reference_state.matrix, a)
+                    evolved, system.reference_state, a)
                 assert abs(direct - renyi) <= 1e-10
                 limit = fn.functional(system, math.inf, a, t)
                 assert abs(limit - fn.variational_max(system, a, t)) <= 1e-10
@@ -150,9 +150,9 @@ def test_criterion_6_second_law_and_derivative():
         mean_ep = qm.mean_ep_expectation(system, t)
         assert mean_ep >= -1e-12
         evolved = qm.schrodinger_evolve(
-            system, system.reference_state.matrix, t)
+            system, system.reference_state, t)
         via_entropy = -qm.q_relative_entropy(
-            evolved, system.reference_state.matrix) / t
+            evolved, system.reference_state) / t
         assert abs(mean_ep - via_entropy) <= 1e-10
 
     system = md.random_system(6, tri=True, seed=5100)

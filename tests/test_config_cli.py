@@ -105,7 +105,7 @@ systems:
 """)
     _, _, system = cfg.build_systems()[0]
     want = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    np.testing.assert_allclose(system.hamiltonian.matrix, want)
+    np.testing.assert_allclose(system.hamiltonian, want)
     assert system.tri is True       # every dim-2 system is time-reversal invariant
 
 
@@ -214,7 +214,7 @@ def test_hermitian_up_to_rounding_is_accepted():
         "kind: quantum, hamiltonian: [[0, 1], [1.00000000000001, 0]], "
         "reference_state: [[0.75, 0], [0, 0.25]]"))
     _, _, system = cfg.build_systems()[0]
-    assert system.hamiltonian.matrix[0, 1] == pytest.approx(1.0, abs=1e-13)
+    assert system.hamiltonian[0, 1] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_cli_non_hermitian_hamiltonian_exits_two(tmp_path, capsys):

@@ -112,8 +112,8 @@ def test_modular_measure_without_tri_departs_from_counting():
 
 def test_time_reversed_generator_reproduces_counting_statistics():
     system = random_system(5, tri=False, seed=81)
-    reversed_system = qm.QuantumSystem(-system.hamiltonian.matrix,
-                                       system.reference_state.matrix)
+    reversed_system = qm.QuantumSystem(-system.hamiltonian,
+                                       system.reference_state)
     counting = fcs.fcs_distribution(system, 1.0)
     twisted = fcs.modular_spectral_measure(reversed_system, 1.0)
     assert total_variation(counting, twisted) < 1e-11
@@ -180,7 +180,7 @@ def _exp_i(h, s):
 
 def _projector_pair_measures(system, levels, projectors, t):
     """P_t and Q_t summed over pairs of spectral projectors of w0."""
-    u = _exp_i(system.hamiltonian.matrix, -t)
+    u = _exp_i(system.hamiltonian, -t)
     entropy = -np.log(levels)
     p_atoms, p_weights, q_atoms, q_weights = [], [], [], []
     for i, first in enumerate(projectors):
@@ -213,12 +213,12 @@ def test_counting_and_modular_on_degenerate_reference(multiplicities):
 @pytest.mark.parametrize("multiplicities", DEGENERATE_LEVELS)
 def test_heisenberg_reference_eig_on_degenerate_reference(multiplicities):
     system, _, _ = _degenerate_system(multiplicities, seed=87)
-    w0 = system.reference_state.matrix
+    w0 = system.reference_state
     for t in (0.8, -2.1):
         dec = system.heisenberg_reference_eig(t)
         assert np.array_equal(dec.eigenvalues,
                               system.reference_eig().eigenvalues)
-        u = _exp_i(system.hamiltonian.matrix, t)
+        u = _exp_i(system.hamiltonian, t)
         np.testing.assert_allclose(dec.reconstruct(), u @ w0 @ u.conj().T,
                                    rtol=0, atol=1e-10)
 

@@ -59,11 +59,11 @@ def test_symmetry_fails_without_tri():
 def test_renyi_bridge_on_tri_system():
     system = random_system(6, tri=True, seed=44)
     for t in (0.5, 1.0):
-        evolved = qm.schrodinger_evolve(system, system.reference_state.matrix,
+        evolved = qm.schrodinger_evolve(system, system.reference_state,
                                         t)
         for alpha in (-0.3, 0.4, 1.2):
             via_renyi = qm.q_renyi_entropy(evolved,
-                                           system.reference_state.matrix,
+                                           system.reference_state,
                                            alpha)
             got = fn.functional(system, 2.0, alpha, t)
             assert got == pytest.approx(via_renyi, abs=1e-11)
@@ -73,10 +73,10 @@ def test_bridge_uses_backward_state_without_tri():
     """For complex generators the p=2 curve matches the time-reversed state."""
     system = random_system(5, tri=False, seed=46)
     t, alpha = 1.0, 0.6
-    backward = qm.schrodinger_evolve(system, system.reference_state.matrix,
+    backward = qm.schrodinger_evolve(system, system.reference_state,
                                      -t)
     via_renyi = qm.q_renyi_entropy(backward,
-                                   system.reference_state.matrix, alpha)
+                                   system.reference_state, alpha)
     got = fn.functional(system, 2.0, alpha, t)
     assert got == pytest.approx(via_renyi, abs=1e-11)
 

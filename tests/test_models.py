@@ -18,7 +18,7 @@ def test_canonical_model_assembly():
     h_local = np.diag([0.0, 1.0])
     want_h = (np.kron(h_local, np.eye(2)) + np.kron(np.eye(2), h_local)
               + 0.25 * np.kron(SX, SX))
-    np.testing.assert_allclose(model.system.hamiltonian.matrix, want_h,
+    np.testing.assert_allclose(model.system.hamiltonian, want_h,
                                atol=1e-14)
     assert model.beta_left == 1.0
     assert model.beta_right == 2.0
@@ -30,7 +30,7 @@ def test_canonical_reference_state_is_product_gibbs():
     left = np.diag(np.exp(-1.0 * np.diag(h_local)))
     right = np.diag(np.exp(-2.0 * np.diag(h_local)))
     want = np.kron(left / left.trace(), right / right.trace())
-    np.testing.assert_allclose(model.system.reference_state.matrix, want,
+    np.testing.assert_allclose(model.system.reference_state, want,
                                atol=1e-14)
 
 
@@ -109,7 +109,7 @@ def test_asymmetric_factor_dimensions():
                                    0.1 * np.eye(6))
     assert model.dims == (3, 2)
     assert model.dim == 6
-    assert model.system.reference_state.matrix.shape == (6, 6)
+    assert model.system.reference_state.shape == (6, 6)
 
 
 def test_build_rejects_nonpositive_beta():
@@ -132,8 +132,8 @@ def test_canonical_model_is_tri():
 
 def test_random_system_normalization():
     system = md.random_system(6, seed=90)
-    h = system.hamiltonian.matrix
-    w = system.reference_state.matrix
+    h = system.hamiltonian
+    w = system.reference_state
     assert np.linalg.norm(h, 2) == pytest.approx(1.0, abs=1e-12)
     assert np.trace(w).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(w).min() > 0
@@ -142,31 +142,31 @@ def test_random_system_normalization():
 def test_random_system_does_not_commute_with_state():
     for seed in range(20):
         system = md.random_system(4, seed=seed)
-        h = system.hamiltonian.matrix
-        w = system.reference_state.matrix
+        h = system.hamiltonian
+        w = system.reference_state
         assert np.abs(h @ w - w @ h).max() > 1e-6
 
 
 def test_random_system_tri_flag_draws_real_matrices():
     system = md.random_system(5, tri=True, seed=91)
     assert system.tri is True
-    assert np.abs(system.hamiltonian.matrix.imag).max() == 0.0
+    assert np.abs(system.hamiltonian.imag).max() == 0.0
 
 
 def test_random_system_seed_reproducible():
     a = md.random_system(4, seed=92)
     b = md.random_system(4, seed=92)
-    np.testing.assert_array_equal(a.hamiltonian.matrix,
-                                  b.hamiltonian.matrix)
-    np.testing.assert_array_equal(a.reference_state.matrix,
-                                  b.reference_state.matrix)
+    np.testing.assert_array_equal(a.hamiltonian,
+                                  b.hamiltonian)
+    np.testing.assert_array_equal(a.reference_state,
+                                  b.reference_state)
 
 
 def test_random_system_spread_controls_state_range():
     narrow = md.random_system(6, seed=93, spread=0.1)
     wide = md.random_system(6, seed=93, spread=3.0)
-    ratio = lambda s: (np.linalg.eigvalsh(s.reference_state.matrix).max()
-                       / np.linalg.eigvalsh(s.reference_state.matrix).min())
+    ratio = lambda s: (np.linalg.eigvalsh(s.reference_state).max()
+                       / np.linalg.eigvalsh(s.reference_state).min())
     assert ratio(wide) > ratio(narrow)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,14 +26,69 @@ def _random_hermitian(dim, seed):
 
 def test_density_matrix_rejects_nonpositive_state():
     with pytest.raises(NumericalDomainError):
-        qm.DensityMatrix(np.diag([1.0, 0.0]))
+        qm.density_matrix(np.diag([1.0, 0.0]))
     with pytest.raises(NumericalDomainError):
-        qm.DensityMatrix(np.diag([1.5, -0.5]))
+        qm.density_matrix(np.diag([1.5, -0.5]))
 
 
 def test_density_matrix_rejects_wrong_trace():
     with pytest.raises(ValueError):
-        qm.DensityMatrix(np.diag([0.9, 0.3]))
+        qm.density_matrix(np.diag([0.9, 0.3]))
+
+
+def test_density_matrix_rejects_malformed_matrices():
+    with pytest.raises(ValueError, match="square"):
+        qm.density_matrix(np.full((2, 3), 1.0 / 3.0))
+    for entry in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            qm.density_matrix(np.diag([0.5, entry]))
+
+
+def test_density_matrix_returns_hermitian_part_and_spectrum():
+    raw = np.array([[0.75, 0.1 + 0.2j], [0.1 - 0.2j, 0.25]])
+    mat, spectrum = qm.density_matrix(raw)
+    assert type(mat) is np.ndarray and mat.dtype == complex
+    assert np.array_equal(mat, mat.conj().T)
+    assert np.array_equal(spectrum, np.linalg.eigvalsh(mat))
+    assert spectrum[0] < spectrum[1]
+
+
+def test_system_symmetrizes_non_hermitian_input_with_a_warning():
+    h = _random_hermitian(3, 41)
+    h[0, 1] += 0.25
+    w = qm.matrix_exp(_random_hermitian(3, 42))
+    w = w / np.trace(w).real
+    with pytest.warns(UserWarning, match="Hamiltonian deviates .*symmetrized"):
+        system = qm.QuantumSystem(h, w)
+    assert type(system.hamiltonian) is np.ndarray
+    assert np.array_equal(system.hamiltonian, system.hamiltonian.conj().T)
+    assert np.array_equal(system.hamiltonian, (h + h.conj().T) / 2)
+    skewed = w.copy()
+    skewed[2, 0] += 1e-3
+    with pytest.warns(UserWarning, match="density matrix deviates .*symmetrized"):
+        system = qm.QuantumSystem(np.diag([0.0, 1.0, 2.0]), skewed.real, tri=True)
+    assert type(system.reference_state) is np.ndarray
+    assert np.array_equal(system.reference_state, system.reference_state.conj().T)
+
+
+def test_system_symmetrizes_rounding_silently():
+    w = qm.matrix_exp(_random_hermitian(4, 44))
+    w = w / np.trace(w).real
+    h = _random_hermitian(4, 43)
+    h[1, 3] += 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = qm.QuantumSystem(h, w)
+    assert np.array_equal(system.hamiltonian, system.hamiltonian.conj().T)
+
+
+def test_stored_matrices_diagonalize_as_memoized():
+    for system in (random_system(5, seed=4), FLIP):
+        for stored, memo in ((system.hamiltonian, system.hamiltonian_eig()),
+                             (system.reference_state, system.reference_eig())):
+            fresh = qm.eig(stored)
+            assert fresh.eigenvalues.tobytes() == memo.eigenvalues.tobytes()
+            assert fresh.eigenvectors.tobytes() == memo.eigenvectors.tobytes()
 
 
 def test_matrix_log_exp_roundtrip():
@@ -61,8 +117,8 @@ def test_integer_power_keeps_negative_eigenvalues():
 
 
 def test_as_matrix_checks_shape_dim_and_entries():
-    state = qm.DensityMatrix(W0)
-    assert qm.as_matrix(state, 2) is state.matrix
+    state, _ = qm.density_matrix(W0)
+    assert qm.as_matrix(state, 2) is state
     assert qm.as_matrix([[1, 2], [3, 4]]).dtype == complex
     for bad, dim in ((np.ones((2, 3)), None), (np.ones(4), None),
                      (np.eye(3), 2), (np.diag([1.0, np.inf]), None)):
@@ -92,7 +148,7 @@ def test_heisenberg_flip_exchanges_diagonal():
 def test_heisenberg_schrodinger_duality():
     system = random_system(4, seed=5)
     a = _random_hermitian(4, 6)
-    rho = system.reference_state.matrix
+    rho = system.reference_state
     t = 1.3
     lhs = np.trace(rho @ qm.heisenberg_evolve(system, a, t))
     rhs = np.trace(qm.schrodinger_evolve(system, rho, t) @ a)
@@ -167,7 +223,7 @@ def state_pairs(draw):
         basis, _ = np.linalg.qr(raw)
         nu = np.exp(-spread * levels)
         nu /= nu.sum()
-        states.append(qm.DensityMatrix((basis * nu) @ basis.conj().T))
+        states.append(qm.density_matrix((basis * nu) @ basis.conj().T)[0])
     return states
 
 
@@ -177,7 +233,7 @@ def test_two_state_entropies_match_matrix_functions_property(states, alpha):
     # the matrix-function forms: tr(rho (log nu - log rho)) and
     # log tr(rho^alpha nu^(1-alpha))
     rho, nu = states
-    relative = np.trace(rho.matrix @ (qm.matrix_log(nu) - qm.matrix_log(rho))).real
+    relative = np.trace(rho @ (qm.matrix_log(nu) - qm.matrix_log(rho))).real
     renyi = math.log(np.trace(qm.matrix_power(rho, alpha)
                               @ qm.matrix_power(nu, 1.0 - alpha)).real)
     for got, want in ((qm.q_relative_entropy(rho, nu), relative),
@@ -200,7 +256,7 @@ def test_entropy_production_traceless_and_centered():
     system = random_system(6, seed=13)
     sigma = qm.entropy_production_observable(system)
     assert abs(np.trace(sigma)) < 1e-12
-    assert abs(np.trace(system.reference_state.matrix @ sigma)) < 1e-12
+    assert abs(np.trace(system.reference_state @ sigma)) < 1e-12
 
 
 def test_mean_ep_observable_flip_qubit():
@@ -218,9 +274,9 @@ def test_mean_ep_matches_relative_entropy_route():
     system = random_system(5, seed=17)
     t = 0.8
     direct = qm.mean_ep_expectation(system, t)
-    evolved = qm.schrodinger_evolve(system, system.reference_state.matrix, t)
+    evolved = qm.schrodinger_evolve(system, system.reference_state, t)
     via_entropy = -qm.q_relative_entropy(evolved,
-                                         system.reference_state.matrix) / t
+                                         system.reference_state) / t
     assert direct == pytest.approx(via_entropy, abs=1e-11)
 
 
@@ -326,7 +382,7 @@ def test_tri_flag_autodetected_for_real_matrices():
 def test_tri_flag_holds_for_every_qubit_and_must_match_detection():
     # two 2 x 2 Hermitian matrices are real in a common basis
     qubit = random_system(2, seed=1)
-    assert np.abs(qubit.hamiltonian.matrix.imag).max() > 1e-3
+    assert np.abs(qubit.hamiltonian.imag).max() > 1e-3
     assert qubit.tri is True
     assert qm.QuantumSystem(qubit.hamiltonian, qubit.reference_state,
                             tri=True).tri is True
