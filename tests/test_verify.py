@@ -11,7 +11,7 @@ from entroflux import quantum as qm
 from entroflux import runner
 from entroflux import verify as vf
 from entroflux.errors import NumericalDomainError
-from entroflux.models import random_system
+from entroflux.models import random_classical_system, random_system
 
 CHECKED = """
 systems:
@@ -156,6 +156,46 @@ def test_fcs_mean_derivative_five_point_stencil(monkeypatch):
     system = random_system(4, tri=True, seed=21)
     assert _status(vf.check_system("probe", "quantum", system, tol),
                    "fcs_mean_derivative") == vf.FAIL
+
+
+def _residual(results, name):
+    [row] = [r for r in results if r.name == name]
+    return row.residual
+
+
+def test_functional_derivative_five_point_stencil(monkeypatch):
+    """The stencil's O(h^4) error passes the 1e11-ratio system, where a
+    central difference reads 5.9e-6; a mean entropy production 1 % off
+    still fails."""
+    rng = np.random.default_rng(5)
+    basis, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    nu = np.geomspace(1.0, 1e-11, 4)
+    h = rng.normal(size=(4, 4))
+    wide = qm.QuantumSystem(h + h.T, (basis * (nu / nu.sum())) @ basis.T)
+    tol = vf.merge_tolerances()
+    assert _residual(vf.check_system("wide", "quantum", wide, tol),
+                     "functional_derivative") < 1e-9
+    mean = qm.mean_ep_expectation
+    monkeypatch.setattr(qm, "mean_ep_expectation",
+                        lambda system, t: 1.01 * mean(system, t))
+    system = random_system(4, tri=True, seed=21)
+    assert _status(vf.check_system("probe", "quantum", system, tol),
+                   "functional_derivative") == vf.FAIL
+
+
+def test_classical_derivative_five_point_stencil(monkeypatch):
+    """The stencil reads about 1e-12 on a 9-point chain, where a central
+    difference reads 1.2e-9; a functional with a 1 % wrong rate fails."""
+    chain = random_classical_system(9, seed=11, tri=True)
+    tol = vf.merge_tolerances()
+    assert _residual(vf.check_system("chain", "classical", chain, tol),
+                     "classical_derivative") < 1e-10
+    functional = cl.classical_functional
+    monkeypatch.setattr(cl, "classical_functional",
+                        lambda system, alpha, t: functional(
+                            system, 1.01 * np.asarray(alpha), t))
+    assert _status(vf.check_system("chain", "classical", chain, tol),
+                   "classical_derivative") == vf.FAIL
 
 
 def test_no_system_gets_two_rows_of_one_name():
