@@ -106,9 +106,10 @@ def eig(operator) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     The matrix must be Hermitian to entrywise 1e-12 (relative to the largest
-    entry); its Hermitian part is diagonalized.  The reconstruction U diag(lam) U* is
-    verified against the input to 1e-10 in Frobenius norm, relative to the
-    Frobenius norm of the input (or to 1 for near-zero matrices).
+    entry); its Hermitian part is diagonalized.  The reconstruction
+    U diag(lam) U* is verified against the input to 1e-10 in Frobenius norm,
+    relative to the Frobenius norm of the input (or to 1 for near-zero
+    matrices).
     """
     mat = as_matrix(operator)
     gap = np.abs(mat - mat.conj().T).max()
