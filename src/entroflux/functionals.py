@@ -41,13 +41,18 @@ The ``functional_kernel_svd`` row of the verification battery compares
 every p >= 2 kernel with the singular values of the same y.
 
 ``functional`` runs its kernel on stacks of alphas: one (k, n, n) array and
-one batched LAPACK call per stack, with k n^2 at most _STACK_ENTRIES (2^13
-complex entries, 128 KiB), which holds a default alpha grid whole up to
-n = 11.  The bound keeps each temporary of a stack small.  On a 2-core Xeon
-with one OpenBLAS thread, stacks of 2^14 entries made the p = 2, 4 and 6
-kernels at n = 64 about 1.5 times slower than one alpha at a time, a cost
-that disappeared when glibc malloc was set to keep freed memory: it is the
-fresh pages each large temporary touches.
+one batched LAPACK call per stack, with k n^2 at most _STACK_ENTRIES (2^15
+complex entries, 512 KiB), which holds a default alpha grid whole up to
+n = 23 and eight alphas a stack at n = 64.  The bound is set by
+``runner.run_functionals``, which runs curves on one thread per CPU: two
+threads overlap only while LAPACK runs with the interpreter lock released,
+so each call must hold several matrices.  On a 2-core Xeon with one
+OpenBLAS thread, the p = 1, 1.5 (SVD) curves of an n = 64 system at three
+times took 261 ms serially and 352 ms on two threads with stacks of 2^13
+entries, 341 and 403 ms at 2^14, and 289 and 165 ms at 2^15; the p = 3, 64
+(eigvalsh) curves 279 and 393 ms at 2^13, 306 and 183 ms at 2^15.  Larger
+stacks cost a serial run some time in the fresh pages each large temporary
+touches: the p = 2, 4 and 6 curves took 83 ms at 2^13 and 120 ms at 2^15.
 """
 from __future__ import annotations
 
@@ -72,7 +77,7 @@ VARIATIONAL_SLACK = 1e-9
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _PERTURBATION_TRIALS = 8
 _PERTURBATION_SEED = 734
-_STACK_ENTRIES = 1 << 13
+_STACK_ENTRIES = 1 << 15
 
 
 def _validate_p(p: float) -> float:

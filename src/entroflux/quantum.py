@@ -17,6 +17,7 @@ observables) are Hermitian parts too.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -61,9 +62,14 @@ def _symmetrize(matrix, what: str) -> np.ndarray:
     mat = as_matrix(matrix)
     correction, bound = hermitian_deviation(mat)
     if correction > bound:
+        # name the first caller outside this module, which includes the
+        # dataclass-generated QuantumSystem.__init__
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"{what} deviates from Hermitian by {correction:.3e}; symmetrized",
-            stacklevel=3,
+            stacklevel=level,
         )
     return _hermitian_part(mat)
 

@@ -16,6 +16,8 @@ import math
 import os
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +34,9 @@ from .errors import ConfigValidationError
 from .version import __version__
 
 DEFAULT_OUTPUT_DIR = "out"
+# smallest quantum dimension whose functionals curves are pooled: below it a
+# stack's LAPACK call is too short for two threads to overlap
+POOLED_DIM = 16
 
 CURVE_COLUMNS = ("system_id", "p", "t", "alpha", "value")
 DISTRIBUTION_COLUMNS = ("system_id", "t", "atom", "weight", "measure")
@@ -127,20 +132,42 @@ def _es_rows(distributions: ResultTable, system_id: str, system,
     return measures
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                           # not on every platform
+        return os.cpu_count() or 1
+
+
 def run_functionals(cfg: ExperimentConfig) -> dict:
-    """One curve row per (system, p, t, alpha); classical rows have empty p."""
+    """One curve row per (system, p, t, alpha); classical rows have empty p.
+
+    With more than one CPU, the (p, t) curves of quantum systems of
+    dimension ``POOLED_DIM`` or more run on one thread per CPU; their LAPACK
+    calls release the interpreter lock.  Rows keep their order, and every
+    value has the bits of a serial run.
+    """
     alphas, ps, ts = _sorted_grids(cfg)
     curves = ResultTable(CURVE_COLUMNS)
-    for system_id, tag, obj in cfg.build_systems():
-        if tag == "classical":
-            _classical_curves(curves, system_id, obj, _classical_times(cfg),
-                              alphas)
-        else:
+    workers = _cpu_count()
+    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        for system_id, tag, obj in cfg.build_systems():
+            if tag == "classical":
+                _classical_curves(curves, system_id, obj, _classical_times(cfg),
+                                  alphas)
+                continue
             system = _core_system(tag, obj)
-            for p in ps:
-                for t in ts:
-                    curves.append(system_id, p, t, alphas,
-                                  fn.functional(system, p, alphas, t))
+            grid = [(p, t) for p in ps for t in ts]
+            sweep = map
+            if pool is not None and system.dim >= POOLED_DIM:
+                for t in ts:            # fill the memo: workers only read it
+                    system.overlap(t)
+                sweep = pool.map
+            values = sweep(lambda pt: fn.functional(system, pt[0], alphas, pt[1]),
+                           grid)
+            for (p, t), value in zip(grid, values):
+                curves.append(system_id, p, t, alphas, value)
     return {"curves": curves}
 
 

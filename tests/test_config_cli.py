@@ -1,6 +1,8 @@
 import json
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -434,6 +436,69 @@ def test_outputs_byte_identical_across_runs(tmp_path):
                              runner.run_functionals(cfg), cfg, 0.0)
         paths.append(out / "curves.csv")
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# a pooled system (dim 16) between a serial quantum system and a classical chain
+MIXED = """
+systems:
+  - id: flip
+    kind: quantum
+    hamiltonian: [[0, 1], [1, 0]]
+    reference_state: [[0.75, 0], [0, 0.25]]
+  - id: dense
+    kind: random
+    dim: 16
+    seed: 5
+  - id: chain
+    kind: random_classical
+    size: 9
+    seed: 2
+sweep:
+  alpha: [-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]
+  p: [1, 2, 3, "inf"]
+  t: [1, 2]
+"""
+
+
+def test_functionals_tables_do_not_depend_on_the_worker_count(monkeypatch):
+    functional = fn.functional
+    in_main = set()
+
+    def recorded(*args, **kwargs):
+        in_main.add(threading.current_thread() is threading.main_thread())
+        return functional(*args, **kwargs)
+
+    monkeypatch.setattr(fn, "functional", recorded)
+    tables = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)         # more workers than CPUs, switching often
+    try:
+        for workers in (1, 2, 8):
+            in_main.clear()
+            monkeypatch.setattr(runner, "_cpu_count", lambda: workers)
+            tables[workers] = runner.run_functionals(
+                cf.parse_config(MIXED))["curves"].to_csv()
+            assert in_main == ({True} if workers == 1 else {True, False})
+    finally:
+        sys.setswitchinterval(interval)
+    serial = tables[1]
+    assert tables[2] == serial and tables[8] == serial
+    assert [line.split(",", 1)[0] for line in serial.splitlines()[1::6]] == \
+        ["flip"] * 8 + ["dense"] * 8 + ["chain"] * 2
+
+
+def test_domain_error_in_a_worker_names_the_first_failing_curve(monkeypatch):
+    # alpha = 50 overflows at p = 1 on this spectrum, at every t
+    text = MIXED.replace("seed: 5", "seed: 5\n    spread: 12").replace(
+        "alpha: [", "alpha: [50, ").replace("t: [1, 2]", "t: [0.5, 1, 2]")
+    messages = []
+    for workers in (1, 2):
+        monkeypatch.setattr(runner, "_cpu_count", lambda: workers)
+        with pytest.raises(NumericalDomainError) as caught:
+            runner.run_functionals(cf.parse_config(text))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "p=1.0, alpha=50.0, t=0.5" in messages[0]
 
 
 # -- command line ----------------------------------------------------------

@@ -58,17 +58,22 @@ def test_system_symmetrizes_non_hermitian_input_with_a_warning():
     h[0, 1] += 0.25
     w = qm.matrix_exp(_random_hermitian(3, 42))
     w = w / np.trace(w).real
-    with pytest.warns(UserWarning, match="Hamiltonian deviates .*symmetrized"):
+    with pytest.warns(UserWarning, match="Hamiltonian deviates .*symmetrized") as caught:
         system = qm.QuantumSystem(h, w)
+    assert [warning.filename for warning in caught] == [__file__]
     assert type(system.hamiltonian) is np.ndarray
     assert np.array_equal(system.hamiltonian, system.hamiltonian.conj().T)
     assert np.array_equal(system.hamiltonian, (h + h.conj().T) / 2)
     skewed = w.copy()
     skewed[2, 0] += 1e-3
-    with pytest.warns(UserWarning, match="density matrix deviates .*symmetrized"):
+    with pytest.warns(UserWarning, match="density matrix deviates .*symmetrized") as caught:
         system = qm.QuantumSystem(np.diag([0.0, 1.0, 2.0]), skewed.real, tri=True)
+    assert [warning.filename for warning in caught] == [__file__]
     assert type(system.reference_state) is np.ndarray
     assert np.array_equal(system.reference_state, system.reference_state.conj().T)
+    with pytest.warns(UserWarning, match="density matrix deviates .*symmetrized") as caught:
+        qm.density_matrix(skewed)
+    assert [warning.filename for warning in caught] == [__file__]
 
 
 def test_system_symmetrizes_rounding_silently():
