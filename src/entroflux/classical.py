@@ -13,7 +13,7 @@ derived values are returned as computed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,24 +41,24 @@ def _positive_probability_vector(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClassicalSystem:
-    """Cyclic shift dynamics together with a faithful reference state."""
+    """Cyclic shift dynamics together with a faithful reference state.
+
+    ``tri`` marks time-reversal invariance: the reference weights are
+    symmetric under the reflection j -> N - j, to ``TRI_ATOL``.
+    """
 
     reference_state: np.ndarray
+    tri: bool = field(init=False)
 
     def __post_init__(self):
         vec = _positive_probability_vector(self.reference_state, "reference state")
         object.__setattr__(self, "reference_state", vec)
+        object.__setattr__(self, "tri",
+                           bool(np.abs(vec - vec[::-1]).max() <= TRI_ATOL))
 
     @property
     def size(self) -> int:
         return self.reference_state.size
-
-    @property
-    def is_tri(self) -> bool:
-        """Time-reversal invariance: the reference weights are symmetric
-        under the reflection j -> N - j."""
-        w = self.reference_state
-        return bool(np.abs(w - w[::-1]).max() <= TRI_ATOL)
 
 
 def _check_size(system: ClassicalSystem, vec: np.ndarray, what: str) -> None:

@@ -27,6 +27,7 @@ from .classical import ClassicalSystem
 from .errors import ConfigParseError, ConfigValidationError
 from .models import (
     build_two_reservoir,
+    canonical_pieces,
     random_classical_system,
     random_system,
 )
@@ -235,21 +236,16 @@ class ExperimentConfig:
         return built
 
     def classical_times(self) -> tuple:
-        """Integer entries of the t grid, required by classical sweeps."""
+        """Integer entries t >= 1 of the t grid; classical sweeps need one."""
         times = tuple(int(round(t)) for t in self.ts
                       if abs(t - round(t)) < 1e-9 and round(t) >= 1)
+        if not times:
+            _fail("sweep.t", "classical sweeps need at least one integer t >= 1")
         return times
 
 
 def default_config() -> ExperimentConfig:
-    entry = SystemEntry("canonical", "two_reservoir", {
-        "left_hamiltonian": np.diag([0.0, 1.0]),
-        "right_hamiltonian": np.diag([0.0, 1.0]),
-        "beta_left": 1.0,
-        "beta_right": 2.0,
-        "coupling": 0.25 * np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]),
-                                   np.array([[0.0, 1.0], [1.0, 0.0]])),
-    })
+    entry = SystemEntry("canonical", "two_reservoir", canonical_pieces())
     return ExperimentConfig(systems=(entry,), alphas=DEFAULT_ALPHAS,
                             ps=DEFAULT_PS, ts=DEFAULT_TS)
 

@@ -1,7 +1,8 @@
 """Concrete systems: coupled reservoirs and random test instances.
 
-The two-reservoir model couples two finite subsystems through an
-interaction term and prepares each side in its own Gibbs state.  Heat
+The two-reservoir model is the composite ``QuantumSystem`` of two finite
+subsystems coupled through an interaction term, each side prepared in its
+own Gibbs state, and it also carries those local pieces.  Heat
 fluxes out of each side are the commutators of the embedded local
 Hamiltonians with the coupling, and the entropy production observable
 decomposes as minus the flux weighted by each side's inverse
@@ -39,14 +40,14 @@ def _gibbs(hamiltonian: np.ndarray, beta: float) -> np.ndarray:
     return state / np.trace(state).real
 
 
-@dataclass(frozen=True, eq=False)
-class ReservoirModel:
-    """Two subsystems with local Hamiltonians, a coupling, and Gibbs sides.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class ReservoirModel(QuantumSystem):
+    """The composite of two subsystems, carrying its local pieces.
 
+    As a ``QuantumSystem`` its Hamiltonian is H_l (x) 1 + 1 (x) H_r + V and
+    its reference state is Gibbs(H_l, beta_l) (x) Gibbs(H_r, beta_r).
     ``left_hamiltonian`` and ``right_hamiltonian`` live on their factor
-    spaces; ``coupling`` acts on the composite space.  ``system`` is the
-    assembled composite with Hamiltonian H_l (x) 1 + 1 (x) H_r + V and
-    reference state Gibbs(H_l, beta_l) (x) Gibbs(H_r, beta_r).
+    spaces; ``coupling`` acts on the composite space.
     """
 
     left_hamiltonian: np.ndarray
@@ -54,15 +55,10 @@ class ReservoirModel:
     beta_left: float
     beta_right: float
     coupling: np.ndarray
-    system: QuantumSystem
 
     @property
     def dims(self) -> tuple[int, int]:
         return self.left_hamiltonian.shape[0], self.right_hamiltonian.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.system.dim
 
     @property
     def left_embedded(self) -> np.ndarray:
@@ -91,15 +87,9 @@ def build_two_reservoir(left_hamiltonian, right_hamiltonian,
     total = (np.kron(h_left, np.eye(h_right.shape[0]))
              + np.kron(np.eye(h_left.shape[0]), h_right) + v)
     reference = np.kron(_gibbs(h_left, beta_left), _gibbs(h_right, beta_right))
-    system = QuantumSystem(total, reference)
-    return ReservoirModel(
-        left_hamiltonian=h_left,
-        right_hamiltonian=h_right,
-        beta_left=beta_left,
-        beta_right=beta_right,
-        coupling=v,
-        system=system,
-    )
+    return ReservoirModel(total, reference, left_hamiltonian=h_left,
+                          right_hamiltonian=h_right, beta_left=beta_left,
+                          beta_right=beta_right, coupling=v)
 
 
 def flux_observables(model: ReservoirModel) -> tuple[np.ndarray, np.ndarray]:
@@ -127,8 +117,8 @@ def flux_balance_residual(model: ReservoirModel, t: float,
         phi = flux_observables(model)[1]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    moved = heisenberg_evolve(model.system, local, t)
-    integral = evolved_integral(model.system, phi, t)
+    moved = heisenberg_evolve(model, local, t)
+    integral = evolved_integral(model, phi, t)
     return float(np.linalg.norm((moved - local) + integral))
 
 
@@ -144,12 +134,19 @@ def entropy_production_decomposition(model: ReservoirModel) -> np.ndarray:
     return -model.beta_left * phi_left - model.beta_right * phi_right
 
 
-def canonical_model() -> ReservoirModel:
-    """Two qubits with energies (0, 1), sigma_x coupling 1/4, betas 1 and 2."""
+def canonical_pieces() -> dict:
+    """The canonical junction as ``build_two_reservoir`` keywords: two qubits
+    with energies (0, 1), sigma_x coupling 1/4, betas 1 and 2."""
     h_local = np.diag([0.0, 1.0])
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    coupling = 0.25 * np.kron(sigma_x, sigma_x)
-    return build_two_reservoir(h_local, h_local, 1.0, 2.0, coupling)
+    return {"left_hamiltonian": h_local, "right_hamiltonian": h_local,
+            "beta_left": 1.0, "beta_right": 2.0,
+            "coupling": 0.25 * np.kron(sigma_x, sigma_x)}
+
+
+def canonical_model() -> ReservoirModel:
+    """The junction of ``canonical_pieces``."""
+    return build_two_reservoir(**canonical_pieces())
 
 
 def random_system(dim: int, tri: bool = False, seed: int | None = None,

@@ -62,10 +62,11 @@ def _symmetrize(matrix, what: str) -> np.ndarray:
     mat = as_matrix(matrix)
     correction, bound = hermitian_deviation(mat)
     if correction > bound:
-        # name the first caller outside this module, which includes the
-        # dataclass-generated QuantumSystem.__init__
+        # name the first caller outside this module and outside the
+        # dataclass-generated __init__ of a system, also of a subclass
         frame, level = sys._getframe(1), 2
-        while frame.f_globals.get("__name__") == __name__:
+        while (frame.f_globals.get("__name__") == __name__
+               or isinstance(frame.f_locals.get("self"), QuantumSystem)):
             frame, level = frame.f_back, level + 1
         warnings.warn(
             f"{what} deviates from Hermitian by {correction:.3e}; symmetrized",

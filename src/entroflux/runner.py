@@ -30,7 +30,6 @@ from . import models as md
 from . import quantum as qm
 from . import verify as vf
 from .config import ExperimentConfig, default_config
-from .errors import ConfigValidationError
 from .version import __version__
 
 DEFAULT_OUTPUT_DIR = "out"
@@ -96,21 +95,9 @@ def _check_rows(table: ResultTable, results) -> None:
         table.append(r.system_id, r.name, r.residual, r.tolerance, r.status)
 
 
-def _classical_times(cfg: ExperimentConfig) -> tuple:
-    times = cfg.classical_times()
-    if not times:
-        raise ConfigValidationError(
-            "sweep.t: classical sweeps need at least one integer t >= 1")
-    return times
-
-
 def _sorted_grids(cfg: ExperimentConfig):
     return (np.array(sorted(set(cfg.alphas)), dtype=float),
             tuple(sorted(set(cfg.ps))), tuple(sorted(set(cfg.ts))))
-
-
-def _core_system(tag: str, obj):
-    return obj.system if tag == "reservoir" else obj
 
 
 # -- subcommand drivers ---------------------------------------------------
@@ -152,12 +139,11 @@ def run_functionals(cfg: ExperimentConfig) -> dict:
     curves = ResultTable(CURVE_COLUMNS)
     workers = _cpu_count()
     with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-        for system_id, tag, obj in cfg.build_systems():
+        for system_id, tag, system in cfg.build_systems():
             if tag == "classical":
-                _classical_curves(curves, system_id, obj, _classical_times(cfg),
-                                  alphas)
+                _classical_curves(curves, system_id, system,
+                                  cfg.classical_times(), alphas)
                 continue
-            system = _core_system(tag, obj)
             grid = [(p, t) for p in ps for t in ts]
             sweep = map
             if pool is not None and system.dim >= POOLED_DIM:
@@ -178,18 +164,17 @@ def run_fcs(cfg: ExperimentConfig) -> dict:
     distributions = ResultTable(DISTRIBUTION_COLUMNS)
     curves = ResultTable(CURVE_COLUMNS)
     checks = ResultTable(CHECK_COLUMNS)
-    for system_id, tag, obj in cfg.build_systems():
+    for system_id, tag, system in cfg.build_systems():
         if tag == "classical":
-            times = _classical_times(cfg)
-            measures = _es_rows(distributions, system_id, obj, times)
-            _classical_curves(curves, system_id, obj, times, alphas)
+            times = cfg.classical_times()
+            measures = _es_rows(distributions, system_id, system, times)
+            _classical_curves(curves, system_id, system, times, alphas)
             _check_rows(checks, [
                 vf.tri_check("es_symmetry", system_id,
                              ms.fluctuation_symmetry_residual(measure, t),
-                             obj.is_tri, tol, "tv")
+                             system.tri, tol, "tv")
                 for t, measure in zip(times, measures)])
         else:
-            system = _core_system(tag, obj)
             for t in ts:
                 counting = fc.fcs_distribution(system, t)
                 modular = fc.modular_spectral_measure(system, t)
@@ -213,7 +198,7 @@ def run_classical(cfg: ExperimentConfig) -> dict:
     curves = ResultTable(CURVE_COLUMNS)
     distributions = ResultTable(DISTRIBUTION_COLUMNS)
     checks = ResultTable(CHECK_COLUMNS)
-    times = _classical_times(cfg)
+    times = cfg.classical_times()
     for system_id, tag, obj in cfg.build_systems():
         if tag != "classical":
             continue
@@ -226,7 +211,7 @@ def run_classical(cfg: ExperimentConfig) -> dict:
         _check_rows(checks, [
             vf.bounded_check("classical_identity_fourway", system_id, fourway,
                              tol["classical_identity"]),
-            vf.tri_check("classical_symmetry", system_id, sym, obj.is_tri,
+            vf.tri_check("classical_symmetry", system_id, sym, obj.tri,
                          tol, "symmetry")])
     return {"curves": curves, "distributions": distributions, "checks": checks}
 
@@ -239,29 +224,27 @@ def run_model(cfg: ExperimentConfig) -> str:
         reservoirs = [("canonical", md.canonical_model())]
     blocks = []
     for system_id, model in reservoirs:
-        system = model.system
         lines = [f"system {system_id}"]
         lines.append(f"  dims: {model.dims[0]} x {model.dims[1]} "
                      f"(composite {model.dim})")
         lines.append(f"  beta_left={format_float(model.beta_left)} "
                      f"beta_right={format_float(model.beta_right)}")
-        lines.append(f"  tri: {system.tri}")
+        lines.append(f"  tri: {model.tri}")
         lines.append("  hamiltonian:")
-        lines.extend("    " + _matrix_row(row)
-                     for row in system.hamiltonian)
+        lines.extend("    " + _matrix_row(row) for row in model.hamiltonian)
         lines.append("  reference state eigenvalues: "
                      + " ".join(format_float(v)
-                                for v in system.reference_eig().eigenvalues))
+                                for v in model.reference_eig().eigenvalues))
         phi_left, phi_right = md.flux_observables(model)
         lines.append("  flux norms: left="
                      + format_float(float(np.linalg.norm(phi_left)))
                      + " right="
                      + format_float(float(np.linalg.norm(phi_right))))
-        sigma = qm.entropy_production_observable(system)
+        sigma = qm.entropy_production_observable(model)
         lines.append("  entropy production norm: "
                      + format_float(float(np.linalg.norm(sigma))))
         lines.append("  mean entropy production at t=1: "
-                     + format_float(qm.mean_ep_expectation(system, 1.0)))
+                     + format_float(qm.mean_ep_expectation(model, 1.0)))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

@@ -61,6 +61,7 @@ _P_FULL = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 64.0, math.inf)
 _T_GRID = (0.5, 1.0, math.pi / 2)
 _DIFF_STEP = 1e-4
 _H_FOUR = np.array([2.0, 1.0, -1.0, -2.0]) * _DIFF_STEP
+_QUADRATURE_PHASE = 16.0    # radians of Bohr phase over the quadrature row's span
 
 BOUNDED = "bounded"    # pass when residual <= tolerance
 TRI = "tri"            # BOUNDED under TRI, else <name>_breaks at violation_floor
@@ -143,15 +144,13 @@ def _complex_gaussians(seed: int, dim: int, count: int):
 
 
 class Context:
-    """What the rows of one system share: the core system (``model.system``
-    for reservoirs), its time-reversal flag, the time of its counting rows,
-    the counting measure per t and e_[p,t](alpha) per (p, t) and alpha."""
+    """What the rows of one system share: the system, its time-reversal
+    flag, the time of its counting rows, the counting measure per t and
+    e_[p,t](alpha) per (p, t) and alpha."""
 
-    def __init__(self, kind: str, obj):
-        self.obj = obj
-        self.system = obj.system if kind == "reservoir" else obj
-        self.tri = obj.is_tri if kind == "classical" \
-            else getattr(self.system, "tri", None)
+    def __init__(self, kind: str, system):
+        self.system = system
+        self.tri = getattr(system, "tri", None)    # batch rows have no system
         self.fcs_t = math.pi / 2 if kind == "qubit" else 1.0
         self._curves = {}
         self._counting = {}
@@ -196,7 +195,7 @@ def classical_fourway_residual(system: cl.ClassicalSystem, alphas, times) -> flo
     worst = 0.0
     for t in times:
         direct = cl.classical_functional(system, alphas, t)
-        target = direct if system.is_tri \
+        target = direct if system.tri \
             else cl.classical_functional(system, 1.0 - alphas, t)
         worst = max(worst, _sup([
             direct - cl.variational_functional(system, alphas, t),
@@ -236,12 +235,12 @@ def _classical_duality(c: Context) -> float:
 # -- reservoirs and the quantum core --------------------------------------
 
 def _model_assembly(c: Context) -> float:
-    model = c.obj
+    model = c.system
     built_h = model.left_embedded + model.right_embedded + model.coupling
-    res_h = float(np.abs(c.system.hamiltonian - built_h).max())
+    res_h = float(np.abs(model.hamiltonian - built_h).max())
     gibbs = np.kron(md._gibbs(model.left_hamiltonian, model.beta_left),
                     md._gibbs(model.right_hamiltonian, model.beta_right))
-    res_w = float(np.abs(c.system.reference_state - gibbs).max())
+    res_w = float(np.abs(model.reference_state - gibbs).max())
     return max(res_h, res_w)
 
 
@@ -257,18 +256,24 @@ def _quantum_sigma_spectrum(c: Context) -> float:
 
 
 def _quantum_ep_quadrature(c: Context) -> float:
-    """Sigma_1 against the time average of sigma over [0, 1] by adaptive
-    Simpson, a numerical route independent of the library's closed-form
-    ``evolved_integral``."""
+    """S_tau - S_0 = tau Sigma_tau against the integral of sigma over
+    [0, tau] by adaptive Simpson, a numerical route independent of the
+    library's closed-form ``evolved_integral``.  tau is 1 up to a Bohr
+    bandwidth E_max - E_min of ``_QUADRATURE_PHASE`` and
+    ``_QUADRATURE_PHASE / (E_max - E_min)`` above it, so the integrand turns
+    through at most that many radians whatever ||H||.  Comparing integrals,
+    not means, keeps the quadrature's absolute error from growing as 1 / tau."""
     dec = c.system.hamiltonian_eig()
     sigma = qm.entropy_production_observable(c.system)
+    width = float(dec.eigenvalues[-1] - dec.eigenvalues[0])
+    tau = 1.0 if width <= _QUADRATURE_PHASE else _QUADRATURE_PHASE / width
 
     def evolved(s: float) -> np.ndarray:
         prop = dec.apply(lambda lam: np.exp(1j * s * lam))
         return prop @ sigma @ prop.conj().T
 
-    return float(np.linalg.norm(qm.mean_ep_observable(c.system, 1.0)
-                                - qm.adaptive_simpson_matrix(evolved, 0.0, 1.0)))
+    return float(np.linalg.norm(tau * qm.mean_ep_observable(c.system, tau)
+                                - qm.adaptive_simpson_matrix(evolved, 0.0, tau)))
 
 
 def _quantum_duality(c: Context) -> float:
@@ -421,7 +426,7 @@ def _sigma_decomposition_batch(c: Context) -> float:
             float(rng.uniform(0.5, 2.5)), float(rng.uniform(0.5, 2.5)),
             0.3 * (v + v.T) / 2)
         worst = max(worst, _sup(md.entropy_production_decomposition(model)
-                                - qm.entropy_production_observable(model.system)))
+                                - qm.entropy_production_observable(model)))
     return worst
 
 
@@ -442,9 +447,8 @@ def fixed_systems():
                                       0.2 * np.kron(sigma_z, sigma_z))
     return [(sid, sid, obj) for sid, obj in (
         ("classical-tri-batch-20", None), ("quantum-batch-20", None),
-        ("reservoir-batch-10", None), ("reservoir-decoupled", decoupled.system),
-        ("reservoir-balanced", balanced.system),
-        ("format", md.canonical_model().system))]
+        ("reservoir-batch-10", None), ("reservoir-decoupled", decoupled),
+        ("reservoir-balanced", balanced), ("format", md.canonical_model()))]
 
 
 # -- the table -----------------------------------------------------------
@@ -499,14 +503,14 @@ ROWS = (
 
     Row("model_assembly", "exact", RESERVOIR, _model_assembly),
     Row("model_flux_balance", "flux_balance", RESERVOIR,
-        lambda c: max(md.flux_balance_residual(c.obj, t, side)
+        lambda c: max(md.flux_balance_residual(c.system, t, side)
                       for t in (0.5, 1.0, 2.0) for side in ("left", "right"))),
     Row("model_sigma_flux_form", "decomposition", RESERVOIR,
-        lambda c: _sup(md.entropy_production_decomposition(c.obj)
+        lambda c: _sup(md.entropy_production_decomposition(c.system)
                        - qm.entropy_production_observable(c.system))),
     Row("model_heat_flow", 1e-10, RESERVOIR,
         lambda c: qm.mean_ep_expectation(c.system, 1.0), rule=ABOVE,
-        only=lambda c: c.obj.beta_left != c.obj.beta_right),
+        only=lambda c: c.system.beta_left != c.system.beta_right),
     Row("model_tri_flag", 0.5, RESERVOIR, lambda c: 0.0 if c.system.tri else 1.0),
 
     Row("quantum_second_law", "second_law", CORE,

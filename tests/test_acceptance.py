@@ -112,7 +112,7 @@ def test_criterion_3_bridge_identities():
 
 def test_criterion_4_counting_equals_modular():
     fleet = quantum_fleet(count=10, dim_span=(2, 10))
-    fleet.append(md.canonical_model().system)
+    fleet.append(md.canonical_model())
     fleet.append(FLIP)
     for system in fleet:
         for t in (0.5, 1.0):
@@ -131,7 +131,7 @@ def test_criterion_4_counting_equals_modular():
 
 def test_criterion_5_cgf_identity():
     fleet = quantum_fleet(count=6, dim_span=(2, 8))
-    fleet.append(md.canonical_model().system)
+    fleet.append(md.canonical_model())
     fleet.append(md.random_system(5, tri=False, seed=4000))
     for system in fleet:
         t = 1.0
@@ -186,9 +186,9 @@ def test_criterion_8_reservoir_physics():
         for side in ("left", "right"):
             assert md.flux_balance_residual(model, t, side) <= 1e-8
     combined = md.entropy_production_decomposition(model)
-    direct = qm.entropy_production_observable(model.system)
+    direct = qm.entropy_production_observable(model)
     assert np.abs(combined - direct).max() <= 1e-10
-    assert qm.mean_ep_expectation(model.system, 1.0) > 1e-10
+    assert qm.mean_ep_expectation(model, 1.0) > 1e-10
 
 
 def test_criterion_9_cli_determinism_and_verify(tmp_path, capsys):

@@ -150,7 +150,7 @@ def test_index_checks_reject_nan_and_below_one():
                                                            max_value=9999))
 def test_random_palindromic_systems_satisfy_symmetry(size, seed):
     system = random_classical_system(size, seed=seed, tri=True)
-    assert system.is_tri
+    assert system.tri
     for alpha in (-0.5, 0.25, 1.5):
         lhs = cl.classical_functional(system, alpha, 1)
         rhs = cl.classical_functional(system, 1.0 - alpha, 1)

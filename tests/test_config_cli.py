@@ -10,6 +10,7 @@ import pytest
 from entroflux import cli, runner
 from entroflux import config as cf
 from entroflux import functionals as fn
+from entroflux import models as md
 from entroflux import verify as vf
 from entroflux.errors import (
     ConfigParseError,
@@ -55,6 +56,10 @@ def test_default_config_builds_canonical_junction():
     system_id, tag, model = built[0]
     assert tag == "reservoir"
     assert model.beta_left != model.beta_right
+    canonical = md.canonical_model()
+    for name in ("hamiltonian", "reference_state", "left_hamiltonian",
+                 "right_hamiltonian", "coupling", "beta_left", "beta_right"):
+        assert np.array_equal(getattr(model, name), getattr(canonical, name))
 
 
 def test_alpha_grid_from_range_mapping():
@@ -318,6 +323,19 @@ def test_tolerance_overrides_validated():
 def test_classical_times_filters_integer_entries():
     cfg = cf.parse_config(MINIMAL + "\nsweep:\n  t: [0.5, 1.0, 2.0]\n")
     assert cfg.classical_times() == (1, 2)
+
+
+def test_classical_times_need_an_integer_entry(tmp_path, capsys):
+    message = "sweep.t: classical sweeps need at least one integer t >= 1"
+    cfg = cf.parse_config(MINIMAL + "\nsweep:\n  t: [0.5, 1.5]\n")
+    with pytest.raises(ConfigValidationError, match=message):
+        cfg.classical_times()
+    bad = tmp_path / "half.yaml"
+    bad.write_text(MINIMAL + "\nsweep:\n  t: [0.5]\n")
+    for subcommand in ("functionals", "fcs", "classical"):
+        assert cli.main([subcommand, "-c", str(bad),
+                         "-o", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
 
 
 # -- formatting and table layer -------------------------------------------

@@ -231,7 +231,7 @@ def test_counting_requires_positive_time():
 
 
 def test_canonical_model_identity():
-    system = canonical_model().system
+    system = canonical_model()
     counting = fcs.fcs_distribution(system, 1.0)
     modular = fcs.modular_spectral_measure(system, 1.0)
     assert total_variation(counting, modular) < 1e-10

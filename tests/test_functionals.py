@@ -353,7 +353,7 @@ def test_all_zero_matrix_in_a_stack_gives_minus_inf(p):
 
 
 def test_canonical_model_functional_is_finite_and_convex():
-    system = canonical_model().system
+    system = canonical_model()
     alphas = np.linspace(-1.0, 2.0, 25)
     vals = np.array([fn.functional(system, math.inf, a, 1.0)
                      for a in alphas])

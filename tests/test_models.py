@@ -1,9 +1,13 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroflux import fcs
+from entroflux import functionals as fn
 from entroflux import models as md
 from entroflux import quantum as qm
 
@@ -18,7 +22,7 @@ def test_canonical_model_assembly():
     h_local = np.diag([0.0, 1.0])
     want_h = (np.kron(h_local, np.eye(2)) + np.kron(np.eye(2), h_local)
               + 0.25 * np.kron(SX, SX))
-    np.testing.assert_allclose(model.system.hamiltonian, want_h,
+    np.testing.assert_allclose(model.hamiltonian, want_h,
                                atol=1e-14)
     assert model.beta_left == 1.0
     assert model.beta_right == 2.0
@@ -30,13 +34,13 @@ def test_canonical_reference_state_is_product_gibbs():
     left = np.diag(np.exp(-1.0 * np.diag(h_local)))
     right = np.diag(np.exp(-2.0 * np.diag(h_local)))
     want = np.kron(left / left.trace(), right / right.trace())
-    np.testing.assert_allclose(model.system.reference_state, want,
+    np.testing.assert_allclose(model.reference_state, want,
                                atol=1e-14)
 
 
 def test_canonical_mean_entropy_production():
     model = md.canonical_model()
-    got = qm.mean_ep_expectation(model.system, 1.0)
+    got = qm.mean_ep_expectation(model, 1.0)
     assert got == pytest.approx(CANONICAL_MEAN_EP, abs=1e-12)
     assert got > 1e-10
 
@@ -60,8 +64,8 @@ def test_flux_balance(t, side):
 
 def test_flux_balance_keeps_only_its_time_in_the_memo():
     model = md.canonical_model()
-    memo = model.system._memo
-    model.system.hamiltonian_eig()
+    memo = model._memo
+    model.hamiltonian_eig()
     before = set(memo)
     times = (0.5, 1.0, 2.0)
     for t in times:
@@ -84,7 +88,7 @@ def test_sigma_decomposes_into_fluxes():
     model = md.canonical_model()
     sigma = md.entropy_production_decomposition(model)
     np.testing.assert_allclose(
-        sigma, qm.entropy_production_observable(model.system),
+        sigma, qm.entropy_production_observable(model),
         atol=1e-10)
 
 
@@ -92,14 +96,14 @@ def test_equal_temperatures_kill_entropy_production():
     h = np.diag([0.0, 1.0])
     v = 0.2 * np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
     model = md.build_two_reservoir(h, h, 1.3, 1.3, v)
-    sigma = qm.entropy_production_observable(model.system)
+    sigma = qm.entropy_production_observable(model)
     assert np.abs(sigma).max() < 1e-12
 
 
 def test_decoupled_model_is_stationary():
     h = np.diag([0.0, 1.0])
     model = md.build_two_reservoir(h, h, 1.0, 2.0, np.zeros((4, 4)))
-    sigma = qm.entropy_production_observable(model.system)
+    sigma = qm.entropy_production_observable(model)
     assert np.abs(sigma).max() < 1e-13
 
 
@@ -109,7 +113,7 @@ def test_asymmetric_factor_dimensions():
                                    0.1 * np.eye(6))
     assert model.dims == (3, 2)
     assert model.dim == 6
-    assert model.system.reference_state.shape == (6, 6)
+    assert model.reference_state.shape == (6, 6)
 
 
 def test_build_rejects_nonpositive_beta():
@@ -120,6 +124,15 @@ def test_build_rejects_nonpositive_beta():
         md.build_two_reservoir(h, h, 1.0, -2.0, np.zeros((4, 4)))
 
 
+def test_build_warns_from_its_own_line_on_a_skewed_coupling():
+    h = np.diag([0.0, 1.0])
+    v = np.zeros((4, 4))
+    v[0, 1] = 0.1
+    with pytest.warns(UserWarning, match="Hamiltonian deviates .*symmetrized") as caught:
+        md.build_two_reservoir(h, h, 1.0, 2.0, v)
+    assert [warning.filename for warning in caught] == [md.__file__]
+
+
 def test_build_rejects_mismatched_coupling():
     h = np.diag([0.0, 1.0])
     with pytest.raises(ValueError):
@@ -127,7 +140,30 @@ def test_build_rejects_mismatched_coupling():
 
 
 def test_canonical_model_is_tri():
-    assert md.canonical_model().system.tri is True
+    assert md.canonical_model().tri is True
+
+
+def _complex_junction() -> md.ReservoirModel:
+    rng = np.random.default_rng(8)
+    raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    return md.build_two_reservoir(np.diag([0.0, 0.7, 1.5]), np.diag([0.0, 1.1]),
+                                  0.6, 1.8, 0.2 * (raw + raw.conj().T))
+
+
+@pytest.mark.parametrize("build", [md.canonical_model, _complex_junction])
+def test_reservoir_model_is_its_composite_system(build):
+    model = build()
+    plain = qm.QuantumSystem(model.hamiltonian, model.reference_state)
+    assert isinstance(model, qm.QuantumSystem)
+    assert model.tri == plain.tri
+    alphas = np.linspace(-1.0, 2.0, 13)
+    for p in (1.0, 2.0, 4.0, math.inf):
+        assert np.array_equal(fn.functional(model, p, alphas, 1.0),
+                              fn.functional(plain, p, alphas, 1.0))
+    for t in (0.5, 1.0):
+        ours, theirs = fcs.fcs_distribution(model, t), fcs.fcs_distribution(plain, t)
+        assert np.array_equal(ours.atoms, theirs.atoms)
+        assert np.array_equal(ours.weights, theirs.weights)
 
 
 def test_random_system_normalization():
@@ -175,12 +211,12 @@ def test_random_classical_system_properties():
     w = system.reference_state
     assert w.min() > 0
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    assert system.is_tri
+    assert system.tri
 
 
 def test_random_classical_system_asymmetric_by_default():
     system = md.random_classical_system(8, seed=95)
-    assert not system.is_tri
+    assert not system.tri
 
 
 @settings(max_examples=15, deadline=None)
@@ -195,5 +231,5 @@ def test_random_reservoirs_satisfy_flux_decomposition(dim, seed):
     model = md.build_two_reservoir(h_l, h_r, 1.0, 2.0, v)
     sigma = md.entropy_production_decomposition(model)
     np.testing.assert_allclose(
-        sigma, qm.entropy_production_observable(model.system),
+        sigma, qm.entropy_production_observable(model),
         atol=1e-10)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -137,6 +138,33 @@ def test_battery_runs_quadrature_once_per_core_system(monkeypatch):
             if kind in ("quantum", "commuting", "qubit", "reservoir")]
     assert len(core) == 6
     assert len(calls) == len(core)
+
+
+def _flip(h: float) -> qm.QuantumSystem:
+    return qm.QuantumSystem([[0.0, h], [h, 0.0]], np.diag([0.75, 0.25]))
+
+
+@pytest.mark.parametrize("h", [1e4, 1e8])
+def test_quadrature_row_is_bounded_on_wide_hamiltonians(h):
+    """The quadrature spans 16 radians of Bohr phase, not [0, 1]: every row
+    of a qubit with ||H|| = h passes within a second."""
+    start = time.perf_counter()
+    results = vf.check_system("flip", "quantum", _flip(h), vf.merge_tolerances())
+    assert time.perf_counter() - start < 1.0
+    assert [r.name for r in results if r.status == vf.FAIL] == []
+    assert _status(results, "quantum_ep_quadrature") == vf.PASS
+
+
+@pytest.mark.parametrize("route", ["mean_ep_observable",
+                                   "entropy_production_observable"])
+@pytest.mark.parametrize("h", [1.0, 1e4])
+def test_quadrature_row_catches_a_broken_route(monkeypatch, route, h):
+    """A relative error of 1e-6 on either side fails the row, over [0, 1]
+    (h = 1) and over a shorter span (h = 1e4)."""
+    exact = getattr(qm, route)
+    monkeypatch.setattr(qm, route, lambda *args: exact(*args) * (1 + 1e-6))
+    results = vf.check_system("flip", "quantum", _flip(h), vf.merge_tolerances())
+    assert _status(results, "quantum_ep_quadrature") == vf.FAIL
 
 
 def test_fcs_mean_derivative_five_point_stencil(monkeypatch):
