@@ -44,7 +44,8 @@ class ClassicalSystem:
     """Cyclic shift dynamics together with a faithful reference state.
 
     ``tri`` marks time-reversal invariance: the reference weights are
-    symmetric under the reflection j -> N - j, to ``TRI_ATOL``.
+    symmetric, to ``TRI_ATOL``, under a reflection j -> c - j (mod N+1);
+    every such reflection reverses the shift.
     """
 
     reference_state: np.ndarray
@@ -53,8 +54,10 @@ class ClassicalSystem:
     def __post_init__(self):
         vec = _positive_probability_vector(self.reference_state, "reference state")
         object.__setattr__(self, "reference_state", vec)
-        object.__setattr__(self, "tri",
-                           bool(np.abs(vec - vec[::-1]).max() <= TRI_ATOL))
+        rev = vec[::-1]     # those weights are rotations of rev, tried in O(N)
+        object.__setattr__(self, "tri", any(
+            np.abs(np.roll(rev, -j) - vec).max() <= TRI_ATOL
+            for j in np.flatnonzero(np.abs(rev - vec[0]) <= TRI_ATOL)))
 
     @property
     def size(self) -> int:

@@ -157,6 +157,15 @@ def parse_matrix(value, path: str) -> np.ndarray:
     return mat
 
 
+def _quantum(params: dict, seed: int) -> QuantumSystem:
+    system = QuantumSystem(params["hamiltonian"], params["reference_state"])
+    if params.get("tri", system.tri) != system.tri:
+        raise ValueError(
+            f"tri={params['tri']} contradicts the matrices: time-reversal "
+            f"invariance holds for real entries and for every dim-2 system")
+    return system
+
+
 # kind -> (battery tag, {key: (parser, required)} in check order,
 # builder(params, global seed)).  Optional keys a config leaves out are
 # absent from params, and the builder supplies their defaults.
@@ -167,8 +176,7 @@ _KINDS = {
         "quantum",
         {"hamiltonian": (parse_matrix, True),
          "reference_state": (parse_matrix, True), "tri": (_flag, False)},
-        lambda p, seed: QuantumSystem(p["hamiltonian"], p["reference_state"],
-                                      tri=p.get("tri"))),
+        _quantum),
     "two_reservoir": (
         "reservoir",
         {"left_hamiltonian": (parse_matrix, True),
@@ -232,8 +240,7 @@ class ExperimentConfig:
     source_text: str = "defaults\n"
 
     def build_systems(self):
-        built = [entry.build(self.seed) for entry in self.systems]
-        return built
+        return [entry.build(self.seed) for entry in self.systems]
 
     def classical_times(self) -> tuple:
         """Integer entries t >= 1 of the t grid; classical sweeps need one."""

@@ -46,13 +46,11 @@ complex entries, 512 KiB), which holds a default alpha grid whole up to
 n = 23 and eight alphas a stack at n = 64.  The bound is set by
 ``runner.run_functionals``, which runs curves on one thread per CPU: two
 threads overlap only while LAPACK runs with the interpreter lock released,
-so each call must hold several matrices.  On a 2-core Xeon with one
-OpenBLAS thread, the p = 1, 1.5 (SVD) curves of an n = 64 system at three
-times took 261 ms serially and 352 ms on two threads with stacks of 2^13
-entries, 341 and 403 ms at 2^14, and 289 and 165 ms at 2^15; the p = 3, 64
-(eigvalsh) curves 279 and 393 ms at 2^13, 306 and 183 ms at 2^15.  Larger
-stacks cost a serial run some time in the fresh pages each large temporary
-touches: the p = 2, 4 and 6 curves took 83 ms at 2^13 and 120 ms at 2^15.
+so each call must hold several matrices.  At 2^13 entries two threads
+ran the SVD and eigvalsh curves slower than one; at 2^15 they overlap,
+while a serial run pays a little for the fresh pages of larger
+temporaries.  ``BENCH_threads.json`` (``stack_entries``) holds the
+per-size timings.
 """
 from __future__ import annotations
 

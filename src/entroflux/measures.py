@@ -43,7 +43,7 @@ class SpectralMeasure:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:       # read by benchmarks/tracing.py
         return self.atoms.size
 
     def mean(self) -> float:

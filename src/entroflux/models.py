@@ -158,7 +158,7 @@ def random_system(dim: int, tri: bool = False, seed: int | None = None,
     functional values stay in a regime where double-precision margins are
     uniform across ``dim``.  Draws are rejected until the reference
     visibly fails to commute with the Hamiltonian.  Without ``tri`` the
-    draw is complex and the flag is detected, so dim 2 is still TRI.
+    draw is complex, and the system's own ``tri`` still holds at dim 2.
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
@@ -181,7 +181,7 @@ def random_system(dim: int, tri: bool = False, seed: int | None = None,
         state = matrix_exp(-r)
         state = state / np.trace(state).real
         if np.abs(_commutator(h, state)).max() > COMMUTATION_FLOOR:
-            return QuantumSystem(h, state, tri=True if tri else None)
+            return QuantumSystem(h, state)
     raise NumericalDomainError(
         f"no non-commuting draw in {MAX_GENERATION_ATTEMPTS} attempts"
     )

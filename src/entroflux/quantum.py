@@ -32,6 +32,7 @@ POSITIVITY_REL = 1e-12
 TRACE_ATOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-10
 QUADRATURE_ATOL = 1e-9
+QUADRATURE_MAX_DEPTH = 30
 
 
 def as_matrix(value, dim: int | None = None) -> np.ndarray:
@@ -112,16 +113,17 @@ class SpectralDecomposition:
 def eig(operator) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    The matrix must be Hermitian to entrywise 1e-12 (relative to the largest
-    entry); its Hermitian part is diagonalized.  The reconstruction
+    The input must pass ``hermitian_deviation``, the rule of every matrix
+    input; its Hermitian part is diagonalized.  The reconstruction
     U diag(lam) U* is verified against the input to 1e-10 in Frobenius norm,
     relative to the Frobenius norm of the input (or to 1 for near-zero
     matrices).
     """
     mat = as_matrix(operator)
-    gap = np.abs(mat - mat.conj().T).max()
-    if gap > HERMITIAN_ATOL * max(1.0, np.abs(mat).max()):
-        raise ValueError(f"matrix is not Hermitian: asymmetry {gap:.3e}")
+    deviation, bound = hermitian_deviation(mat)
+    if deviation > bound:
+        raise ValueError(f"matrix deviates from Hermitian by {deviation:.3e} "
+                         f"(tolerance {bound:.3e})")
     mat = _hermitian_part(mat)
     evals, evecs = np.linalg.eigh(mat)
     dec = SpectralDecomposition(evals, evecs)
@@ -170,16 +172,15 @@ class QuantumSystem:
     """Hamiltonian plus a faithful reference state, stored as the Hermitian
     parts of the given matrices; the state is checked by ``density_matrix``.
 
-    ``tri`` marks time-reversal invariance, realized here as realness of
-    both matrices in the standard basis.  Every dim-2 system has it: any two
-    2 x 2 Hermitian matrices are real in a common basis.  When left unset
-    the flag is detected; when set it must equal the detected value.
+    The computed flag ``tri`` marks time-reversal invariance, realized here
+    as realness of both matrices in the standard basis.  Every dim-2 system
+    has it: any two 2 x 2 Hermitian matrices are real in a common basis.
     """
 
     hamiltonian: np.ndarray
     reference_state: np.ndarray
-    tri: bool | None = None
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    tri: bool = field(init=False)
+    _memo: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         h = _symmetrize(self.hamiltonian, "Hamiltonian")
@@ -187,13 +188,8 @@ class QuantumSystem:
         if h.shape != rho.shape:
             raise ValueError(f"Hamiltonian dim {h.shape[0]} does not match "
                              f"state dim {rho.shape[0]}")
-        detected = h.shape[0] == 2 or all(
-            np.abs(m.imag).max() <= HERMITIAN_ATOL for m in (h, rho))
-        if self.tri not in (None, detected):
-            raise ValueError(
-                f"tri={self.tri} contradicts the matrices: time-reversal "
-                f"invariance holds for real entries and for every dim-2 system")
-        object.__setattr__(self, "tri", detected)
+        object.__setattr__(self, "tri", h.shape[0] == 2 or all(
+            np.abs(m.imag).max() <= HERMITIAN_ATOL for m in (h, rho)))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "reference_state", rho)
 
@@ -323,18 +319,17 @@ def entropy_production_observable(system: QuantumSystem) -> np.ndarray:
     return _hermitian_part(-1j * (h @ logw - logw @ h))
 
 
-def adaptive_simpson_matrix(f: Callable[[float], np.ndarray], a: float, b: float,
-                            atol: float = QUADRATURE_ATOL,
-                            max_depth: int = 30) -> np.ndarray:
+def adaptive_simpson_matrix(f: Callable[[float], np.ndarray], a: float,
+                            b: float) -> np.ndarray:
     """Adaptive Simpson quadrature of a matrix-valued function.
 
     The library integrates exactly; this is the independent numerical route
     of the verification battery's ``quantum_ep_quadrature`` row.
 
     Subdivision stops when the entrywise Richardson error estimate drops
-    below ``atol``; the estimate is folded back in for an extra order.  A
-    subinterval whose estimate is still above its share of ``atol`` after
-    ``max_depth`` halvings, or is not finite, raises ``NumericalDomainError``.
+    below QUADRATURE_ATOL, and the estimate is folded back in.  A subinterval
+    still above its share after QUADRATURE_MAX_DEPTH halvings, or whose
+    estimate is not finite, raises ``NumericalDomainError``.
     """
     if b == a:
         return np.zeros_like(np.asarray(f(a)))
@@ -360,7 +355,7 @@ def adaptive_simpson_matrix(f: Callable[[float], np.ndarray], a: float, b: float
 
     fa, fm, fb = f(a), f((a + b) / 2.0), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, b, fa, fm, fb, whole, atol, max_depth)
+    return recurse(a, b, fa, fm, fb, whole, QUADRATURE_ATOL, QUADRATURE_MAX_DEPTH)
 
 
 def evolved_integral(system: QuantumSystem, operator, t: float) -> np.ndarray:

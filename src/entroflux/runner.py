@@ -29,7 +29,7 @@ from . import measures as ms
 from . import models as md
 from . import quantum as qm
 from . import verify as vf
-from .config import ExperimentConfig, default_config
+from .config import ExperimentConfig, SystemEntry, default_config
 from .version import __version__
 
 DEFAULT_OUTPUT_DIR = "out"
@@ -51,8 +51,6 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
     return format_float(float(value))
 
 
@@ -74,11 +72,6 @@ class ResultTable:
 
     def __len__(self) -> int:
         return sum(n for _, n in self.blocks)
-
-    @property
-    def rows(self) -> list:
-        return [row for values, n in self.blocks for row in zip(*(
-            v.tolist() if isinstance(v, np.ndarray) else [v] * n for v in values))]
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
@@ -198,10 +191,10 @@ def run_classical(cfg: ExperimentConfig) -> dict:
     curves = ResultTable(CURVE_COLUMNS)
     distributions = ResultTable(DISTRIBUTION_COLUMNS)
     checks = ResultTable(CHECK_COLUMNS)
-    times = cfg.classical_times()
     for system_id, tag, obj in cfg.build_systems():
         if tag != "classical":
             continue
+        times = cfg.classical_times()
         _classical_curves(curves, system_id, obj, times, alphas)
         _es_rows(distributions, system_id, obj, times)
         fourway = vf.classical_fourway_residual(obj, (-0.5, 0.3, 0.5, 1.2),
@@ -264,7 +257,9 @@ def _matrix_row(row) -> str:
 
 def _determinism_check() -> list:
     """Byte-identical tables and masked-manifest equality across two runs."""
-    cfg = replace(default_config(), alphas=(0.0, 0.5, 1.0),
+    cfg = default_config()
+    pooled = SystemEntry("pooled", "random", {"dim": POOLED_DIM})
+    cfg = replace(cfg, systems=cfg.systems + (pooled,), alphas=(0.0, 0.5, 1.0),
                   ps=(2.0, math.inf), ts=(1.0,))
     snapshots = []
     for _ in range(2):

@@ -122,7 +122,7 @@ def test_criterion_4_counting_equals_modular():
 
     m = fcs.fcs_distribution(FLIP, math.pi / 2)
     rate = (2.0 / math.pi) * math.log(3.0)
-    assert len(m) == 2
+    assert m.atoms.size == 2
     assert abs(m.atoms[1] - rate) <= 1e-12
     assert abs(m.atoms[0] + rate) <= 1e-12
     assert abs(m.mass_at(rate) - 0.75) <= 1e-12

@@ -157,6 +157,41 @@ def test_random_palindromic_systems_satisfy_symmetry(size, seed):
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
+# each is symmetric under a reflection j -> c - j other than c = N
+REFLECTED = ([0.3, 0.7], [0.5, 0.25, 0.25], [0.125, 0.25, 0.375, 0.25])
+
+
+@pytest.mark.parametrize("weights", REFLECTED)
+def test_tri_holds_under_every_reflection(weights):
+    system = cl.ClassicalSystem(weights)
+    assert system.tri
+    for t in (1, 2, 3):
+        for alpha in (-0.5, 0.25, 1.5):
+            assert cl.classical_functional(system, alpha, t) == pytest.approx(
+                cl.classical_functional(system, 1.0 - alpha, t), abs=1e-14)
+        assert fluctuation_symmetry_residual(
+            cl.es_distribution(system, t), t) < 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=3, max_value=40),
+       st.integers(min_value=0, max_value=9999),
+       st.integers(min_value=0, max_value=39))
+def test_tri_is_invariant_under_rotation(size, seed, shift):
+    # every 2-point chain is TRI, so sizes start at 3
+    weights = random_classical_system(size, seed=seed, tri=seed % 2 == 0) \
+        .reference_state
+    assert cl.ClassicalSystem(np.roll(weights, shift)).tri == \
+        cl.ClassicalSystem(weights).tri == (seed % 2 == 0)
+
+
+def test_tri_needs_every_weight_to_match():
+    assert not LOPSIDED.tri
+    assert not cl.ClassicalSystem([0.25, 0.25, 0.2, 0.3]).tri
+    assert not cl.ClassicalSystem([0.2, 0.3, 0.3, 0.2 - 4e-12, 4e-12]).tri
+    assert cl.ClassicalSystem([0.2, 0.3, 0.3 + 5e-13, 0.2 - 5e-13]).tri
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=60),
        st.integers(min_value=0, max_value=9999),

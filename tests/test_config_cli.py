@@ -357,6 +357,11 @@ def test_result_table_layout():
         table.append("too", "many", "cells")
 
 
+def _csv_rows(table) -> list:
+    """The data rows of a table's CSV text, split into cells."""
+    return [line.split(",") for line in table.to_csv().splitlines()[1:]]
+
+
 def test_block_renders_like_rows_appended_one_by_one():
     atoms = np.array([-math.inf, math.inf, math.nan, -0.0, 5e-324, 1e-300])
     weights = np.array([0.5, 1 / 3, 0.1 + 0.2, 1.0, -2.5, 7.0])
@@ -370,8 +375,10 @@ def test_block_renders_like_rows_appended_one_by_one():
     assert text.splitlines()[1:4] == ["100%-d,1.5,-inf,0.5,",
                                       "100%-d,1.5,inf,0.33333333333333331,",
                                       "100%-d,1.5,nan,0.30000000000000004,"]
-    assert len(block) == len(block.rows) == len(rows) == 6
-    assert [row[3] for row in block.rows] == weights.tolist()
+    assert len(block) == len(rows) == 6
+    assert _csv_rows(block) == _csv_rows(rows)
+    assert [row[3] for row in _csv_rows(block)] == \
+        ["%.17g" % w for w in weights]
 
 
 def test_block_shape_errors():
@@ -386,11 +393,10 @@ def test_block_shape_errors():
 def test_run_functionals_row_count_and_order():
     cfg = cf.parse_config(QUBIT)
     curves = runner.run_functionals(cfg)["curves"]
-    assert len(curves.rows) == 6
-    ps = [row[1] for row in curves.rows]
-    assert ps == [2.0, 2.0, 2.0, math.inf, math.inf, math.inf]
-    alphas = [row[3] for row in curves.rows[:3]]
-    assert alphas == sorted(alphas)
+    rows = _csv_rows(curves)
+    assert len(rows) == 6
+    assert [row[1] for row in rows] == ["2", "2", "2", "inf", "inf", "inf"]
+    assert [row[3] for row in rows[:3]] == ["0", "0.5", "1"]
 
 
 def test_run_functionals_needs_integer_time_for_classical():
@@ -399,12 +405,44 @@ def test_run_functionals_needs_integer_time_for_classical():
         runner.run_functionals(cfg)
 
 
+def test_run_classical_skips_the_t_grid_without_classical_systems(
+        tmp_path, capsys):
+    text = QUBIT.replace("t: [1.0]", "t: [0.5]")
+    assert "t: [0.5]" in text
+    tables = runner.run_classical(cf.parse_config(text))
+    assert not any(len(table) for table in tables.values())
+    path = tmp_path / "quantum.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["classical", "-c", str(path), "-o", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+    # a classical system still needs an integer time
+    with pytest.raises(ConfigValidationError, match="sweep.t: classical"):
+        runner.run_classical(cf.parse_config(MINIMAL + "sweep:\n  t: [0.5]\n"))
+
+
+def test_determinism_row_compares_pooled_sweeps(monkeypatch):
+    functional = fn.functional
+    in_main = set()
+
+    def recorded(*args, **kwargs):
+        in_main.add(threading.current_thread() is threading.main_thread())
+        return functional(*args, **kwargs)
+
+    monkeypatch.setattr(fn, "functional", recorded)
+    monkeypatch.setattr(runner, "_cpu_count", lambda: 2)
+    [row] = runner._determinism_check()
+    assert (row.name, row.residual, row.status) == \
+        ("runner_determinism", 0.0, vf.PASS)
+    assert in_main == {True, False}
+
+
 def test_run_fcs_emits_both_measures_and_identity_row():
     cfg = cf.parse_config(QUBIT)
     tables = runner.run_fcs(cfg)
-    measures = {row[4] for row in tables["distributions"].rows}
+    measures = {row[4] for row in _csv_rows(tables["distributions"])}
     assert measures == {"P", "Q"}
-    check_rows = tables["checks"].rows
+    check_rows = _csv_rows(tables["checks"])
     assert any(row[1] == "fcs_tv_distance" and row[4] == "pass"
                for row in check_rows)
 
@@ -422,7 +460,7 @@ sweep:
   t: [1, 2]
 """)
     status = {(row[0], row[1]): row[4]
-              for row in runner.run_classical(cfg)["checks"].rows}
+              for row in _csv_rows(runner.run_classical(cfg)["checks"])}
     assert status == {
         ("palindrome", "classical_identity_fourway"): "pass",
         ("palindrome", "classical_symmetry"): "pass",
@@ -647,6 +685,29 @@ def test_cli_dim_2_complex_system_passes_as_tri(tmp_path, capsys):
     checks = (tmp_path / "f" / "checks.csv").read_text().splitlines()[1:]
     assert checks and all(row.startswith("qubit-2,fcs_tv_distance,")
                           and row.endswith(",pass") for row in checks)
+
+
+SKEWED_JUNCTION = """
+systems:
+  - id: skewed
+    kind: two_reservoir
+    left_hamiltonian: [[0, 1.0000000000015], [1, 1]]
+    right_hamiltonian: [[0, 0], [0, 1]]
+    beta_left: 1.0
+    beta_right: 2.0
+    coupling: [[0, 0, 0, 0.25], [0, 0, 0.25, 0], [0, 0.25, 0, 0], [0.25, 0, 0, 0]]
+"""
+
+
+def test_cli_junction_skewed_by_rounding_runs(tmp_path, capsys):
+    # max |A - A*| / 2 = 7.5e-13 passes the parser and every eig
+    path = tmp_path / "skewed.yaml"
+    path.write_text(SKEWED_JUNCTION)
+    assert cli.main(["model", "-c", str(path)]) == 0
+    assert "system skewed" in capsys.readouterr().out
+    for sub in ("functionals", "verify"):
+        assert cli.main([sub, "-c", str(path),
+                         "-o", str(tmp_path / sub)]) == 0
 
 
 def test_cli_tri_false_on_real_matrices_exits_two(tmp_path, capsys):

@@ -24,7 +24,7 @@ RATE = (2.0 / math.pi) * math.log(3.0)
 
 def test_flip_qubit_closed_form_distribution():
     m = fcs.fcs_distribution(FLIP, math.pi / 2)
-    assert len(m) == 2
+    assert m.atoms.size == 2
     np.testing.assert_allclose(m.atoms, [-RATE, RATE], atol=1e-12)
     np.testing.assert_allclose(m.weights, [0.25, 0.75], atol=1e-12)
 
@@ -66,7 +66,7 @@ def test_commuting_pair_gives_point_mass_at_zero():
     system = qm.QuantumSystem(np.diag([0.0, 1.0, 2.0]),
                               np.diag([0.5, 0.3, 0.2]))
     m = fcs.fcs_distribution(system, 1.0)
-    assert len(m) == 1
+    assert m.atoms.size == 1
     assert m.atoms[0] == pytest.approx(0.0, abs=1e-14)
     assert m.weights[0] == pytest.approx(1.0, abs=1e-14)
 

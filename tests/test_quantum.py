@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroflux import quantum as qm
-from entroflux.errors import NumericalDomainError
+from entroflux.config import SystemEntry
+from entroflux.errors import ConfigValidationError, NumericalDomainError
 from entroflux.models import random_system
 from strategies import quantum_systems
 
@@ -67,7 +68,7 @@ def test_system_symmetrizes_non_hermitian_input_with_a_warning():
     skewed = w.copy()
     skewed[2, 0] += 1e-3
     with pytest.warns(UserWarning, match="density matrix deviates .*symmetrized") as caught:
-        system = qm.QuantumSystem(np.diag([0.0, 1.0, 2.0]), skewed.real, tri=True)
+        system = qm.QuantumSystem(np.diag([0.0, 1.0, 2.0]), skewed.real)
     assert [warning.filename for warning in caught] == [__file__]
     assert type(system.reference_state) is np.ndarray
     assert np.array_equal(system.reference_state, system.reference_state.conj().T)
@@ -94,6 +95,22 @@ def test_stored_matrices_diagonalize_as_memoized():
             fresh = qm.eig(stored)
             assert fresh.eigenvalues.tobytes() == memo.eigenvalues.tobytes()
             assert fresh.eigenvectors.tobytes() == memo.eigenvectors.tobytes()
+
+
+def test_eig_applies_the_hermitian_deviation_rule():
+    # max |A - A*| / 2 <= 1e-12 max(1, max |A_ij|), as config matrices
+    for skew in (0.9e-12, 1.1e-12):
+        mat = np.array([[0.0, 1.0 + 2 * skew], [1.0, 1.0]])
+        deviation, bound = qm.hermitian_deviation(mat)
+        assert (deviation < bound) == (skew < 1e-12)
+        if skew < 1e-12:
+            dec = qm.eig(mat)
+            np.testing.assert_allclose(dec.reconstruct(), (mat + mat.T) / 2,
+                                       atol=1e-14)
+        else:
+            with pytest.raises(ValueError,
+                               match="deviates from Hermitian by 1.100e-12"):
+                qm.eig(mat)
 
 
 def test_matrix_log_exp_roundtrip():
@@ -320,7 +337,7 @@ def test_simpson_quadrature_raises_when_depth_runs_out():
         return np.array([[0.0 if s < 0.3 else 1.0]])
     with pytest.raises(NumericalDomainError,
                        match=r"on \[.*\]: error estimate .* above tolerance"):
-        qm.adaptive_simpson_matrix(jump, 0.0, 1.0, max_depth=3)
+        qm.adaptive_simpson_matrix(jump, 0.0, 1.0)
 
 
 def test_simpson_quadrature_raises_on_non_finite_integrand():
@@ -373,9 +390,14 @@ def test_tri_flag_rejects_complex_matrices():
     h = _random_hermitian(3, 23)
     w = qm.matrix_exp(_random_hermitian(3, 24))
     w = w / np.trace(w).real
-    if np.abs(h.imag).max() > 1e-12:
-        with pytest.raises(ValueError):
-            qm.QuantumSystem(h, w, tri=True)
+    assert np.abs(h.imag).max() > 1e-12
+    assert qm.QuantumSystem(h, w).tri is False
+    # tri and the spectral memo are computed, never passed
+    for extra in ({"tri": False}, {"tri": None}, {"_memo": {}}):
+        with pytest.raises(TypeError):
+            qm.QuantumSystem(h, w, **extra)
+    with pytest.raises(TypeError):
+        qm.QuantumSystem(h, w, None, {})
 
 
 def test_tri_flag_autodetected_for_real_matrices():
@@ -389,11 +411,20 @@ def test_tri_flag_holds_for_every_qubit_and_must_match_detection():
     qubit = random_system(2, seed=1)
     assert np.abs(qubit.hamiltonian.imag).max() > 1e-3
     assert qubit.tri is True
-    assert qm.QuantumSystem(qubit.hamiltonian, qubit.reference_state,
-                            tri=True).tri is True
+    assert qm.QuantumSystem(qubit.hamiltonian,
+                            qubit.reference_state).tri is True
+    # a config that declares tri must match the detected flag
     h = _random_hermitian(3, 23)
     w = qm.matrix_exp(_random_hermitian(3, 24))
     for h_mat, w_mat in ((qubit.hamiltonian, qubit.reference_state),
                          (h.real, (w / np.trace(w)).real)):
-        with pytest.raises(ValueError, match="tri=False contradicts"):
-            qm.QuantumSystem(h_mat, w_mat, tri=False)
+        entry = SystemEntry("s", "quantum", {"hamiltonian": h_mat,
+                                             "reference_state": w_mat,
+                                             "tri": False})
+        with pytest.raises(ConfigValidationError,
+                           match="systems.s: tri=False contradicts"):
+            entry.build()
+    entry = SystemEntry("s", "quantum", {"hamiltonian": h, "reference_state":
+                                         w / np.trace(w).real, "tri": True})
+    with pytest.raises(ConfigValidationError, match="tri=True contradicts"):
+        entry.build()

@@ -286,6 +286,15 @@ def test_domain_error_names_row_and_system(monkeypatch):
                         vf.merge_tolerances())
 
 
+@pytest.mark.parametrize("weights", [[0.3, 0.7], [0.5, 0.25, 0.25],
+                                     [0.125, 0.25, 0.375, 0.25]])
+def test_chains_symmetric_under_any_reflection_pass(weights):
+    rows = vf.check_system("chain", "classical", cl.ClassicalSystem(weights),
+                           vf.merge_tolerances())
+    assert not [r for r in rows if r.status == vf.FAIL]
+    assert not [r for r in rows if r.name.endswith("_breaks")]
+
+
 @pytest.mark.parametrize("tri", [True, False])
 def test_rows_do_not_depend_on_which_row_filled_the_cache(monkeypatch, tri):
     """Each row run alone on a fresh Context, and all rows in reverse order,
