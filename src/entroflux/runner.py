@@ -33,9 +33,6 @@ from .config import ExperimentConfig, SystemEntry, default_config
 from .version import __version__
 
 DEFAULT_OUTPUT_DIR = "out"
-# smallest quantum dimension whose functionals curves are pooled: below it a
-# stack's LAPACK call is too short for two threads to overlap
-POOLED_DIM = 16
 
 CURVE_COLUMNS = ("system_id", "p", "t", "alpha", "value")
 DISTRIBUTION_COLUMNS = ("system_id", "t", "atom", "weight", "measure")
@@ -112,25 +109,17 @@ def _es_rows(distributions: ResultTable, system_id: str, system,
     return measures
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:                           # not on every platform
-        return os.cpu_count() or 1
-
-
 def run_functionals(cfg: ExperimentConfig) -> dict:
     """One curve row per (system, p, t, alpha); classical rows have empty p.
 
     With more than one CPU, the (p, t) curves of quantum systems of
-    dimension ``POOLED_DIM`` or more run on one thread per CPU; their LAPACK
-    calls release the interpreter lock.  Rows keep their order, and every
+    dimension ``verify.POOLED_DIM`` or more run on one thread per CPU; their
+    LAPACK calls release the interpreter lock.  Rows keep their order, and every
     value has the bits of a serial run.
     """
     alphas, ps, ts = _sorted_grids(cfg)
     curves = ResultTable(CURVE_COLUMNS)
-    workers = _cpu_count()
+    workers = vf.cpu_count()
     with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         for system_id, tag, system in cfg.build_systems():
             if tag == "classical":
@@ -139,7 +128,7 @@ def run_functionals(cfg: ExperimentConfig) -> dict:
                 continue
             grid = [(p, t) for p in ps for t in ts]
             sweep = map
-            if pool is not None and system.dim >= POOLED_DIM:
+            if pool is not None and system.dim >= vf.POOLED_DIM:
                 for t in ts:            # fill the memo: workers only read it
                     system.overlap(t)
                 sweep = pool.map
@@ -258,7 +247,7 @@ def _matrix_row(row) -> str:
 def _determinism_check() -> list:
     """Byte-identical tables and masked-manifest equality across two runs."""
     cfg = default_config()
-    pooled = SystemEntry("pooled", "random", {"dim": POOLED_DIM})
+    pooled = SystemEntry("pooled", "random", {"dim": vf.POOLED_DIM})
     cfg = replace(cfg, systems=cfg.systems + (pooled,), alphas=(0.0, 0.5, 1.0),
                   ps=(2.0, math.inf), ts=(1.0,))
     snapshots = []

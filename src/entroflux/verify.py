@@ -5,7 +5,12 @@ identity between two routes.  A row names its tolerance, its status rule,
 the system kinds it applies to and a residual function of a per-system
 ``Context``, whose curve cache evaluates each (p, t, alpha) once.
 ``run_battery`` runs the rows on a built-in roster, the caller's systems
-and the fixed systems of the batch rows.  Off time-reversal invariance a
+and the fixed systems of the batch rows.  With more than one CPU and
+``os.fork``, every system of dimension ``POOLED_DIM`` or more is checked in
+a forked worker process, one worker per CPU up to one per such system,
+largest first, while this process checks the others; rows are read back in
+table order, so the table and the first domain error are a serial run's.
+Off time-reversal invariance a
 ``TRI`` row is reported as ``<name>_breaks``, which asserts that the
 violation is present.  A ``NumericalDomainError`` in a row is re-raised
 naming the row and the system, with the rows run before it in ``results``.
@@ -15,6 +20,7 @@ classical residuals.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -63,6 +69,11 @@ _DIFF_STEP = 1e-4
 _H_FOUR = np.array([2.0, 1.0, -1.0, -2.0]) * _DIFF_STEP
 _QUADRATURE_PHASE = 16.0    # radians of Bohr phase over the quadrature row's span
 
+# smallest quantum dimension whose work is pooled: below it a functionals
+# curve's LAPACK call is too short for two threads to overlap, and a
+# system's battery too short to pay for a forked worker
+POOLED_DIM = 16
+
 BOUNDED = "bounded"    # pass when residual <= tolerance
 TRI = "tri"            # BOUNDED under TRI, else <name>_breaks at violation_floor
 BREAKS = "breaks"      # xfail when residual > tolerance: the violation is the point
@@ -105,6 +116,14 @@ def tri_check(name: str, system_id: str, residual: float, tri: bool,
         return bounded_check(name, system_id, residual, tol[key])
     return bounded_check(name + "_breaks", system_id, residual,
                          tol["violation_floor"], BREAKS)
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                           # not on every platform
+        return os.cpu_count() or 1
 
 
 def merge_tolerances(overrides=None) -> dict:
@@ -671,10 +690,42 @@ def run_battery(extra_systems=(), tolerances=None):
     every row that ran before it in ``results``."""
     tol = merge_tolerances(tolerances)
     systems = list(default_systems()) + list(extra_systems) + fixed_systems()
-    results = []
-    for system_id, kind, obj in systems:
+    large = sorted((k for k, (_, _, obj) in enumerate(systems)
+                    if getattr(obj, "dim", 0) >= POOLED_DIM),
+                   key=lambda k: -systems[k][2].dim)
+    cpus = cpu_count()
+    if cpus < 2 or not large or not hasattr(os, "fork"):
+        return _in_table_order(lambda s=s: check_system(*s, tol) for s in systems)
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    def settled(system) -> Future:
+        """A future already holding the system's rows or the exception raised."""
+        future = Future()
         try:
-            results += check_system(system_id, kind, obj, tol)
+            future.set_result(check_system(*system, tol))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    pool = ProcessPoolExecutor(min(cpus, len(large)),
+                               multiprocessing.get_context("fork"))
+    try:
+        pooled = {k: pool.submit(check_system, *systems[k], tol) for k in large}
+        futures = [pooled[k] if k in pooled else settled(s)
+                   for k, s in enumerate(systems)]
+        return _in_table_order(future.result for future in futures)
+    finally:
+        pool.shutdown(cancel_futures=True)     # after an error, skip queued systems
+
+
+def _in_table_order(outcomes):
+    """Concatenated rows of every system's ``outcome()``; the first domain
+    error is re-raised carrying every row before it."""
+    results = []
+    for outcome in outcomes:
+        try:
+            results += outcome()
         except NumericalDomainError as exc:
             exc.results = tuple(results) + exc.results
             raise

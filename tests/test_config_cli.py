@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import struct
 import sys
 import threading
@@ -11,6 +13,7 @@ from entroflux import cli, runner
 from entroflux import config as cf
 from entroflux import functionals as fn
 from entroflux import models as md
+from entroflux import quantum as qm
 from entroflux import verify as vf
 from entroflux.errors import (
     ConfigParseError,
@@ -430,7 +433,7 @@ def test_determinism_row_compares_pooled_sweeps(monkeypatch):
         return functional(*args, **kwargs)
 
     monkeypatch.setattr(fn, "functional", recorded)
-    monkeypatch.setattr(runner, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(vf, "cpu_count", lambda: 2)
     [row] = runner._determinism_check()
     assert (row.name, row.residual, row.status) == \
         ("runner_determinism", 0.0, vf.PASS)
@@ -531,7 +534,7 @@ def test_functionals_tables_do_not_depend_on_the_worker_count(monkeypatch):
     try:
         for workers in (1, 2, 8):
             in_main.clear()
-            monkeypatch.setattr(runner, "_cpu_count", lambda: workers)
+            monkeypatch.setattr(vf, "cpu_count", lambda: workers)
             tables[workers] = runner.run_functionals(
                 cf.parse_config(MIXED))["curves"].to_csv()
             assert in_main == ({True} if workers == 1 else {True, False})
@@ -549,7 +552,7 @@ def test_domain_error_in_a_worker_names_the_first_failing_curve(monkeypatch):
         "alpha: [", "alpha: [50, ").replace("t: [1, 2]", "t: [0.5, 1, 2]")
     messages = []
     for workers in (1, 2):
-        monkeypatch.setattr(runner, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(vf, "cpu_count", lambda: workers)
         with pytest.raises(NumericalDomainError) as caught:
             runner.run_functionals(cf.parse_config(text))
         messages.append(str(caught.value))
@@ -668,6 +671,82 @@ def test_cli_verify_domain_error_writes_the_rows_that_ran(tmp_path, capsys,
     ran = roster + probe[:failing]
     assert (out / "checks.csv").read_text() == runner.checks_to_table(ran).to_csv()
     assert json.loads((out / "run.json").read_text())["rows"] == {"checks": len(ran)}
+
+
+# two pooled systems (dim 16) among serial ones
+POOLED = """
+systems:
+  - {id: small, kind: random, dim: 3, seed: 4}
+  - {id: dense-a, kind: random, dim: 16, seed: 5}
+  - {id: chain, kind: random_classical, size: 5, seed: 2}
+  - {id: dense-b, kind: random, dim: 16, seed: 6, tri: true}
+"""
+
+
+def _verify_at(monkeypatch, tmp_path, workers, name):
+    """``verify`` on ``POOLED`` with ``workers`` CPUs: (exit code, checks.csv)."""
+    monkeypatch.setattr(vf, "cpu_count", lambda: workers)
+    path, out = tmp_path / "pooled.yaml", tmp_path / name
+    path.write_text(POOLED)
+    code = cli.main(["verify", "-c", str(path), "-o", str(out)])
+    return code, (out / "checks.csv").read_text()
+
+
+def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
+                                                          capsys):
+    pids = tmp_path / "pids"
+    exact = qm.mean_ep_expectation
+
+    def recorded(system, t):
+        if system.dim == vf.POOLED_DIM:
+            with open(pids, "a") as handle:     # also written by forked workers
+                handle.write(f"{os.getpid()}\n")
+        return exact(system, t)
+
+    monkeypatch.setattr(qm, "mean_ep_expectation", recorded)
+    tables = {}
+    for workers in (1, 2, 8):
+        pids.write_text("")
+        code, tables[workers] = _verify_at(monkeypatch, tmp_path, workers,
+                                           f"w{workers}")
+        assert code == 0
+        seen = set(pids.read_text().split())
+        assert seen and (str(os.getpid()) in seen) == (workers == 1)
+        assert not multiprocessing.active_children()
+    assert tables[2] == tables[1] and tables[8] == tables[1]
+    ids = [line.split(",", 1)[0] for line in tables[1].splitlines()[1:]]
+    order = [sid for k, sid in enumerate(ids) if k == 0 or ids[k - 1] != sid]
+    assert order[9:13] == ["small", "dense-a", "chain", "dense-b"]
+
+
+def test_verify_domain_error_in_a_worker_names_the_first_failing_system(
+        monkeypatch, tmp_path, capsys):
+    # dense-b breaks in an early row and so first in time, but dense-a comes
+    # first in table order; forked workers inherit both patches
+    def breaks_on_dim_16(route, tri):
+        def patched(system, *args):
+            if system.dim == vf.POOLED_DIM and system.tri == tri:
+                raise NumericalDomainError("synthetic breakdown")
+            return route(system, *args)
+        return patched
+
+    monkeypatch.setattr(fn, "variational_max",
+                        breaks_on_dim_16(fn.variational_max, False))
+    monkeypatch.setattr(qm, "mean_ep_expectation",
+                        breaks_on_dim_16(qm.mean_ep_expectation, True))
+    runs = []
+    for workers in (1, 2):
+        code, table = _verify_at(monkeypatch, tmp_path, workers, f"w{workers}")
+        runs.append((code, capsys.readouterr().err, table))
+        assert not multiprocessing.active_children()
+    assert runs[0] == runs[1]
+    code, err, table = runs[0]
+    assert code == 3
+    assert err == "numerical domain error: functional_variational on system " \
+                  "dense-a: synthetic breakdown\n"
+    ids = [line.split(",", 1)[0] for line in table.splitlines()[1:]]
+    roster = [sid for sid, _, _ in vf.default_systems()]
+    assert list(dict.fromkeys(ids)) == roster + ["small", "dense-a"]
 
 
 DIM_2 = "systems:\n  - {id: qubit-2, kind: random, dim: 2, tri: false, seed: 1}\n"

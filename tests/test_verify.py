@@ -1,4 +1,7 @@
 import math
+import pickle
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -284,6 +287,29 @@ def test_domain_error_names_row_and_system(monkeypatch):
                              "synthetic breakdown$"):
         vf.check_system("probe", "quantum", random_system(3, tri=True, seed=7),
                         vf.merge_tolerances())
+
+
+def test_domain_error_keeps_its_rows_through_pickling(monkeypatch):
+    # a forked battery worker sends its error back pickled
+    def boom(system, alpha, t):
+        raise NumericalDomainError("synthetic breakdown")
+
+    monkeypatch.setattr(fn, "variational_max", boom)
+    with pytest.raises(NumericalDomainError) as caught:
+        vf.check_system("probe", "quantum", random_system(3, tri=True, seed=7),
+                        vf.merge_tolerances())
+    copy = pickle.loads(pickle.dumps(caught.value))
+    assert str(copy) == str(caught.value)
+    assert copy.results and copy.results == caught.value.results
+
+
+def test_battery_below_the_pooled_dimension_imports_no_process_pool():
+    code = ("import sys; from entroflux import verify as vf; "
+            "vf.cpu_count = lambda: 2; vf.run_battery(); "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("weights", [[0.3, 0.7], [0.5, 0.25, 0.25],
