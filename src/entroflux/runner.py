@@ -17,7 +17,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +30,7 @@ from . import models as md
 from . import quantum as qm
 from . import verify as vf
 from .config import ExperimentConfig, SystemEntry, default_config
+from .errors import NumericalDomainError
 from .version import __version__
 
 DEFAULT_OUTPUT_DIR = "out"
@@ -92,6 +93,17 @@ def _sorted_grids(cfg: ExperimentConfig):
 
 # -- subcommand drivers ---------------------------------------------------
 
+@contextmanager
+def _on_system(subcommand: str, system_id: str):
+    """Re-raise a domain error naming the subcommand and the system, as a
+    battery row's names the row and the system."""
+    try:
+        yield
+    except NumericalDomainError as exc:
+        raise NumericalDomainError(
+            f"{subcommand} on system {system_id}: {exc}") from exc
+
+
 def _classical_curves(curves: ResultTable, system_id: str, system, times,
                       alphas: np.ndarray) -> None:
     for t in times:
@@ -114,28 +126,29 @@ def run_functionals(cfg: ExperimentConfig) -> dict:
 
     With more than one CPU, the (p, t) curves of quantum systems of
     dimension ``verify.POOLED_DIM`` or more run on one thread per CPU; their
-    LAPACK calls release the interpreter lock.  Rows keep their order, and every
-    value has the bits of a serial run.
+    LAPACK calls release the interpreter lock.  Rows keep their order, and
+    every value has the bits of a serial run.
     """
     alphas, ps, ts = _sorted_grids(cfg)
     curves = ResultTable(CURVE_COLUMNS)
     workers = vf.cpu_count()
     with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         for system_id, tag, system in cfg.build_systems():
-            if tag == "classical":
-                _classical_curves(curves, system_id, system,
-                                  cfg.classical_times(), alphas)
-                continue
-            grid = [(p, t) for p in ps for t in ts]
-            sweep = map
-            if pool is not None and system.dim >= vf.POOLED_DIM:
-                for t in ts:            # fill the memo: workers only read it
-                    system.overlap(t)
-                sweep = pool.map
-            values = sweep(lambda pt: fn.functional(system, pt[0], alphas, pt[1]),
-                           grid)
-            for (p, t), value in zip(grid, values):
-                curves.append(system_id, p, t, alphas, value)
+            with _on_system("functionals", system_id):
+                if tag == "classical":
+                    _classical_curves(curves, system_id, system,
+                                      cfg.classical_times(), alphas)
+                    continue
+                grid = [(p, t) for p in ps for t in ts]
+                sweep = map
+                if pool is not None and system.dim >= vf.POOLED_DIM:
+                    for t in ts:        # fill the memo: workers only read it
+                        system.overlap(t)
+                    sweep = pool.map
+                values = sweep(lambda pt: fn.functional(system, pt[0], alphas,
+                                                        pt[1]), grid)
+                for (p, t), value in zip(grid, values):
+                    curves.append(system_id, p, t, alphas, value)
     return {"curves": curves}
 
 
@@ -147,29 +160,30 @@ def run_fcs(cfg: ExperimentConfig) -> dict:
     curves = ResultTable(CURVE_COLUMNS)
     checks = ResultTable(CHECK_COLUMNS)
     for system_id, tag, system in cfg.build_systems():
-        if tag == "classical":
-            times = cfg.classical_times()
-            measures = _es_rows(distributions, system_id, system, times)
-            _classical_curves(curves, system_id, system, times, alphas)
-            _check_rows(checks, [
-                vf.tri_check("es_symmetry", system_id,
-                             ms.fluctuation_symmetry_residual(measure, t),
-                             system.tri, tol, "tv")
-                for t, measure in zip(times, measures)])
-        else:
-            for t in ts:
-                counting = fc.fcs_distribution(system, t)
-                modular = fc.modular_spectral_measure(system, t)
-                distributions.append(system_id, t, counting.atoms,
-                                     counting.weights, "P")
-                distributions.append(system_id, t, modular.atoms,
-                                     modular.weights, "Q")
-                curves.append(system_id, None, t, alphas,
-                              fc.fcs_cgf(counting, alphas, t))
-                _check_rows(checks, [vf.tri_check(
-                    "fcs_tv_distance", system_id,
-                    ms.total_variation(counting, modular), system.tri,
-                    tol, "tv")])
+        with _on_system("fcs", system_id):
+            if tag == "classical":
+                times = cfg.classical_times()
+                measures = _es_rows(distributions, system_id, system, times)
+                _classical_curves(curves, system_id, system, times, alphas)
+                _check_rows(checks, [
+                    vf.tri_check("es_symmetry", system_id,
+                                 ms.fluctuation_symmetry_residual(measure, t),
+                                 system.tri, tol, "tv")
+                    for t, measure in zip(times, measures)])
+            else:
+                for t in ts:
+                    counting = fc.fcs_distribution(system, t)
+                    modular = fc.modular_spectral_measure(system, t)
+                    distributions.append(system_id, t, counting.atoms,
+                                         counting.weights, "P")
+                    distributions.append(system_id, t, modular.atoms,
+                                         modular.weights, "Q")
+                    curves.append(system_id, None, t, alphas,
+                                  fc.fcs_cgf(counting, alphas, t))
+                    _check_rows(checks, [vf.tri_check(
+                        "fcs_tv_distance", system_id,
+                        ms.total_variation(counting, modular), system.tri,
+                        tol, "tv")])
     return {"curves": curves, "distributions": distributions, "checks": checks}
 
 
@@ -183,18 +197,19 @@ def run_classical(cfg: ExperimentConfig) -> dict:
     for system_id, tag, obj in cfg.build_systems():
         if tag != "classical":
             continue
-        times = cfg.classical_times()
-        _classical_curves(curves, system_id, obj, times, alphas)
-        _es_rows(distributions, system_id, obj, times)
-        fourway = vf.classical_fourway_residual(obj, (-0.5, 0.3, 0.5, 1.2),
-                                                times)
-        sym = vf.classical_symmetry_residual(obj, (-1.0, -0.25, 0.25, 2.0),
-                                             times[:1])
-        _check_rows(checks, [
-            vf.bounded_check("classical_identity_fourway", system_id, fourway,
-                             tol["classical_identity"]),
-            vf.tri_check("classical_symmetry", system_id, sym, obj.tri,
-                         tol, "symmetry")])
+        with _on_system("classical", system_id):
+            times = cfg.classical_times()
+            _classical_curves(curves, system_id, obj, times, alphas)
+            _es_rows(distributions, system_id, obj, times)
+            fourway = vf.classical_fourway_residual(obj, (-0.5, 0.3, 0.5, 1.2),
+                                                    times)
+            sym = vf.classical_symmetry_residual(obj, (-1.0, -0.25, 0.25, 2.0),
+                                                 times[:1])
+            _check_rows(checks, [
+                vf.bounded_check("classical_identity_fourway", system_id,
+                                 fourway, tol["classical_identity"]),
+                vf.tri_check("classical_symmetry", system_id, sym, obj.tri,
+                             tol, "symmetry")])
     return {"curves": curves, "distributions": distributions, "checks": checks}
 
 

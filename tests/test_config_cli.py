@@ -9,8 +9,10 @@ import threading
 import numpy as np
 import pytest
 
+from entroflux import classical as cl
 from entroflux import cli, runner
 from entroflux import config as cf
+from entroflux import fcs as fc
 from entroflux import functionals as fn
 from entroflux import models as md
 from entroflux import quantum as qm
@@ -557,6 +559,7 @@ def test_domain_error_in_a_worker_names_the_first_failing_curve(monkeypatch):
             runner.run_functionals(cf.parse_config(text))
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
+    assert messages[0].startswith("functionals on system dense: ")
     assert "p=1.0, alpha=50.0, t=0.5" in messages[0]
 
 
@@ -815,7 +818,31 @@ sweep:
     assert cli.main(["functionals", "-c", str(path),
                      "-o", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
-    assert "numerical domain error" in err and "alpha=50" in err
+    assert err.startswith("numerical domain error: functionals on system wide: ")
+    assert "alpha=50" in err
+
+
+def test_cli_fcs_domain_error_names_the_system(tmp_path, capsys, monkeypatch):
+    def boom(system, t):
+        raise NumericalDomainError("synthetic breakdown")
+
+    monkeypatch.setattr(fc, "modular_spectral_measure", boom)
+    path = tmp_path / "qubit.yaml"
+    path.write_text(QUBIT)
+    assert cli.main(["fcs", "-c", str(path), "-o", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == \
+        "numerical domain error: fcs on system flip: synthetic breakdown\n"
+
+
+def test_cli_classical_domain_error_names_the_system(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(cl, "VARIATIONAL_SLACK", -1.0)
+    path = tmp_path / "chain.yaml"
+    path.write_text(MINIMAL)
+    assert cli.main(["classical", "-c", str(path),
+                     "-o", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical domain error: classical on system chain: perturbed state")
 
 
 def test_cli_model_prints_junction(capsys):
