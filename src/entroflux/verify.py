@@ -375,10 +375,23 @@ def _functional_kernel_svd(c: Context) -> float:
 # -- counting statistics / modular --------------------------------------
 
 def _fcs_es_symmetry(c: Context) -> float:
-    counting = c.counting(c.fcs_t)
-    es = ms.fluctuation_symmetry_residual(counting, c.fcs_t)
+    """The fluctuation-symmetry residual of the counting measure and, under
+    TRI, the largest distance from -a to its nearest atom over the atoms a
+    whose mirror should carry e^(-t a) w(a) >= ``WEIGHT_DROP``: lighter
+    mirrors are dropped when the measure is built."""
+    t = c.fcs_t
+    counting = c.counting(t)
+    es = ms.fluctuation_symmetry_residual(counting, t)
     if c.tri:
-        es = max(es, float(np.abs(counting.atoms + counting.atoms[::-1]).max()))
+        atoms = counting.atoms
+        with np.errstate(over="ignore"):
+            required = np.exp(-t * atoms) * counting.weights >= ms.WEIGHT_DROP
+        mirrors = -atoms[required]
+        right = np.minimum(np.searchsorted(atoms, mirrors), atoms.size - 1)
+        left = np.maximum(right - 1, 0)
+        gaps = np.minimum(np.abs(atoms[left] - mirrors),
+                          np.abs(atoms[right] - mirrors))
+        es = max(es, float(gaps.max(initial=0.0)))
     return es
 
 

@@ -11,6 +11,7 @@ from entroflux import classical as cl
 from entroflux import config as cf
 from entroflux import fcs as fc
 from entroflux import functionals as fn
+from entroflux import measures as ms
 from entroflux import quantum as qm
 from entroflux import runner
 from entroflux import verify as vf
@@ -287,6 +288,35 @@ def test_domain_error_names_row_and_system(monkeypatch):
                              "synthetic breakdown$"):
         vf.check_system("probe", "quantum", random_system(3, tri=True, seed=7),
                         vf.merge_tolerances())
+
+
+def test_es_symmetry_pairs_atoms_whose_light_mirror_was_dropped():
+    # one mirror of this measure would weigh 1e-16, below the drop
+    system = random_system(12, tri=True, seed=2, spread=12)
+    ctx = vf.Context("quantum", system)
+    counting = ctx.counting(ctx.fcs_t)
+    assert counting.atoms.size % 2 == 0     # so the atoms are not mirror pairs
+    assert vf._fcs_es_symmetry(ctx) <= vf.DEFAULT_TOLERANCES["tv"]
+
+
+def test_es_symmetry_fails_a_light_atom_moved_off_its_mirror(monkeypatch):
+    exact = fc.fcs_distribution
+
+    def moved(system, t):
+        measure = exact(system, t)
+        atoms, weights = measure.atoms.copy(), measure.weights
+        mirror = np.exp(-t * atoms) * weights
+        # an atom and a mirror too light for the mass comparison to see
+        [light, *_] = np.flatnonzero((weights < 1e-11) & (mirror < 1e-11)
+                                     & (mirror >= ms.WEIGHT_DROP))
+        atoms[light] += 1e-6
+        return ms.SpectralMeasure(atoms, weights)
+
+    monkeypatch.setattr(fc, "fcs_distribution", moved)
+    ctx = vf.Context("quantum", random_system(8, tri=True, seed=3, spread=12))
+    counting = ctx.counting(ctx.fcs_t)
+    assert ms.fluctuation_symmetry_residual(counting, ctx.fcs_t) < 1e-10
+    assert vf._fcs_es_symmetry(ctx) == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_domain_error_keeps_its_rows_through_pickling(monkeypatch):
