@@ -707,14 +707,24 @@ def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
         return exact(system, t)
 
     monkeypatch.setattr(qm, "mean_ep_expectation", recorded)
+    fork, threads = os.fork, []
+
+    def counted_fork():
+        threads.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     tables = {}
     for workers in (1, 2, 8):
         pids.write_text("")
+        threads.clear()
         code, tables[workers] = _verify_at(monkeypatch, tmp_path, workers,
                                            f"w{workers}")
         assert code == 0
         seen = set(pids.read_text().split())
         assert seen and (str(os.getpid()) in seen) == (workers == 1)
+        # a worker per pooled system, each forked before any helper thread
+        assert threads == ([] if workers == 1 else [1, 1])
         assert not multiprocessing.active_children()
     assert tables[2] == tables[1] and tables[8] == tables[1]
     ids = [line.split(",", 1)[0] for line in tables[1].splitlines()[1:]]
