@@ -95,8 +95,8 @@ def _sorted_grids(cfg: ExperimentConfig):
 
 @contextmanager
 def _on_system(subcommand: str, system_id: str):
-    """Re-raise a domain error naming the subcommand and the system, as a
-    battery row's names the row and the system."""
+    """Re-raise a domain error naming the subcommand and the system, as the
+    battery names the row and the system."""
     try:
         yield
     except NumericalDomainError as exc:

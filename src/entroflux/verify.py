@@ -10,10 +10,10 @@ and the fixed systems of the batch rows.  With more than one CPU and
 a forked worker process, one worker per CPU up to one per such system,
 largest first, while this process checks the others; rows are read back in
 table order, so the table and the first domain error are a serial run's.
-Off time-reversal invariance a
-``TRI`` row is reported as ``<name>_breaks``, which asserts that the
-violation is present.  A ``NumericalDomainError`` in a row is re-raised
-naming the row and the system, with the rows run before it in ``results``.
+Off time-reversal invariance a ``TRI`` row is reported as ``<name>_breaks``,
+which asserts that the violation is present.  A ``NumericalDomainError`` in
+a row is re-raised naming the row and the system, with the rows run before
+it in ``results``.
 The ``fcs`` and ``classical`` subcommands reuse the status helpers and the
 classical residuals.
 """
@@ -721,6 +721,11 @@ def run_battery(extra_systems=(), tolerances=None):
             future.set_exception(exc)
         return future
 
+    # processes, since most of a system's battery time holds the interpreter
+    # lock; forked, since a spawned worker would import numpy and the library
+    # afresh.  Forking is safe only while no other thread runs; the one thread
+    # pool of the command line, in ``runner.run_functionals``, is shut down
+    # before that returns
     pool = ProcessPoolExecutor(min(cpus, len(large)),
                                multiprocessing.get_context("fork"))
     try:
