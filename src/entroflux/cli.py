@@ -1,11 +1,12 @@
 """Command line entry point.
 
-Exit codes: 0 success, 1 verification failure, 2 config error,
-3 numerical-domain error.
+Exit codes: 0 success, 1 verification failure, 2 config error or an
+output directory that cannot be written, 3 numerical-domain error.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -81,19 +82,23 @@ def _load(args):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    target = None
     try:
         cfg = _load(args)
-        if args.subcommand in _SWEEPS:
-            manifest, target = runner.execute(cfg, args.subcommand,
-                                              args.output_dir)
-            rows = sum(count for _, count in manifest["rows"].items())
-            print(f"{args.subcommand}: wrote {rows} rows to {target}")
-            return 0
         if args.subcommand == "model":
             sys.stdout.write(runner.run_model(cfg))
             return 0
-        start = time.monotonic()
         target = args.output_dir or cfg.output_dir
+        if args.subcommand in _SWEEPS:
+            target = target or runner.DEFAULT_OUTPUT_DIR
+        if target:      # before the run, so an unusable path fails at once
+            os.makedirs(target, exist_ok=True)
+        if args.subcommand in _SWEEPS:
+            manifest = runner.execute(cfg, args.subcommand, target)
+            rows = sum(count for _, count in manifest["rows"].items())
+            print(f"{args.subcommand}: wrote {rows} rows to {target}")
+            return 0
+        start = time.monotonic()
 
         def write(results):
             if target:
@@ -115,6 +120,12 @@ def main(argv=None) -> int:
     except NumericalDomainError as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        if target is None:
+            raise
+        print(f"output error: cannot write to directory {target}: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from .models import (
     random_classical_system,
     random_system,
 )
-from .quantum import QuantumSystem, hermitian_deviation
+from .quantum import QuantumSystem, hermitian
 from .verify import merge_tolerances
 
 DEFAULT_ALPHAS = tuple(float(a) for a in np.round(np.arange(-1.0, 2.0001, 0.05), 10))
@@ -136,7 +136,7 @@ def _entry(value, path: str) -> complex:
 
 
 def parse_matrix(value, path: str) -> np.ndarray:
-    """A Hermitian matrix: the builders may symmetrize it only by rounding."""
+    """The Hermitian part of a matrix that passes ``quantum.hermitian``."""
     if not isinstance(value, list) or not value:
         _fail(path, "expected a nonempty list of rows")
     rows = []
@@ -150,11 +150,10 @@ def parse_matrix(value, path: str) -> np.ndarray:
     mat = np.array(rows, dtype=complex)
     if mat.shape[0] != mat.shape[1]:
         _fail(path, f"matrix must be square, got shape {mat.shape}")
-    deviation, bound = hermitian_deviation(mat)
-    if deviation > bound:
-        _fail(path, f"deviates from Hermitian by {deviation:.3e} "
-                    f"(tolerance {bound:.3e})")
-    return mat
+    try:
+        return hermitian(mat, f"{path}:")
+    except ValueError as exc:
+        raise ConfigValidationError(str(exc)) from None
 
 
 def _quantum(params: dict, seed: int) -> QuantumSystem:

@@ -24,6 +24,7 @@ from .quantum import (
     as_matrix,
     evolved_integral,
     heisenberg_evolve,
+    hermitian,
     matrix_exp,
 )
 
@@ -77,13 +78,16 @@ def build_two_reservoir(left_hamiltonian, right_hamiltonian,
     """Assemble the coupled model from local pieces.
 
     ``coupling`` acts on the composite space and must match the product
-    dimension of the two local Hamiltonians.
+    dimension of the two local Hamiltonians.  Each piece must pass
+    ``quantum.hermitian`` and is stored as its Hermitian part, so the
+    composite Hamiltonian is Hermitian exactly.
     """
     if beta_left <= 0 or beta_right <= 0:
         raise ValueError("inverse temperatures must be positive")
-    h_left = as_matrix(left_hamiltonian)
-    h_right = as_matrix(right_hamiltonian)
-    v = as_matrix(coupling, h_left.shape[0] * h_right.shape[0])
+    h_left = hermitian(left_hamiltonian, "left Hamiltonian")
+    h_right = hermitian(right_hamiltonian, "right Hamiltonian")
+    v = hermitian(as_matrix(coupling, h_left.shape[0] * h_right.shape[0]),
+                  "coupling")
     total = (np.kron(h_left, np.eye(h_right.shape[0]))
              + np.kron(np.eye(h_left.shape[0]), h_right) + v)
     reference = np.kron(_gibbs(h_left, beta_left), _gibbs(h_right, beta_right))

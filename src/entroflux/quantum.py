@@ -7,18 +7,15 @@ A_t = exp(itH) A exp(-itH), states move by duality,
 rho_t = exp(-itH) rho exp(itH); time integrals of A_t are closed forms in
 the eigenbasis of H (``evolved_integral``).
 
-Every matrix is a plain complex array.  Matrices are checked where they
-enter: ``QuantumSystem`` stores the Hermitian parts (A + A*) / 2 of its
-Hamiltonian and reference state, warning when that moves an entry by more
-than rounding, and ``density_matrix`` checks the reference state and every
-matrix given as a state of a two-state entropy (unit trace, strictly
+Every matrix is a plain complex array, checked where it enters by one rule
+with one outcome: ``hermitian`` rejects a matrix more than rounding away
+from Hermitian and returns the Hermitian part (A + A*) / 2 of any other.
+``density_matrix`` also checks every state (unit trace, strictly
 positive).  Derived matrices (evolved operators and states, the entropy
 observables) are Hermitian parts too.
 """
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,33 +44,21 @@ def as_matrix(value, dim: int | None = None) -> np.ndarray:
     return mat
 
 
-def hermitian_deviation(mat: np.ndarray) -> tuple[float, float]:
-    """(max |A - A*| / 2, HERMITIAN_ATOL * max(1, max |A_ij|)): how far the
-    Hermitian part (A + A*) / 2 moves A, and the largest move that counts as
-    rounding."""
-    return (float(np.abs(mat - mat.conj().T).max()) / 2.0,
-            HERMITIAN_ATOL * max(1.0, float(np.abs(mat).max())))
+def hermitian(matrix, what: str) -> np.ndarray:
+    """The Hermitian part (A + A*) / 2 of a square finite matrix A, which
+    is rejected, named ``what``, if that moves an entry by more than
+    rounding: max |A - A*| / 2 above HERMITIAN_ATOL * max(1, max |A_ij|)."""
+    mat = as_matrix(matrix)
+    deviation = float(np.abs(mat - mat.conj().T).max()) / 2.0
+    bound = HERMITIAN_ATOL * max(1.0, float(np.abs(mat).max()))
+    if deviation > bound:
+        raise ValueError(f"{what} deviates from Hermitian by {deviation:.3e} "
+                         f"(tolerance {bound:.3e})")
+    return _hermitian_part(mat)
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
-
-
-def _symmetrize(matrix, what: str) -> np.ndarray:
-    mat = as_matrix(matrix)
-    correction, bound = hermitian_deviation(mat)
-    if correction > bound:
-        # name the first caller outside this module and outside the
-        # dataclass-generated __init__ of a system, also of a subclass
-        frame, level = sys._getframe(1), 2
-        while (frame.f_globals.get("__name__") == __name__
-               or isinstance(frame.f_locals.get("self"), QuantumSystem)):
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"{what} deviates from Hermitian by {correction:.3e}; symmetrized",
-            stacklevel=level,
-        )
-    return _hermitian_part(mat)
 
 
 def density_matrix(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +68,7 @@ def density_matrix(matrix) -> tuple[np.ndarray, np.ndarray]:
     States whose smallest eigenvalue falls below 1e-12 times the largest are
     rejected rather than regularized.
     """
-    mat = _symmetrize(matrix, "density matrix")
+    mat = hermitian(matrix, "density matrix")
     trace = np.trace(mat).real
     if abs(trace - 1.0) > TRACE_ATOL:
         raise ValueError(f"density matrix trace is {trace:.17g}, expected 1")
@@ -113,18 +98,12 @@ class SpectralDecomposition:
 def eig(operator) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input must pass ``hermitian_deviation``, the rule of every matrix
-    input; its Hermitian part is diagonalized.  The reconstruction
-    U diag(lam) U* is verified against the input to 1e-10 in Frobenius norm,
-    relative to the Frobenius norm of the input (or to 1 for near-zero
-    matrices).
+    The input must pass ``hermitian``, the rule of every matrix input; its
+    Hermitian part is diagonalized.  The reconstruction U diag(lam) U* is
+    verified against that part to 1e-10 in Frobenius norm, relative to its
+    Frobenius norm (or to 1 for near-zero matrices).
     """
-    mat = as_matrix(operator)
-    deviation, bound = hermitian_deviation(mat)
-    if deviation > bound:
-        raise ValueError(f"matrix deviates from Hermitian by {deviation:.3e} "
-                         f"(tolerance {bound:.3e})")
-    mat = _hermitian_part(mat)
+    mat = hermitian(operator, "matrix")
     evals, evecs = np.linalg.eigh(mat)
     dec = SpectralDecomposition(evals, evecs)
     scale = max(1.0, float(np.linalg.norm(mat)))
@@ -136,8 +115,7 @@ def eig(operator) -> SpectralDecomposition:
     return dec
 
 
-def matrix_log(operator) -> np.ndarray:
-    dec = operator if isinstance(operator, SpectralDecomposition) else eig(operator)
+def matrix_log(dec: SpectralDecomposition) -> np.ndarray:
     if dec.eigenvalues[0] <= 0.0:
         raise NumericalDomainError(
             f"logarithm needs a positive spectrum, min eigenvalue "
@@ -146,13 +124,12 @@ def matrix_log(operator) -> np.ndarray:
     return dec.apply(np.log)
 
 
-def matrix_power(operator, exponent: float) -> np.ndarray:
-    """Real matrix power of a Hermitian matrix.
+def matrix_power(dec: SpectralDecomposition, exponent: float) -> np.ndarray:
+    """Real matrix power of a Hermitian matrix, given as its decomposition.
 
     Fractional and negative exponents need a positive spectrum; integer
     powers accept any spectrum.
     """
-    dec = operator if isinstance(operator, SpectralDecomposition) else eig(operator)
     if exponent != int(exponent) or exponent < 0:
         if dec.eigenvalues[0] <= 0.0:
             raise NumericalDomainError(
@@ -163,18 +140,25 @@ def matrix_power(operator, exponent: float) -> np.ndarray:
 
 
 def matrix_exp(operator) -> np.ndarray:
-    dec = operator if isinstance(operator, SpectralDecomposition) else eig(operator)
-    return dec.apply(np.exp)
+    return eig(operator).apply(np.exp)
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumSystem:
     """Hamiltonian plus a faithful reference state, stored as the Hermitian
-    parts of the given matrices; the state is checked by ``density_matrix``.
+    parts of the given matrices.  Both must pass ``hermitian``, and the
+    state also ``density_matrix``; a matrix that fails raises, and none is
+    repaired.
 
     The computed flag ``tri`` marks time-reversal invariance, realized here
     as realness of both matrices in the standard basis.  Every dim-2 system
     has it: any two 2 x 2 Hermitian matrices are real in a common basis.
+
+    ``_memo`` holds the spectral data computed so far: the two
+    eigendecompositions (keys "h" and "rho"), one propagator per distinct
+    signed t (key ("u", t)) and one overlap per distinct t (key ("o", t)).
+    Each new key adds one n x n matrix and nothing is evicted, so the memo
+    grows with the number of distinct times a system is asked about.
     """
 
     hamiltonian: np.ndarray
@@ -183,7 +167,7 @@ class QuantumSystem:
     _memo: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        h = _symmetrize(self.hamiltonian, "Hamiltonian")
+        h = hermitian(self.hamiltonian, "Hamiltonian")
         rho, _ = density_matrix(self.reference_state)
         if h.shape != rho.shape:
             raise ValueError(f"Hamiltonian dim {h.shape[0]} does not match "

@@ -347,12 +347,12 @@ def write_outputs(output_dir: str, subcommand: str, tables: dict,
     return manifest
 
 
-def execute(cfg: ExperimentConfig, subcommand: str, output_dir=None):
-    """Run one data-producing subcommand end to end; returns the manifest."""
+def execute(cfg: ExperimentConfig, subcommand: str, output_dir: str) -> dict:
+    """Run one data-producing subcommand end to end, writing to
+    ``output_dir``; returns the manifest."""
     drivers = {"functionals": run_functionals, "fcs": run_fcs,
                "classical": run_classical}
     start = time.monotonic()
     tables = drivers[subcommand](cfg)
-    wall = time.monotonic() - start
-    target = output_dir or cfg.output_dir or DEFAULT_OUTPUT_DIR
-    return write_outputs(target, subcommand, tables, cfg, wall), target
+    return write_outputs(output_dir, subcommand, tables, cfg,
+                         time.monotonic() - start)

@@ -442,6 +442,16 @@ def test_determinism_row_compares_pooled_sweeps(monkeypatch):
     assert in_main == {True, False}
 
 
+def test_run_functionals_leaves_no_thread_behind(monkeypatch):
+    # run_battery forks only while no other thread runs
+    monkeypatch.setattr(vf, "cpu_count", lambda: 2)
+    cfg = cf.parse_config("systems: [{id: dense, kind: random, dim: 16}]\n"
+                          "sweep: {alpha: [0.5], p: [2], t: [1]}\n")
+    before = threading.active_count()
+    assert len(runner.run_functionals(cfg)["curves"]) == 1
+    assert threading.active_count() == before
+
+
 def test_run_fcs_emits_both_measures_and_identity_row():
     cfg = cf.parse_config(QUBIT)
     tables = runner.run_fcs(cfg)
@@ -578,6 +588,27 @@ def test_cli_functionals_writes_files(tmp_path, capsys):
     assert "6 rows" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("subcommand", ["classical", "verify"])
+def test_cli_unwritable_output_dir_exits_two_before_the_run(
+        subcommand, monkeypatch, tmp_path, capsys):
+    config_path, taken = tmp_path / "cfg.yaml", tmp_path / "taken"
+    config_path.write_text(MINIMAL)
+    taken.write_text("")
+
+    def never(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(runner, "run_classical", never)
+    monkeypatch.setattr(runner, "run_verify", never)
+    for out in (taken, taken / "sub"):
+        code = cli.main([subcommand, "-c", str(config_path), "-o", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"output error: cannot write to directory {out}: ")
+
+
 def test_cli_verify_defaults_pass(capsys):
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
@@ -622,10 +653,11 @@ def test_cli_unknown_tolerance_exits_two(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_numerical_domain_exits_three(monkeypatch, capsys):
+def test_cli_numerical_domain_exits_three(monkeypatch, tmp_path, capsys):
     def boom(cfg):
         raise NumericalDomainError("synthetic breakdown")
 
+    monkeypatch.chdir(tmp_path)         # the default output directory is made first
     monkeypatch.setattr(runner, "run_functionals", boom)
     monkeypatch.setitem(cli.__dict__, "runner", runner)
     assert cli.main(["functionals"]) == 3

@@ -124,13 +124,13 @@ def test_build_rejects_nonpositive_beta():
         md.build_two_reservoir(h, h, 1.0, -2.0, np.zeros((4, 4)))
 
 
-def test_build_warns_from_its_own_line_on_a_skewed_coupling():
+def test_build_rejects_a_skewed_coupling():
     h = np.diag([0.0, 1.0])
     v = np.zeros((4, 4))
     v[0, 1] = 0.1
-    with pytest.warns(UserWarning, match="Hamiltonian deviates .*symmetrized") as caught:
+    with pytest.raises(ValueError, match="^coupling deviates from Hermitian "
+                                         r"by 5\.000e-02 \(tolerance 1\.000e-12\)"):
         md.build_two_reservoir(h, h, 1.0, 2.0, v)
-    assert [warning.filename for warning in caught] == [md.__file__]
 
 
 def test_build_rejects_mismatched_coupling():

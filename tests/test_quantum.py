@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroflux import quantum as qm
-from entroflux.config import SystemEntry
+from entroflux import verify as vf
+from entroflux.config import SystemEntry, parse_matrix
 from entroflux.errors import ConfigValidationError, NumericalDomainError
-from entroflux.models import random_system
+from entroflux.models import build_two_reservoir, random_system
 from strategies import quantum_systems
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -54,27 +55,21 @@ def test_density_matrix_returns_hermitian_part_and_spectrum():
     assert spectrum[0] < spectrum[1]
 
 
-def test_system_symmetrizes_non_hermitian_input_with_a_warning():
+def test_system_rejects_non_hermitian_input():
     h = _random_hermitian(3, 41)
     h[0, 1] += 0.25
     w = qm.matrix_exp(_random_hermitian(3, 42))
     w = w / np.trace(w).real
-    with pytest.warns(UserWarning, match="Hamiltonian deviates .*symmetrized") as caught:
-        system = qm.QuantumSystem(h, w)
-    assert [warning.filename for warning in caught] == [__file__]
-    assert type(system.hamiltonian) is np.ndarray
-    assert np.array_equal(system.hamiltonian, system.hamiltonian.conj().T)
-    assert np.array_equal(system.hamiltonian, (h + h.conj().T) / 2)
+    with pytest.raises(ValueError, match="^Hamiltonian deviates from "
+                                         "Hermitian by 1.250e-01"):
+        qm.QuantumSystem(h, w)
     skewed = w.copy()
     skewed[2, 0] += 1e-3
-    with pytest.warns(UserWarning, match="density matrix deviates .*symmetrized") as caught:
-        system = qm.QuantumSystem(np.diag([0.0, 1.0, 2.0]), skewed.real)
-    assert [warning.filename for warning in caught] == [__file__]
-    assert type(system.reference_state) is np.ndarray
-    assert np.array_equal(system.reference_state, system.reference_state.conj().T)
-    with pytest.warns(UserWarning, match="density matrix deviates .*symmetrized") as caught:
+    with pytest.raises(ValueError, match="^density matrix deviates from "
+                                         "Hermitian by 5.000e-04"):
+        qm.QuantumSystem(np.diag([0.0, 1.0, 2.0]), skewed.real)
+    with pytest.raises(ValueError, match="^density matrix deviates"):
         qm.density_matrix(skewed)
-    assert [warning.filename for warning in caught] == [__file__]
 
 
 def test_system_symmetrizes_rounding_silently():
@@ -101,7 +96,8 @@ def test_eig_applies_the_hermitian_deviation_rule():
     # max |A - A*| / 2 <= 1e-12 max(1, max |A_ij|), as config matrices
     for skew in (0.9e-12, 1.1e-12):
         mat = np.array([[0.0, 1.0 + 2 * skew], [1.0, 1.0]])
-        deviation, bound = qm.hermitian_deviation(mat)
+        deviation = np.abs(mat - mat.conj().T).max() / 2
+        bound = qm.HERMITIAN_ATOL * max(1.0, np.abs(mat).max())
         assert (deviation < bound) == (skew < 1e-12)
         if skew < 1e-12:
             dec = qm.eig(mat)
@@ -113,29 +109,76 @@ def test_eig_applies_the_hermitian_deviation_rule():
                 qm.eig(mat)
 
 
+def _skewed(mat, k):
+    """``mat`` with max |A - A*| / 2 at k times the Hermitian bound."""
+    out = mat.copy()
+    out[0, -1] += 2 * k * qm.HERMITIAN_ATOL * max(1.0, np.abs(mat).max())
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=3), st.integers(0, 2**32 - 1),
+       st.floats(min_value=0.1, max_value=10.0), st.sampled_from([0.5, 2.0]))
+def test_one_hermitian_rule_at_every_entry_point(dim, seed, scale, k):
+    h = scale * _random_hermitian(dim, seed)
+    w = qm.matrix_exp(_random_hermitian(dim, seed + 1))
+    w = w / np.trace(w).real
+    right = np.diag([0.0, 1.0])
+    v = 0.25 * _random_hermitian(2 * dim, seed + 2)
+    entries = {
+        "parse_matrix": lambda: parse_matrix(
+            [[[z.real, z.imag] for z in row] for row in _skewed(h, k)], "m"),
+        "QuantumSystem H": lambda: qm.QuantumSystem(_skewed(h, k), w),
+        "QuantumSystem state": lambda: qm.QuantumSystem(h, _skewed(w, k)),
+        "density_matrix": lambda: qm.density_matrix(_skewed(w, k)),
+        "eig": lambda: qm.eig(_skewed(h, k)),
+        "left Hamiltonian": lambda: build_two_reservoir(
+            _skewed(h, k), right, 0.1, 0.2, v),
+        "right Hamiltonian": lambda: build_two_reservoir(
+            right, _skewed(h, k), 0.1, 0.2, v),
+        "coupling": lambda: build_two_reservoir(
+            right, right, 0.1, 0.2, _skewed(v[:4, :4], k)),
+    }
+    if k > 1:
+        for name, enter in entries.items():
+            with pytest.raises(ValueError, match="deviates from Hermitian"):
+                enter()
+        return
+    built = {name: enter() for name, enter in entries.items()}
+    # a junction stores the Hermitian parts of its pieces, so its Hamiltonian
+    # is their assembly exactly; the Gibbs half of the row is exact too when
+    # the local Hamiltonians are diagonal
+    assembly = next(row for row in vf.ROWS if row.name == "model_assembly")
+    for name in ("left Hamiltonian", "right Hamiltonian", "coupling"):
+        model = built[name]
+        assert np.array_equal(model.hamiltonian, model.left_embedded
+                              + model.right_embedded + model.coupling)
+    assert assembly.residual(vf.Context("reservoir", built["coupling"])) == 0.0
+
+
 def test_matrix_log_exp_roundtrip():
     h = _random_hermitian(5, 7)
     w = qm.matrix_exp(h)
-    np.testing.assert_allclose(qm.matrix_log(w), h, atol=1e-10)
+    np.testing.assert_allclose(qm.matrix_log(qm.eig(w)), h, atol=1e-10)
 
 
 def test_matrix_power_composes():
     w = qm.matrix_exp(_random_hermitian(4, 3))
-    half = qm.matrix_power(w, 0.5)
+    half = qm.matrix_power(qm.eig(w), 0.5)
     np.testing.assert_allclose(half @ half, w, atol=1e-10)
 
 
 def test_fractional_power_inverse():
     w = qm.matrix_exp(_random_hermitian(3, 11))
-    np.testing.assert_allclose(qm.matrix_power(w, -1.0) @ w, np.eye(3),
-                               atol=1e-10)
+    np.testing.assert_allclose(qm.matrix_power(qm.eig(w), -1.0) @ w,
+                               np.eye(3), atol=1e-10)
 
 
 def test_integer_power_keeps_negative_eigenvalues():
-    np.testing.assert_array_equal(qm.matrix_power(np.diag([-1.0, 1.0]), 2),
-                                  np.eye(2))
-    np.testing.assert_array_equal(qm.matrix_power(np.diag([-2.0, 1.0]), 3),
-                                  np.diag([-8.0, 1.0]))
+    np.testing.assert_array_equal(
+        qm.matrix_power(qm.eig(np.diag([-1.0, 1.0])), 2), np.eye(2))
+    np.testing.assert_array_equal(
+        qm.matrix_power(qm.eig(np.diag([-2.0, 1.0])), 3), np.diag([-8.0, 1.0]))
 
 
 def test_as_matrix_checks_shape_dim_and_entries():
@@ -255,9 +298,11 @@ def test_two_state_entropies_match_matrix_functions_property(states, alpha):
     # the matrix-function forms: tr(rho (log nu - log rho)) and
     # log tr(rho^alpha nu^(1-alpha))
     rho, nu = states
-    relative = np.trace(rho @ (qm.matrix_log(nu) - qm.matrix_log(rho))).real
-    renyi = math.log(np.trace(qm.matrix_power(rho, alpha)
-                              @ qm.matrix_power(nu, 1.0 - alpha)).real)
+    rho_eig, nu_eig = qm.eig(rho), qm.eig(nu)
+    relative = np.trace(rho @ (qm.matrix_log(nu_eig)
+                               - qm.matrix_log(rho_eig))).real
+    renyi = math.log(np.trace(qm.matrix_power(rho_eig, alpha)
+                              @ qm.matrix_power(nu_eig, 1.0 - alpha)).real)
     for got, want in ((qm.q_relative_entropy(rho, nu), relative),
                       (qm.q_renyi_entropy(rho, nu, alpha), renyi)):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
