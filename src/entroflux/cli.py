@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Exit codes: 0 success, 1 verification failure, 2 config error or an
-output directory that cannot be written, 3 numerical-domain error.
+output directory that cannot be written, 3 numerical-domain error, 4 a
+``verify`` worker process that died before returning a system's rows.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from dataclasses import replace
 from . import runner
 from . import verify as vf
 from .config import _seed, default_config, load_config
-from .errors import ConfigError, ConfigValidationError, NumericalDomainError
+from .errors import (ConfigError, ConfigValidationError, NumericalDomainError,
+                     WorkerLostError)
 from .version import __version__
 
 _SWEEPS = ("functionals", "fcs", "classical")
@@ -108,7 +110,7 @@ def main(argv=None) -> int:
 
         try:
             results, passed = runner.run_verify(cfg)
-        except NumericalDomainError as exc:
+        except (NumericalDomainError, WorkerLostError) as exc:
             write(exc.results)      # the rows that ran before the error
             raise
         print(runner.render_check_table(results))
@@ -120,6 +122,9 @@ def main(argv=None) -> int:
     except NumericalDomainError as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)
         return 3
+    except WorkerLostError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         if target is None:
             raise

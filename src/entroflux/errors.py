@@ -13,6 +13,11 @@ class NumericalDomainError(ValueError):
     results: tuple = ()
 
 
+class WorkerLostError(RuntimeError):
+    """A battery worker process died before returning a system's rows;
+    ``results`` holds the verification rows of the systems before it."""
+
+
 class ConfigError(ValueError):
     """Base class for experiment configuration problems."""
 

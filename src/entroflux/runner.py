@@ -34,6 +34,9 @@ from .errors import NumericalDomainError
 from .version import __version__
 
 DEFAULT_OUTPUT_DIR = "out"
+# smallest quantum dimension whose functionals curves run on threads: below
+# it a curve's LAPACK call is too short for two threads to overlap
+POOLED_DIM = 16
 
 CURVE_COLUMNS = ("system_id", "p", "t", "alpha", "value")
 DISTRIBUTION_COLUMNS = ("system_id", "t", "atom", "weight", "measure")
@@ -125,7 +128,7 @@ def run_functionals(cfg: ExperimentConfig) -> dict:
     """One curve row per (system, p, t, alpha); classical rows have empty p.
 
     With more than one CPU, the (p, t) curves of quantum systems of
-    dimension ``verify.POOLED_DIM`` or more run on one thread per CPU; their
+    dimension ``POOLED_DIM`` or more run on one thread per CPU; their
     LAPACK calls release the interpreter lock.  Rows keep their order, and
     every value has the bits of a serial run.
     """
@@ -141,7 +144,7 @@ def run_functionals(cfg: ExperimentConfig) -> dict:
                     continue
                 grid = [(p, t) for p in ps for t in ts]
                 sweep = map
-                if pool is not None and system.dim >= vf.POOLED_DIM:
+                if pool is not None and system.dim >= POOLED_DIM:
                     for t in ts:        # fill the memo: workers only read it
                         system.overlap(t)
                     sweep = pool.map
@@ -262,7 +265,7 @@ def _matrix_row(row) -> str:
 def _determinism_check() -> list:
     """Byte-identical tables and masked-manifest equality across two runs."""
     cfg = default_config()
-    pooled = SystemEntry("pooled", "random", {"dim": vf.POOLED_DIM})
+    pooled = SystemEntry("pooled", "random", {"dim": POOLED_DIM})
     cfg = replace(cfg, systems=cfg.systems + (pooled,), alphas=(0.0, 0.5, 1.0),
                   ps=(2.0, math.inf), ts=(1.0,))
     snapshots = []

@@ -6,10 +6,10 @@ the system kinds it applies to and a residual function of a per-system
 ``Context``, whose curve cache evaluates each (p, t, alpha) once.
 ``run_battery`` runs the rows on a built-in roster, the caller's systems
 and the fixed systems of the batch rows.  With more than one CPU and
-``os.fork``, every system of dimension ``POOLED_DIM`` or more is checked in
-a forked worker process, one worker per CPU up to one per such system,
-largest first, while this process checks the others; rows are read back in
-table order, so the table and the first domain error are a serial run's.
+``os.fork``, every system is checked in a forked worker process, one worker
+per CPU up to one per system, largest first, while this process only reads
+the rows back in table order, so the table and the first domain error are a
+serial run's.
 Off time-reversal invariance a ``TRI`` row is reported as ``<name>_breaks``,
 which asserts that the violation is present.  A ``NumericalDomainError`` in
 a row is re-raised naming the row and the system, with the rows run before
@@ -32,7 +32,7 @@ from . import functionals as fn
 from . import measures as ms
 from . import models as md
 from . import quantum as qm
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, WorkerLostError
 
 PASS = "pass"
 FAIL = "fail"
@@ -68,11 +68,6 @@ _T_GRID = (0.5, 1.0, math.pi / 2)
 _DIFF_STEP = 1e-4
 _H_FOUR = np.array([2.0, 1.0, -1.0, -2.0]) * _DIFF_STEP
 _QUADRATURE_PHASE = 16.0    # radians of Bohr phase over the quadrature row's span
-
-# smallest quantum dimension whose work is pooled: below it a functionals
-# curve's LAPACK call is too short for two threads to overlap, and a
-# system's battery too short to pay for a forked worker
-POOLED_DIM = 16
 
 BOUNDED = "bounded"    # pass when residual <= tolerance
 TRI = "tri"            # BOUNDED under TRI, else <name>_breaks at violation_floor
@@ -700,51 +695,41 @@ def check_system(system_id: str, kind: str, obj, tol: dict):
 def run_battery(extra_systems=(), tolerances=None):
     """Every row on the roster, then the extra systems, then the fixed
     systems; returns the list of CheckResult rows.  A domain error carries
-    every row that ran before it in ``results``."""
+    every row before it in ``results``, and so does the ``WorkerLostError``
+    of a worker process that died, which names the first system in table
+    order whose rows did not come back."""
     tol = merge_tolerances(tolerances)
     systems = list(default_systems()) + list(extra_systems) + fixed_systems()
-    large = sorted((k for k, (_, _, obj) in enumerate(systems)
-                    if getattr(obj, "dim", 0) >= POOLED_DIM),
-                   key=lambda k: -systems[k][2].dim)
-    cpus = cpu_count()
-    if cpus < 2 or not large or not hasattr(os, "fork"):
-        return _in_table_order(lambda s=s: check_system(*s, tol) for s in systems)
-    import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
-
-    def settled(system) -> Future:
-        """A future already holding the system's rows or the exception raised."""
-        future = Future()
-        try:
-            future.set_result(check_system(*system, tol))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-    # processes, since most of a system's battery time holds the interpreter
-    # lock; forked, since a spawned worker would import numpy and the library
-    # afresh.  Forking is safe only while no other thread runs; the one thread
-    # pool of the command line, in ``runner.run_functionals``, is shut down
-    # before that returns
-    pool = ProcessPoolExecutor(min(cpus, len(large)),
-                               multiprocessing.get_context("fork"))
+    workers = min(cpu_count(), len(systems))
+    pool, lost, results = None, (), []
     try:
-        pooled = {k: pool.submit(check_system, *systems[k], tol) for k in large}
-        futures = [pooled[k] if k in pooled else settled(s)
-                   for k, s in enumerate(systems)]
-        return _in_table_order(future.result for future in futures)
+        if workers > 1 and hasattr(os, "fork"):
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool as lost
+
+            # processes, since most of a system's battery time holds the
+            # interpreter lock; forked, since a spawned worker would import
+            # numpy and the library afresh.  Forking is safe only while no
+            # other thread runs; the one thread pool of the command line, in
+            # ``runner.run_functionals``, is shut down before that returns.
+            # Largest first, so that the last system to finish is a short one
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+            order = sorted(range(len(systems)),
+                           key=lambda k: -getattr(systems[k][2], "dim", 0))
+            futures = {k: pool.submit(check_system, *systems[k], tol) for k in order}
+        for k, system in enumerate(systems):        # rows in table order
+            try:
+                results += futures[k].result() if pool else check_system(*system, tol)
+            except lost as exc:
+                error = WorkerLostError("a battery worker process died before "
+                                        f"the rows of system {system[0]} came back")
+                error.results = tuple(results)
+                raise error from exc
+            except NumericalDomainError as exc:
+                exc.results = tuple(results) + exc.results
+                raise
+        return results
     finally:
-        pool.shutdown(cancel_futures=True)     # after an error, skip queued systems
-
-
-def _in_table_order(outcomes):
-    """Concatenated rows of every system's ``outcome()``; the first domain
-    error is re-raised carrying every row before it."""
-    results = []
-    for outcome in outcomes:
-        try:
-            results += outcome()
-        except NumericalDomainError as exc:
-            exc.results = tuple(results) + exc.results
-            raise
-    return results
+        if pool is not None:        # after an error, skip queued systems
+            pool.shutdown(cancel_futures=True)

@@ -2,9 +2,11 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -708,7 +710,7 @@ def test_cli_verify_domain_error_writes_the_rows_that_ran(tmp_path, capsys,
     assert json.loads((out / "run.json").read_text())["rows"] == {"checks": len(ran)}
 
 
-# two pooled systems (dim 16) among serial ones
+# two dim-16 systems, handed out first, among smaller ones
 POOLED = """
 systems:
   - {id: small, kind: random, dim: 3, seed: 4}
@@ -730,15 +732,14 @@ def _verify_at(monkeypatch, tmp_path, workers, name):
 def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
                                                           capsys):
     pids = tmp_path / "pids"
-    exact = qm.mean_ep_expectation
 
-    def recorded(system, t):
-        if system.dim == vf.POOLED_DIM:
+    class Recorded(vf.Context):     # one per checked system
+        def __init__(self, kind, system):
             with open(pids, "a") as handle:     # also written by forked workers
                 handle.write(f"{os.getpid()}\n")
-        return exact(system, t)
+            super().__init__(kind, system)
 
-    monkeypatch.setattr(qm, "mean_ep_expectation", recorded)
+    monkeypatch.setattr(vf, "Context", Recorded)
     fork, threads = os.fork, []
 
     def counted_fork():
@@ -746,6 +747,7 @@ def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    systems = len(vf.default_systems()) + 4 + len(vf.fixed_systems())  # 4 in POOLED
     tables = {}
     for workers in (1, 2, 8):
         pids.write_text("")
@@ -753,15 +755,51 @@ def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
         code, tables[workers] = _verify_at(monkeypatch, tmp_path, workers,
                                            f"w{workers}")
         assert code == 0
-        seen = set(pids.read_text().split())
-        assert seen and (str(os.getpid()) in seen) == (workers == 1)
-        # a worker per pooled system, each forked before any helper thread
-        assert threads == ([] if workers == 1 else [1, 1])
+        seen = pids.read_text().split()
+        assert len(seen) == systems
+        # with more than one CPU the parent checks no system
+        assert (str(os.getpid()) in seen) == (workers == 1)
+        # a worker per CPU up to one per system, each forked before any
+        # helper thread
+        assert threads == [1] * (min(workers, systems) if workers > 1 else 0)
         assert not multiprocessing.active_children()
     assert tables[2] == tables[1] and tables[8] == tables[1]
     ids = [line.split(",", 1)[0] for line in tables[1].splitlines()[1:]]
     order = [sid for k, sid in enumerate(ids) if k == 0 or ids[k - 1] != sid]
     assert order[9:13] == ["small", "dense-a", "chain", "dense-b"]
+
+
+def test_verify_worker_death_exits_four_with_the_rows_before_it(
+        monkeypatch, tmp_path, capsys):
+    exact = fn.variational_max
+
+    def dies_on_dim_16(system, alpha, t):
+        if system.dim == 16:
+            time.sleep(0.2)     # so that the other worker returns some rows
+            os._exit(9)         # as an out-of-memory kill ends a worker
+        return exact(system, alpha, t)
+
+    monkeypatch.setattr(fn, "variational_max", dies_on_dim_16)
+    monkeypatch.setattr(vf, "cpu_count", lambda: 2)
+    path, out = tmp_path / "dies.yaml", tmp_path / "out"
+    path.write_text("systems:\n  - {id: probe, kind: random, dim: 16, seed: 1}\n")
+    assert cli.main(["verify", "-c", str(path), "-o", str(out)]) == 4
+    assert not multiprocessing.active_children()
+    err = capsys.readouterr().err
+    lost = re.fullmatch("worker error: a battery worker process died before "
+                        "the rows of system (.+) came back\n", err).group(1)
+    # the probe's rows never come back; those of earlier systems may not
+    roster = vf.default_systems()
+    before = roster[:([sid for sid, _, _ in roster] + ["probe"]).index(lost)]
+    ran = [r for system in before
+           for r in vf.check_system(*system, vf.merge_tolerances())]
+    written = json.loads((out / "run.json").read_text())["rows"]
+    if ran:     # an empty table writes no file
+        assert written == {"checks": len(ran)}
+        assert (out / "checks.csv").read_text() == \
+            runner.checks_to_table(ran).to_csv()
+    else:
+        assert written == {} and not (out / "checks.csv").exists()
 
 
 def test_verify_domain_error_in_a_worker_names_the_first_failing_system(
@@ -770,7 +808,7 @@ def test_verify_domain_error_in_a_worker_names_the_first_failing_system(
     # first in table order; forked workers inherit both patches
     def breaks_on_dim_16(route, tri):
         def patched(system, *args):
-            if system.dim == vf.POOLED_DIM and system.tri == tri:
+            if system.dim == runner.POOLED_DIM and system.tri == tri:
                 raise NumericalDomainError("synthetic breakdown")
             return route(system, *args)
         return patched

@@ -3,6 +3,7 @@ import pickle
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from entroflux import runner
 from entroflux import verify as vf
 from entroflux.errors import NumericalDomainError
 from entroflux.models import random_classical_system, random_system
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
 
 CHECKED = """
 systems:
@@ -137,6 +140,7 @@ def test_battery_runs_quadrature_once_per_core_system(monkeypatch):
         return quadrature(*args, **kwargs)
 
     monkeypatch.setattr(qm, "adaptive_simpson_matrix", counted)
+    monkeypatch.setattr(vf, "cpu_count", lambda: 1)    # calls are seen in-process
     vf.run_battery()
     core = [sid for sid, kind, _ in vf.default_systems()
             if kind in ("quantum", "commuting", "qubit", "reservoir")]
@@ -250,6 +254,8 @@ def test_every_tolerance_key_is_read(monkeypatch):
     exact = vf.merge_tolerances
     monkeypatch.setattr(vf, "merge_tolerances",
                         lambda overrides=None: Recording(exact(overrides)))
+    # reads are seen in-process, and a local class cannot reach a worker
+    monkeypatch.setattr(vf, "cpu_count", lambda: 1)
     vf.run_battery()
     by_rows = set(read)
     read.clear()
@@ -333,13 +339,33 @@ def test_domain_error_keeps_its_rows_through_pickling(monkeypatch):
     assert copy.results and copy.results == caught.value.results
 
 
-def test_battery_below_the_pooled_dimension_imports_no_process_pool():
+def test_one_cpu_battery_imports_no_process_pool():
     code = ("import sys; from entroflux import verify as vf; "
-            "vf.cpu_count = lambda: 2; vf.run_battery(); "
+            "vf.cpu_count = lambda: 1; vf.run_battery(); "
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def _bits(results):
+    return [(r.name, r.system_id, r.residual.hex(), r.tolerance.hex(), r.status)
+            for r in results]
+
+
+def test_every_battery_system_survives_the_process_boundary():
+    """A forked worker receives each system pickled: the copy gives the
+    original's rows bit for bit, for the roster, the fixed systems and one
+    config system of each kind."""
+    cfg = cf.load_config(EXAMPLE)
+    assert [entry.kind for entry in cfg.systems] == \
+        ["classical", "quantum", "two_reservoir", "random", "random_classical"]
+    tol = vf.merge_tolerances()
+    for sid, kind, obj in (vf.default_systems() + cfg.build_systems()
+                           + vf.fixed_systems()):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert _bits(vf.check_system(sid, kind, copy, tol)) == \
+            _bits(vf.check_system(sid, kind, obj, tol))
 
 
 @pytest.mark.parametrize("weights", [[0.3, 0.7], [0.5, 0.25, 0.25],
