@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalDomainError
-from .measures import SpectralMeasure, build_measure, logsumexp
+from .measures import (SpectralMeasure, build_measure, logsumexp,
+                       logsumexp_in_place)
 
 TRI_ATOL = 1e-12
 VARIATIONAL_SLACK = 1e-10
@@ -116,7 +117,8 @@ def classical_functional(system: ClassicalSystem, alpha, t: int):
     tt = _integer_positive_time(t)
     sig = mean_ep_observable(system, tt)
     logw = np.log(system.reference_state)
-    return logsumexp(logw - (np.asarray(alpha) * tt)[..., None] * sig)
+    exponents = np.multiply((np.asarray(alpha) * tt)[..., None], sig)
+    return logsumexp_in_place(np.subtract(logw, exponents, out=exponents))
 
 
 def es_distribution(system: ClassicalSystem, t: int) -> SpectralMeasure:
@@ -139,16 +141,23 @@ def variational_functional(system: ClassicalSystem, alpha, t: int):
     sig = mean_ep_observable(system, tt)
     logw = np.log(system.reference_state)
     scale = (np.asarray(alpha) * tt)[..., None]
-    exponents = (logw - scale * sig)[..., None, :]
-    maximizer = np.exp(exponents - logsumexp(exponents)[..., None])
+    # one row per state: the maximizer, then the perturbed states
+    states = np.empty(scale.shape[:-1] + (1 + _PERTURBATION_TRIALS, system.size))
+    maximizer, perturbed = states[..., :1, :], states[..., 1:, :]
+    np.subtract(logw, np.multiply(scale[..., None], sig, out=maximizer),
+                out=maximizer)
+    maximizer -= logsumexp(maximizer)[..., None]
+    np.exp(maximizer, out=maximizer)
     jitter = np.random.default_rng(_PERTURBATION_SEED).dirichlet(
         np.ones(system.size), size=_PERTURBATION_TRIALS)
-    perturbed = 0.8 * maximizer + 0.2 * jitter
-    # one row per state: the maximizer, then the perturbed states
-    states = np.concatenate(
-        [maximizer, perturbed / perturbed.sum(axis=-1, keepdims=True)], axis=-2)
-    values = (np.sum(states * (logw - np.log(states)), axis=-1)
-              - scale * np.sum(states * sig, axis=-1))
+    np.multiply(0.8, maximizer, out=perturbed)
+    perturbed += 0.2 * jitter
+    perturbed /= perturbed.sum(axis=-1, keepdims=True)
+    work = np.multiply(states, sig)
+    mean_sig = work.sum(axis=-1)
+    np.subtract(logw, np.log(states, out=work), out=work)
+    values = (np.sum(np.multiply(states, work, out=work), axis=-1)
+              - scale * mean_sig)
     best = values[..., 0]
     excess = (values[..., 1:] - best[..., None]).max()
     if excess > VARIATIONAL_SLACK:
@@ -167,7 +176,10 @@ def renyi_identity_check(system: ClassicalSystem, alpha, t: int):
     tt = _integer_positive_time(t)
     logw = np.log(system.reference_state)
     a = np.asarray(alpha)[..., None]
-    return logsumexp((1.0 - a) * np.roll(logw, tt) + a * logw)
+    terms = np.empty((2,) + np.broadcast_shapes(a.shape, logw.shape))
+    np.multiply(1.0 - a, np.roll(logw, tt), out=terms[0])
+    np.multiply(a, logw, out=terms[1])
+    return logsumexp_in_place(np.add(terms[0], terms[1], out=terms[0]))
 
 
 def classical_transfer_functional(system: ClassicalSystem, p: float, alpha,
@@ -183,5 +195,6 @@ def classical_transfer_functional(system: ClassicalSystem, p: float, alpha,
     tt = _integer_positive_time(t)
     s0 = -np.log(system.reference_state)
     s_mt = np.roll(s0, tt)
-    return logsumexp(np.asarray(alpha)[..., None] * (s0 - s_mt)
-                     + np.log(system.reference_state))
+    exponents = np.multiply(np.asarray(alpha)[..., None], s0 - s_mt)
+    return logsumexp_in_place(np.add(exponents, np.log(system.reference_state),
+                                     out=exponents))

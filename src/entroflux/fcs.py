@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalDomainError
-from .measures import WEIGHT_DROP, SpectralMeasure, build_measure, logsumexp
+from .measures import (WEIGHT_DROP, SpectralMeasure, build_measure,
+                       logsumexp_in_place)
 from .quantum import QuantumSystem, as_matrix, matrix_power
 
 
@@ -51,8 +52,10 @@ def fcs_cgf(measure: SpectralMeasure, alpha, t: float):
     live = measure.weights > 0.0
     if not live.any():
         raise NumericalDomainError("measure carries no mass")
-    return logsumexp(np.log(measure.weights[live])
-                     - (t * np.asarray(alpha))[..., None] * measure.atoms[live])
+    exponents = np.multiply((t * np.asarray(alpha))[..., None],
+                            measure.atoms[live])
+    return logsumexp_in_place(np.subtract(np.log(measure.weights[live]),
+                                          exponents, out=exponents))
 
 
 def relative_modular_apply(system: QuantumSystem, t: float,

@@ -56,11 +56,22 @@ class SpectralMeasure:
 
 def logsumexp(exponents: np.ndarray):
     """log sum_k exp(x_k) over the last axis, shifted by the largest term; -inf
-    for no terms.  A vector gives a float, a stack of vectors an array."""
+    for no terms.  A vector gives a float, a stack of vectors an array.
+
+    Never writes into ``exponents``: the shift and the exponentials go to
+    one copy of it."""
+    return logsumexp_in_place(np.array(exponents, dtype=float))
+
+
+def logsumexp_in_place(exponents: np.ndarray):
+    """``logsumexp`` of a float array the caller has just built and will not
+    read again: its rows are shifted by their maxima and exponentiated in
+    place, so the call allocates nothing of the array's size."""
     if exponents.shape[-1] == 0:
         return -np.inf
     m = exponents.max(-1)
-    out = m + np.log(np.exp(exponents - m[..., None]).sum(-1))
+    exponents -= m[..., None]
+    out = m + np.log(np.exp(exponents, out=exponents).sum(-1))
     return float(out) if exponents.ndim == 1 else out
 
 

@@ -74,14 +74,19 @@ class ResultTable:
     def __len__(self) -> int:
         return sum(n for _, n in self.blocks)
 
+    def _csv_blocks(self):
+        """The CSV text in pieces: the header line, then each block's rows
+        as one string, rendered by one ``%`` over all the block's cells."""
+        yield ",".join(self.columns) + "\n"
+        for values, count in self.blocks:
+            row = ",".join("%.17g" if isinstance(v, np.ndarray)
+                           else _cell(v).replace("%", "%%") for v in values)
+            arrays = [v for v in values if isinstance(v, np.ndarray)]
+            cells = np.column_stack(arrays).ravel().tolist() if arrays else ()
+            yield (row + "\n") * count % tuple(cells)
+
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for values, _ in self.blocks:
-            template = ",".join("%.17g" if isinstance(v, np.ndarray)
-                                else _cell(v).replace("%", "%%") for v in values)
-            arrays = [v.tolist() for v in values if isinstance(v, np.ndarray)]
-            lines.extend(template % row for row in (zip(*arrays) if arrays else [()]))
-        return "\n".join(lines) + "\n"
+        return "".join(self._csv_blocks())
 
 
 def _check_rows(table: ResultTable, results) -> None:
@@ -333,7 +338,7 @@ def write_outputs(output_dir: str, subcommand: str, tables: dict,
             continue
         path = os.path.join(output_dir, f"{name}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(table.to_csv())
+            handle.writelines(table._csv_blocks())
         rows_written[name] = len(table)
     manifest = {
         "config_sha256": hashlib.sha256(cfg.source_text.encode()).hexdigest(),

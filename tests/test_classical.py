@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from entroflux import classical as cl
 from entroflux.errors import NumericalDomainError
-from entroflux.measures import fluctuation_symmetry_residual
+from entroflux.fcs import fcs_cgf
+from entroflux.measures import fluctuation_symmetry_residual, logsumexp
 from entroflux.models import random_classical_system
 
 REFERENCE = cl.ClassicalSystem([0.25, 0.5, 0.25])
@@ -205,6 +206,53 @@ def test_functional_over_an_alpha_array_equals_scalar_calls(size, seed, t,
         values = route(system, np.array(alphas), t)
         assert np.array_equal(values, [route(system, a, t) for a in alphas])
         assert type(route(system, alphas[0], t)) is float
+
+
+def _one_expression_forms(system, alpha, t):
+    """Each route's exponents written as one expression, handed to the
+    copying ``logsumexp``: the values every route must keep bit for bit."""
+    logw = np.log(system.reference_state)
+    sig = cl.mean_ep_observable(system, t)
+    a = np.asarray(alpha)[..., None]
+    scale = (np.asarray(alpha) * t)[..., None]
+    exponents = (logw - scale * sig)[..., None, :]
+    maximizer = np.exp(exponents - logsumexp(exponents)[..., None])
+    jitter = np.random.default_rng(cl._PERTURBATION_SEED).dirichlet(
+        np.ones(system.size), size=cl._PERTURBATION_TRIALS)
+    perturbed = 0.8 * maximizer + 0.2 * jitter
+    states = np.concatenate(
+        [maximizer, perturbed / perturbed.sum(axis=-1, keepdims=True)], axis=-2)
+    values = (np.sum(states * (logw - np.log(states)), axis=-1)
+              - scale * np.sum(states * sig, axis=-1))[..., 0]
+    measure = cl.es_distribution(system, t)
+    return {
+        cl.classical_functional: logsumexp(logw - scale * sig),
+        cl.variational_functional: values if values.ndim else float(values),
+        cl.renyi_identity_check:
+            logsumexp((1.0 - a) * np.roll(logw, t) + a * logw),
+        ALPHA_ROUTES[3]: logsumexp(a * (-logw - np.roll(-logw, t)) + logw),
+        "fcs_cgf": logsumexp(np.log(measure.weights)
+                             - (t * np.asarray(alpha))[..., None]
+                             * measure.atoms),
+    }
+
+
+@pytest.mark.parametrize("size, t", [(2000, 64), (1200, 1), (3, 5)])
+def test_routes_keep_the_bits_of_their_one_expression_forms(size, t):
+    system = random_classical_system(size, seed=size)
+    measure = cl.es_distribution(system, t)
+    alphas = np.linspace(-1.5, 2.5, 33)
+    routes = dict(zip(ALPHA_ROUTES, ALPHA_ROUTES))
+    routes["fcs_cgf"] = lambda _, alpha, t: fcs_cgf(measure, alpha, t)
+    for alpha in (alphas, alphas[:1], 0.3):
+        want = _one_expression_forms(system, alpha, t)
+        for key, route in routes.items():
+            got = route(system, alpha, t)
+            assert type(got) is type(want[key])
+            assert np.asarray(got).tobytes() == np.asarray(want[key]).tobytes()
+    for route in routes.values():
+        assert np.array_equal(route(system, alphas, t),
+                              [route(system, a, t) for a in alphas])
 
 
 def test_perturbed_state_beating_the_maximizer_raises(monkeypatch):

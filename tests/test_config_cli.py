@@ -388,6 +388,27 @@ def test_block_renders_like_rows_appended_one_by_one():
         ["%.17g" % w for w in weights]
 
 
+def test_streamed_writer_and_to_csv_give_the_same_bytes(tmp_path):
+    table = runner.ResultTable(runner.CURVE_COLUMNS)
+    table.append("100%-d", 2.0, 1.0, np.array([-0.5, 1 / 3, math.inf]),
+                 np.array([0.1 + 0.2, -0.0, math.nan]))
+    table.append("scalars %s", None, 0.5, 1e-300, -2.5)
+    table.append("one-row", math.inf, 3.0, np.array([0.25]), np.array([7.0]))
+    cfg = cf.parse_config(QUBIT)
+    runner.write_outputs(str(tmp_path), "functionals", {"curves": table},
+                         cfg, 0.0)
+    text = table.to_csv()
+    assert (tmp_path / "curves.csv").read_bytes() == text.encode()
+    assert text == "\n".join([
+        "system_id,p,t,alpha,value",
+        "100%-d,2,1,-0.5,0.30000000000000004",
+        "100%-d,2,1,0.33333333333333331,-0",
+        "100%-d,2,1,inf,nan",
+        "scalars %s,,0.5,1e-300,-2.5",
+        "one-row,inf,3,0.25,7"]) + "\n"
+    assert len(table) == 5
+
+
 def test_block_shape_errors():
     table = runner.ResultTable(runner.CURVE_COLUMNS)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from entroflux.errors import NumericalDomainError
 from entroflux.measures import (
@@ -11,6 +12,7 @@ from entroflux.measures import (
     SpectralMeasure,
     build_measure,
     fluctuation_symmetry_residual,
+    logsumexp,
     total_variation,
 )
 
@@ -222,3 +224,37 @@ def test_fs_residual_skips_overflow_against_zero_mass(far, t, near, weights):
     old = _loop_fs_residual(measure, t)
     assert math.isfinite(old)
     _agree(new, old)
+
+
+def _shifted_logsumexp(x):
+    """The one-expression form: m + log(sum exp(x - m)) over the last axis."""
+    if x.shape[-1] == 0:
+        return -np.inf
+    m = x.max(-1)
+    out = m + np.log(np.exp(x - m[..., None]).sum(-1))
+    return float(out) if x.ndim == 1 else out
+
+
+# one to three axes, the last possibly empty; entries may be -inf, and a row
+# of -inf alone gives nan on both sides
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                          max_side=9),
+                  elements=st.one_of(st.floats(-700.0, 700.0),
+                                     st.just(-math.inf))))
+def test_logsumexp_keeps_its_input_and_the_bits_of_the_shifted_formula(x):
+    before = x.copy()
+    with np.errstate(invalid="ignore"):
+        got = logsumexp(x)
+        want = _shifted_logsumexp(x)
+    assert x.tobytes() == before.tobytes()
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_logsumexp_on_a_single_row_a_vector_and_no_terms():
+    row = np.array([[0.5, -math.inf, -3.0, 2.0]])
+    assert logsumexp(row).shape == (1,)
+    assert logsumexp(row)[0] == logsumexp(row[0]) == _shifted_logsumexp(row[0])
+    assert type(logsumexp(row[0])) is float
+    assert logsumexp(np.zeros(0)) == logsumexp(np.zeros((3, 0))) == -math.inf
