@@ -14,6 +14,7 @@ derived values are returned as computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,6 +129,15 @@ def es_distribution(system: ClassicalSystem, t: int) -> SpectralMeasure:
     return build_measure(sig, system.reference_state)
 
 
+@lru_cache(maxsize=32)
+def _jitter(size: int) -> np.ndarray:
+    """The seeded perturbing states, drawn once per size; shared, so read-only."""
+    draw = np.random.default_rng(_PERTURBATION_SEED).dirichlet(
+        np.ones(size), size=_PERTURBATION_TRIALS)
+    draw.flags.writeable = False
+    return draw
+
+
 def variational_functional(system: ClassicalSystem, alpha, t: int):
     """e_t(alpha) as the maximum of rho -> S(rho|w0) - alpha t rho(Sigma_t), per alpha.
 
@@ -148,10 +158,8 @@ def variational_functional(system: ClassicalSystem, alpha, t: int):
                 out=maximizer)
     maximizer -= logsumexp(maximizer)[..., None]
     np.exp(maximizer, out=maximizer)
-    jitter = np.random.default_rng(_PERTURBATION_SEED).dirichlet(
-        np.ones(system.size), size=_PERTURBATION_TRIALS)
     np.multiply(0.8, maximizer, out=perturbed)
-    perturbed += 0.2 * jitter
+    perturbed += 0.2 * _jitter(system.size)
     perturbed /= perturbed.sum(axis=-1, keepdims=True)
     work = np.multiply(states, sig)
     mean_sig = work.sum(axis=-1)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 config error or an
 output directory that cannot be written, 3 numerical-domain error, 4 a
-``verify`` worker process that died before returning a system's rows.
+worker process of ``functionals`` or ``verify`` that died before returning.
 """
 from __future__ import annotations
 

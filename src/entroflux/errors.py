@@ -14,8 +14,8 @@ class NumericalDomainError(ValueError):
 
 
 class WorkerLostError(RuntimeError):
-    """A battery worker process died before returning a system's rows;
-    ``results`` holds the verification rows of the systems before it."""
+    """A worker process died before job ``index`` returned; from a battery,
+    ``results`` holds the rows of the systems before that job's system."""
 
 
 class ConfigError(ValueError):

@@ -41,16 +41,11 @@ The ``functional_kernel_svd`` row of the verification battery compares
 every p >= 2 kernel with the singular values of the same y.
 
 ``functional`` runs its kernel on stacks of alphas: one (k, n, n) array and
-one batched LAPACK call per stack, with k n^2 at most _STACK_ENTRIES (2^15
-complex entries, 512 KiB), which holds a default alpha grid whole up to
-n = 23 and eight alphas a stack at n = 64.  The bound is set by
-``runner.run_functionals``, which runs curves on one thread per CPU: two
-threads overlap only while LAPACK runs with the interpreter lock released,
-so each call must hold several matrices.  At 2^13 entries two threads
-ran the SVD and eigvalsh curves slower than one; at 2^15 they overlap,
-while a serial run pays a little for the fresh pages of larger
-temporaries.  ``BENCH_threads.json`` (``stack_entries``) holds the
-per-size timings.
+one batched LAPACK call per stack, with k n^2 at most _STACK_ENTRIES (2^13
+complex entries, 128 KiB), which holds a default alpha grid whole up to
+n = 11 and two alphas a stack at n = 64.  Larger stacks were slower, serially
+and on worker processes; ``BENCH_one_pool.json`` (``stack_entries``) holds
+the timings.
 """
 from __future__ import annotations
 
@@ -75,7 +70,7 @@ VARIATIONAL_SLACK = 1e-9
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _PERTURBATION_TRIALS = 8
 _PERTURBATION_SEED = 734
-_STACK_ENTRIES = 1 << 15
+_STACK_ENTRIES = 1 << 13
 
 
 def _validate_p(p: float) -> float:

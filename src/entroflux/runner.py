@@ -16,9 +16,9 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -27,15 +27,16 @@ from . import fcs as fc
 from . import functionals as fn
 from . import measures as ms
 from . import models as md
+from . import pool
 from . import quantum as qm
 from . import verify as vf
 from .config import ExperimentConfig, SystemEntry, default_config
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, WorkerLostError
 from .version import __version__
 
 DEFAULT_OUTPUT_DIR = "out"
-# smallest quantum dimension whose functionals curves run on threads: below
-# it a curve's LAPACK call is too short for two threads to overlap
+# smallest quantum dimension whose functionals curves are forked: an n = 8
+# sweep takes about as long as starting and stopping a two-worker pool
 POOLED_DIM = 16
 
 CURVE_COLUMNS = ("system_id", "p", "t", "alpha", "value")
@@ -103,13 +104,12 @@ def _sorted_grids(cfg: ExperimentConfig):
 
 @contextmanager
 def _on_system(subcommand: str, system_id: str):
-    """Re-raise a domain error naming the subcommand and the system, as the
-    battery names the row and the system."""
+    """Re-raise a domain error or a lost worker naming the subcommand and
+    the system, as the battery names the row and the system."""
     try:
         yield
-    except NumericalDomainError as exc:
-        raise NumericalDomainError(
-            f"{subcommand} on system {system_id}: {exc}") from exc
+    except (NumericalDomainError, WorkerLostError) as exc:
+        raise type(exc)(f"{subcommand} on system {system_id}: {exc}") from exc
 
 
 def _classical_curves(curves: ResultTable, system_id: str, system, times,
@@ -129,33 +129,37 @@ def _es_rows(distributions: ResultTable, system_id: str, system,
     return measures
 
 
-def run_functionals(cfg: ExperimentConfig) -> dict:
+def run_functionals(cfg: ExperimentConfig, workers=None) -> dict:
     """One curve row per (system, p, t, alpha); classical rows have empty p.
 
-    With more than one CPU, the (p, t) curves of quantum systems of
-    dimension ``POOLED_DIM`` or more run on one thread per CPU; their
-    LAPACK calls release the interpreter lock.  Rows keep their order, and
-    every value has the bits of a serial run.
+    Every (p, t) curve of a quantum system of dimension ``POOLED_DIM`` or
+    more is a job of one ``pool.fork_map`` over ``workers`` processes
+    (default: one per CPU), largest system first.  Rows keep their order,
+    and every value and the first domain error are a serial run's.
     """
     alphas, ps, ts = _sorted_grids(cfg)
+    grid = [(p, t) for p in ps for t in ts]
+    systems = cfg.build_systems()
+    pooled = [system for _, tag, system in systems
+              if tag != "classical" and system.dim >= POOLED_DIM]
+    for system in pooled:           # fill the memo the workers inherit
+        for t in ts:
+            system.overlap(t)
+    jobs = [partial(fn.functional, system, p, alphas, t)
+            for system in pooled for p, t in grid]
+    sizes = [system.dim for system in pooled for _ in grid]
+    workers = pool.cpu_count() if workers is None else workers
     curves = ResultTable(CURVE_COLUMNS)
-    workers = vf.cpu_count()
-    with (ThreadPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-        for system_id, tag, system in cfg.build_systems():
+    with closing(pool.fork_map(jobs, sizes, workers)) as values:
+        for system_id, tag, system in systems:
             with _on_system("functionals", system_id):
                 if tag == "classical":
                     _classical_curves(curves, system_id, system,
                                       cfg.classical_times(), alphas)
                     continue
-                grid = [(p, t) for p in ps for t in ts]
-                sweep = map
-                if pool is not None and system.dim >= POOLED_DIM:
-                    for t in ts:        # fill the memo: workers only read it
-                        system.overlap(t)
-                    sweep = pool.map
-                values = sweep(lambda pt: fn.functional(system, pt[0], alphas,
-                                                        pt[1]), grid)
-                for (p, t), value in zip(grid, values):
+                for p, t in grid:
+                    value = next(values) if system.dim >= POOLED_DIM else \
+                        fn.functional(system, p, alphas, t)
                     curves.append(system_id, p, t, alphas, value)
     return {"curves": curves}
 
@@ -268,14 +272,15 @@ def _matrix_row(row) -> str:
 # -- verification ---------------------------------------------------------
 
 def _determinism_check() -> list:
-    """Byte-identical tables and masked-manifest equality across two runs."""
+    """Byte-identical tables and masked-manifest equality between a one-worker
+    run and a run with one worker per CPU."""
     cfg = default_config()
     pooled = SystemEntry("pooled", "random", {"dim": POOLED_DIM})
     cfg = replace(cfg, systems=cfg.systems + (pooled,), alphas=(0.0, 0.5, 1.0),
                   ps=(2.0, math.inf), ts=(1.0,))
     snapshots = []
-    for _ in range(2):
-        tables = run_functionals(cfg)
+    for workers in (1, None):
+        tables = run_functionals(cfg, workers)
         with tempfile.TemporaryDirectory() as scratch:
             manifest = write_outputs(scratch, "functionals", tables, cfg, 0.0)
             with open(os.path.join(scratch, "curves.csv"), "rb") as handle:

@@ -5,11 +5,9 @@ identity between two routes.  A row names its tolerance, its status rule,
 the system kinds it applies to and a residual function of a per-system
 ``Context``, whose curve cache evaluates each (p, t, alpha) once.
 ``run_battery`` runs the rows on a built-in roster, the caller's systems
-and the fixed systems of the batch rows.  With more than one CPU and
-``os.fork``, every system is checked in a forked worker process, one worker
-per CPU up to one per system, largest first, while this process only reads
-the rows back in table order, so the table and the first domain error are a
-serial run's.
+and the fixed systems of the batch rows, one ``pool.fork_map`` job per
+system, largest first; the rows come back in table order, so the table and
+the first domain error are a serial run's at any worker count.
 Off time-reversal invariance a ``TRI`` row is reported as ``<name>_breaks``,
 which asserts that the violation is present.  A ``NumericalDomainError`` in
 a row is re-raised naming the row and the system, with the rows run before
@@ -20,8 +18,8 @@ classical residuals.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,6 +29,7 @@ from . import fcs as fc
 from . import functionals as fn
 from . import measures as ms
 from . import models as md
+from . import pool
 from . import quantum as qm
 from .errors import NumericalDomainError, WorkerLostError
 
@@ -111,14 +110,6 @@ def tri_check(name: str, system_id: str, residual: float, tri: bool,
         return bounded_check(name, system_id, residual, tol[key])
     return bounded_check(name + "_breaks", system_id, residual,
                          tol["violation_floor"], BREAKS)
-
-
-def cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:                           # not on every platform
-        return os.cpu_count() or 1
 
 
 def merge_tolerances(overrides=None) -> dict:
@@ -700,36 +691,18 @@ def run_battery(extra_systems=(), tolerances=None):
     order whose rows did not come back."""
     tol = merge_tolerances(tolerances)
     systems = list(default_systems()) + list(extra_systems) + fixed_systems()
-    workers = min(cpu_count(), len(systems))
-    pool, lost, results = None, (), []
+    jobs = [partial(check_system, *system, tol) for system in systems]
+    sizes = [getattr(obj, "dim", 0) for _, _, obj in systems]
+    results = []
     try:
-        if workers > 1 and hasattr(os, "fork"):
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool as lost
-
-            # processes, since most of a system's battery time holds the
-            # interpreter lock; forked, since a spawned worker would import
-            # numpy and the library afresh.  Forking is safe only while no
-            # other thread runs; the one thread pool of the command line, in
-            # ``runner.run_functionals``, is shut down before that returns.
-            # Largest first, so that the last system to finish is a short one
-            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-            order = sorted(range(len(systems)),
-                           key=lambda k: -getattr(systems[k][2], "dim", 0))
-            futures = {k: pool.submit(check_system, *systems[k], tol) for k in order}
-        for k, system in enumerate(systems):        # rows in table order
-            try:
-                results += futures[k].result() if pool else check_system(*system, tol)
-            except lost as exc:
-                error = WorkerLostError("a battery worker process died before "
-                                        f"the rows of system {system[0]} came back")
-                error.results = tuple(results)
-                raise error from exc
-            except NumericalDomainError as exc:
-                exc.results = tuple(results) + exc.results
-                raise
-        return results
-    finally:
-        if pool is not None:        # after an error, skip queued systems
-            pool.shutdown(cancel_futures=True)
+        for rows in pool.fork_map(jobs, sizes, pool.cpu_count()):
+            results += rows
+    except WorkerLostError as exc:
+        error = WorkerLostError("a battery worker process died before the "
+                                f"rows of system {systems[exc.index][0]} came back")
+        error.results = tuple(results)
+        raise error from exc
+    except NumericalDomainError as exc:
+        exc.results = tuple(results) + exc.results
+        raise
+    return results

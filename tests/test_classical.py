@@ -262,6 +262,15 @@ def test_perturbed_state_beating_the_maximizer_raises(monkeypatch):
             cl.variational_functional(LOPSIDED, alpha, 1)
 
 
+@pytest.mark.parametrize("size", [3, 2000])
+def test_perturbing_states_are_one_read_only_seeded_draw(size):
+    jitter = cl._jitter(size)
+    fresh = np.random.default_rng(1021).dirichlet(np.ones(size), size=10)
+    assert np.array_equal(jitter, fresh)
+    assert cl._jitter(size) is jitter
+    assert not jitter.flags.writeable
+
+
 def test_rejects_invalid_weights():
     with pytest.raises(ValueError):
         cl.ClassicalSystem([0.5, 0.5, 0.1])

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -17,6 +18,7 @@ from entroflux import config as cf
 from entroflux import fcs as fc
 from entroflux import functionals as fn
 from entroflux import models as md
+from entroflux import pool
 from entroflux import quantum as qm
 from entroflux import verify as vf
 from entroflux.errors import (
@@ -24,6 +26,33 @@ from entroflux.errors import (
     ConfigValidationError,
     NumericalDomainError,
 )
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The thread count that each ``os.fork`` of this process saw, in order."""
+    fork, seen = os.fork, []
+
+    def counted_fork():
+        seen.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return seen
+
+
+def _record_pids(monkeypatch, module, name, path):
+    """Patch ``module.name`` to append the calling pid to ``path``; forked
+    workers inherit the patch."""
+    exact = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        with open(path, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+
 
 MINIMAL = """
 systems:
@@ -449,30 +478,31 @@ def test_run_classical_skips_the_t_grid_without_classical_systems(
         runner.run_classical(cf.parse_config(MINIMAL + "sweep:\n  t: [0.5]\n"))
 
 
-def test_determinism_row_compares_pooled_sweeps(monkeypatch):
-    functional = fn.functional
-    in_main = set()
-
-    def recorded(*args, **kwargs):
-        in_main.add(threading.current_thread() is threading.main_thread())
-        return functional(*args, **kwargs)
-
-    monkeypatch.setattr(fn, "functional", recorded)
-    monkeypatch.setattr(vf, "cpu_count", lambda: 2)
+def test_determinism_row_compares_pooled_sweeps(monkeypatch, tmp_path, forks):
+    pids = tmp_path / "pids"
+    _record_pids(monkeypatch, fn, "functional", pids)
+    monkeypatch.setattr(pool, "cpu_count", lambda: 2)
     [row] = runner._determinism_check()
     assert (row.name, row.residual, row.status) == \
         ("runner_determinism", 0.0, vf.PASS)
-    assert in_main == {True, False}
+    # 4 curves: the junction's 2 here in both runs, the dim-16 system's 2
+    # here in the one-worker run and in two forked workers in the other
+    seen = pids.read_text().split()
+    assert len(seen) == 8 and seen.count(str(os.getpid())) == 6
+    assert forks == [1, 1]
+    assert not multiprocessing.active_children()
 
 
-def test_run_functionals_leaves_no_thread_behind(monkeypatch):
-    # run_battery forks only while no other thread runs
-    monkeypatch.setattr(vf, "cpu_count", lambda: 2)
+def test_run_functionals_leaves_no_thread_behind(monkeypatch, forks):
+    # a later fork is safe only while no other thread runs
+    monkeypatch.setattr(pool, "cpu_count", lambda: 2)
     cfg = cf.parse_config("systems: [{id: dense, kind: random, dim: 16}]\n"
-                          "sweep: {alpha: [0.5], p: [2], t: [1]}\n")
+                          "sweep: {alpha: [0.5], p: [2], t: [1, 2]}\n")
     before = threading.active_count()
-    assert len(runner.run_functionals(cfg)["curves"]) == 1
+    assert len(runner.run_functionals(cfg)["curves"]) == 2
+    assert forks == [1, 1]
     assert threading.active_count() == before
+    assert not multiprocessing.active_children()
 
 
 def test_run_fcs_emits_both_measures_and_identity_row():
@@ -554,27 +584,24 @@ sweep:
 """
 
 
-def test_functionals_tables_do_not_depend_on_the_worker_count(monkeypatch):
-    functional = fn.functional
-    in_main = set()
-
-    def recorded(*args, **kwargs):
-        in_main.add(threading.current_thread() is threading.main_thread())
-        return functional(*args, **kwargs)
-
-    monkeypatch.setattr(fn, "functional", recorded)
+def test_functionals_tables_do_not_depend_on_the_worker_count(monkeypatch,
+                                                               tmp_path, forks):
+    pids = tmp_path / "pids"
+    _record_pids(monkeypatch, fn, "functional", pids)
     tables = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)         # more workers than CPUs, switching often
-    try:
-        for workers in (1, 2, 8):
-            in_main.clear()
-            monkeypatch.setattr(vf, "cpu_count", lambda: workers)
-            tables[workers] = runner.run_functionals(
-                cf.parse_config(MIXED))["curves"].to_csv()
-            assert in_main == ({True} if workers == 1 else {True, False})
-    finally:
-        sys.setswitchinterval(interval)
+    for workers in (1, 2, 8):
+        pids.write_text("")
+        forks.clear()
+        monkeypatch.setattr(pool, "cpu_count", lambda: workers)
+        tables[workers] = runner.run_functionals(
+            cf.parse_config(MIXED))["curves"].to_csv()
+        # 8 curves of flip, always here; 8 of dense, forked with two or
+        # more workers, one worker per CPU up to one per curve
+        seen = pids.read_text().split()
+        assert len(seen) == 16
+        assert seen.count(str(os.getpid())) == (16 if workers == 1 else 8)
+        assert forks == [1] * (min(workers, 8) if workers > 1 else 0)
+        assert not multiprocessing.active_children()
     serial = tables[1]
     assert tables[2] == serial and tables[8] == serial
     assert [line.split(",", 1)[0] for line in serial.splitlines()[1::6]] == \
@@ -587,7 +614,7 @@ def test_domain_error_in_a_worker_names_the_first_failing_curve(monkeypatch):
         "alpha: [", "alpha: [50, ").replace("t: [1, 2]", "t: [0.5, 1, 2]")
     messages = []
     for workers in (1, 2):
-        monkeypatch.setattr(vf, "cpu_count", lambda: workers)
+        monkeypatch.setattr(pool, "cpu_count", lambda: workers)
         with pytest.raises(NumericalDomainError) as caught:
             runner.run_functionals(cf.parse_config(text))
         messages.append(str(caught.value))
@@ -743,7 +770,7 @@ systems:
 
 def _verify_at(monkeypatch, tmp_path, workers, name):
     """``verify`` on ``POOLED`` with ``workers`` CPUs: (exit code, checks.csv)."""
-    monkeypatch.setattr(vf, "cpu_count", lambda: workers)
+    monkeypatch.setattr(pool, "cpu_count", lambda: workers)
     path, out = tmp_path / "pooled.yaml", tmp_path / name
     path.write_text(POOLED)
     code = cli.main(["verify", "-c", str(path), "-o", str(out)])
@@ -751,7 +778,7 @@ def _verify_at(monkeypatch, tmp_path, workers, name):
 
 
 def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
-                                                          capsys):
+                                                          capsys, forks):
     pids = tmp_path / "pids"
 
     class Recorded(vf.Context):     # one per checked system
@@ -761,18 +788,11 @@ def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
             super().__init__(kind, system)
 
     monkeypatch.setattr(vf, "Context", Recorded)
-    fork, threads = os.fork, []
-
-    def counted_fork():
-        threads.append(threading.active_count())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
     systems = len(vf.default_systems()) + 4 + len(vf.fixed_systems())  # 4 in POOLED
     tables = {}
     for workers in (1, 2, 8):
         pids.write_text("")
-        threads.clear()
+        forks.clear()
         code, tables[workers] = _verify_at(monkeypatch, tmp_path, workers,
                                            f"w{workers}")
         assert code == 0
@@ -780,9 +800,11 @@ def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
         assert len(seen) == systems
         # with more than one CPU the parent checks no system
         assert (str(os.getpid()) in seen) == (workers == 1)
-        # a worker per CPU up to one per system, each forked before any
-        # helper thread
-        assert threads == [1] * (min(workers, systems) if workers > 1 else 0)
+        # a worker per CPU up to one per system, then for the determinism
+        # row's pooled run up to one per curve of its 2, each forked before
+        # any helper thread
+        assert forks == [1] * (min(workers, systems) + min(workers, 2)
+                               if workers > 1 else 0)
         assert not multiprocessing.active_children()
     assert tables[2] == tables[1] and tables[8] == tables[1]
     ids = [line.split(",", 1)[0] for line in tables[1].splitlines()[1:]]
@@ -801,7 +823,7 @@ def test_verify_worker_death_exits_four_with_the_rows_before_it(
         return exact(system, alpha, t)
 
     monkeypatch.setattr(fn, "variational_max", dies_on_dim_16)
-    monkeypatch.setattr(vf, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pool, "cpu_count", lambda: 2)
     path, out = tmp_path / "dies.yaml", tmp_path / "out"
     path.write_text("systems:\n  - {id: probe, kind: random, dim: 16, seed: 1}\n")
     assert cli.main(["verify", "-c", str(path), "-o", str(out)]) == 4
@@ -821,6 +843,39 @@ def test_verify_worker_death_exits_four_with_the_rows_before_it(
             runner.checks_to_table(ran).to_csv()
     else:
         assert written == {} and not (out / "checks.csv").exists()
+
+
+def test_functionals_worker_death_exits_four_naming_the_system(
+        monkeypatch, tmp_path, capsys):
+    exact = fn.functional
+
+    def dies_on_dim_16(system, *args):
+        if system.dim == 16:
+            os._exit(9)         # as an out-of-memory kill ends a worker
+        return exact(system, *args)
+
+    monkeypatch.setattr(fn, "functional", dies_on_dim_16)
+    monkeypatch.setattr(pool, "cpu_count", lambda: 2)
+    path, out = tmp_path / "mixed.yaml", tmp_path / "out"
+    path.write_text(MIXED)
+    assert cli.main(["functionals", "-c", str(path), "-o", str(out)]) == 4
+    assert not multiprocessing.active_children()
+    assert capsys.readouterr().err == "worker error: functionals on system " \
+        "dense: a worker process died before returning a result\n"
+    assert not (out / "curves.csv").exists()
+
+
+def test_one_cpu_functionals_imports_no_process_pool():
+    code = ("import sys; from entroflux import config, pool, runner; "
+            "pool.cpu_count = lambda: 1; "
+            "runner.run_functionals(config.parse_config(sys.argv[1])); "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} "
+            "& set(sys.modules)))")
+    dense = ("systems: [{id: dense, kind: random, dim: 16}]\n"
+             "sweep: {alpha: [0.5], p: [2], t: [1, 2]}\n")
+    done = subprocess.run([sys.executable, "-c", code, dense],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_verify_domain_error_in_a_worker_names_the_first_failing_system(

@@ -3,7 +3,6 @@ import pickle
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +12,12 @@ from entroflux import config as cf
 from entroflux import fcs as fc
 from entroflux import functionals as fn
 from entroflux import measures as ms
+from entroflux import pool
 from entroflux import quantum as qm
 from entroflux import runner
 from entroflux import verify as vf
 from entroflux.errors import NumericalDomainError
 from entroflux.models import random_classical_system, random_system
-
-EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
 
 CHECKED = """
 systems:
@@ -140,7 +138,7 @@ def test_battery_runs_quadrature_once_per_core_system(monkeypatch):
         return quadrature(*args, **kwargs)
 
     monkeypatch.setattr(qm, "adaptive_simpson_matrix", counted)
-    monkeypatch.setattr(vf, "cpu_count", lambda: 1)    # calls are seen in-process
+    monkeypatch.setattr(pool, "cpu_count", lambda: 1)    # calls are seen in-process
     vf.run_battery()
     core = [sid for sid, kind, _ in vf.default_systems()
             if kind in ("quantum", "commuting", "qubit", "reservoir")]
@@ -255,7 +253,7 @@ def test_every_tolerance_key_is_read(monkeypatch):
     monkeypatch.setattr(vf, "merge_tolerances",
                         lambda overrides=None: Recording(exact(overrides)))
     # reads are seen in-process, and a local class cannot reach a worker
-    monkeypatch.setattr(vf, "cpu_count", lambda: 1)
+    monkeypatch.setattr(pool, "cpu_count", lambda: 1)
     vf.run_battery()
     by_rows = set(read)
     read.clear()
@@ -340,32 +338,12 @@ def test_domain_error_keeps_its_rows_through_pickling(monkeypatch):
 
 
 def test_one_cpu_battery_imports_no_process_pool():
-    code = ("import sys; from entroflux import verify as vf; "
-            "vf.cpu_count = lambda: 1; vf.run_battery(); "
+    code = ("import sys; from entroflux import pool, verify as vf; "
+            "pool.cpu_count = lambda: 1; vf.run_battery(); "
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert done.stdout == "[]\n"
-
-
-def _bits(results):
-    return [(r.name, r.system_id, r.residual.hex(), r.tolerance.hex(), r.status)
-            for r in results]
-
-
-def test_every_battery_system_survives_the_process_boundary():
-    """A forked worker receives each system pickled: the copy gives the
-    original's rows bit for bit, for the roster, the fixed systems and one
-    config system of each kind."""
-    cfg = cf.load_config(EXAMPLE)
-    assert [entry.kind for entry in cfg.systems] == \
-        ["classical", "quantum", "two_reservoir", "random", "random_classical"]
-    tol = vf.merge_tolerances()
-    for sid, kind, obj in (vf.default_systems() + cfg.build_systems()
-                           + vf.fixed_systems()):
-        copy = pickle.loads(pickle.dumps(obj))
-        assert _bits(vf.check_system(sid, kind, copy, tol)) == \
-            _bits(vf.check_system(sid, kind, obj, tol))
 
 
 @pytest.mark.parametrize("weights", [[0.3, 0.7], [0.5, 0.25, 0.25],
