@@ -67,6 +67,8 @@ from .quantum import (
 )
 
 VARIATIONAL_SLACK = 1e-9
+SCHATTEN_ROUNDING = 3e-11
+_EPS = sys.float_info.epsilon
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _PERTURBATION_TRIALS = 8
 _PERTURBATION_SEED = 734
@@ -126,7 +128,19 @@ def _log_schatten(y: np.ndarray, p: float):
     For p >= 2, each matrix is first divided by its largest entry magnitude
     m and p log m added back: the entries of G = y* y are then at most n and
     its trace at least 1, so no kernel overflows or underflows.
+
+    Each kernel rounds log s_i by up to about n eps and the sum multiplies
+    that by p, so a p with p n eps above SCHATTEN_ROUNDING, about 1.35e5 / n,
+    raises ``NumericalDomainError`` naming p and the bound.  Below it e_p
+    stayed within 2.5 p n eps of e_oo on random systems of dim 2 to 12 and
+    within the battery's ``p_monotone`` (1e-10); far above it e_p falls
+    below e_oo, or leaves double precision altogether.
     """
+    dim = y.shape[-1]
+    if p * dim * _EPS > SCHATTEN_ROUNDING:
+        raise NumericalDomainError(
+            f"p={p} is above the bound {SCHATTEN_ROUNDING / (dim * _EPS):.6g} "
+            f"of n={dim} matrices, where p n eps exceeds {SCHATTEN_ROUNDING:g}")
     live = y.any(axis=(-2, -1))
     value = np.full(live.shape, -np.inf)
     if not live.all():                               # drop all-zero matrices

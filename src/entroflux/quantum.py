@@ -28,8 +28,6 @@ HERMITIAN_ATOL = 1e-12
 POSITIVITY_REL = 1e-12
 TRACE_ATOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-10
-QUADRATURE_ATOL = 1e-9
-QUADRATURE_MAX_DEPTH = 30
 
 
 def as_matrix(value, dim: int | None = None) -> np.ndarray:
@@ -303,43 +301,26 @@ def entropy_production_observable(system: QuantumSystem) -> np.ndarray:
     return _hermitian_part(-1j * (h @ logw - logw @ h))
 
 
-def adaptive_simpson_matrix(f: Callable[[float], np.ndarray], a: float,
-                            b: float) -> np.ndarray:
-    """Adaptive Simpson quadrature of a matrix-valued function.
+def gauss_legendre_matrix(f: Callable[[float], np.ndarray], a: float,
+                          b: float) -> np.ndarray:
+    """integral_a^b f(s) ds of a matrix-valued f by the 24-node Gauss-Legendre
+    rule: the battery's numerical route beside the exact ``evolved_integral``.
+    On c exp(i w s) with |w| (b - a) <= 16 its error is below
+    (b - a) 16^48 (24!)^4 / (49 (48!)^3) |c| < 1e-32 (b - a) |c|.  A sum that
+    is not finite raises ``NumericalDomainError`` naming [a, b]."""
+    k = np.arange(1.0, 24.0)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    # Golub-Welsch: nodes and weights from the Legendre recurrence's Jacobi matrix
+    nodes, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    half, mid = (b - a) / 2.0, (a + b) / 2.0
+    total = half * sum(2.0 * v * v * f(mid + half * x) for x, v in zip(nodes, vecs[0]))
+    if not np.isfinite(total).all():
+        raise NumericalDomainError(f"quadrature is not finite on [{a:.17g}, {b:.17g}]")
+    return total
 
-    The library integrates exactly; this is the independent numerical route
-    of the verification battery's ``quantum_ep_quadrature`` row.
 
-    Subdivision stops when the entrywise Richardson error estimate drops
-    below QUADRATURE_ATOL, and the estimate is folded back in.  A subinterval
-    still above its share after QUADRATURE_MAX_DEPTH halvings, or whose
-    estimate is not finite, raises ``NumericalDomainError``.
-    """
-    if b == a:
-        return np.zeros_like(np.asarray(f(a)))
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        mid = (lo + hi) / 2.0
-        fl = f((lo + mid) / 2.0)
-        fr = f((mid + hi) / 2.0)
-        left = (mid - lo) / 6.0 * (flo + 4.0 * fl + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * fr + fhi)
-        err = left + right - whole
-        gap = np.abs(err).max()
-        if gap <= 15.0 * tol:
-            return left + right + err / 15.0
-        # a non-finite estimate never shrinks, so halving cannot help
-        if depth <= 0 or not np.isfinite(gap):
-            raise NumericalDomainError(
-                f"quadrature did not converge on [{lo:.17g}, {hi:.17g}]: "
-                f"error estimate {gap / 15.0:.3e} above tolerance {tol:.3e}"
-            )
-        return (recurse(lo, mid, flo, fl, fmid, left, tol / 2.0, depth - 1)
-                + recurse(mid, hi, fmid, fr, fhi, right, tol / 2.0, depth - 1))
-
-    fa, fm, fb = f(a), f((a + b) / 2.0), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, b, fa, fm, fb, whole, QUADRATURE_ATOL, QUADRATURE_MAX_DEPTH)
+# the old name, kept because benchmarks/tracing.py wraps it as quantum.quadrature
+adaptive_simpson_matrix = gauss_legendre_matrix
 
 
 def evolved_integral(system: QuantumSystem, operator, t: float) -> np.ndarray:

@@ -196,13 +196,50 @@ def _one_system(body: str) -> str:
      "systems[0].coupling"),
     (MINIMAL + "output: {curves: 1}\n", "output.curves"),
     (MINIMAL + "seed: true\n", "seed"),
+    (MINIMAL + "sweep: [1, 2]\n", "sweep"),
+    (_one_system("kind: classical, weights: [.nan, 0.5]"),
+     "systems[0].weights[0]"),
+    (_one_system(JUNCTION.replace("beta_left: 1.0", "beta_left: hot")),
+     "systems[0].beta_left"),
+    (_one_system("kind: classical, weights: []"), "systems[0].weights"),
+    (_one_system("kind: classical, weights: [0.0, 1.0]"), "systems[0].weights"),
+    (_one_system("kind: quantum, hamiltonian: [[0, x], [x, 0]], "
+                 "reference_state: [[0.75, 0], [0, 0.25]]"),
+     "systems[0].hamiltonian[0][1]"),
+    (_one_system("kind: quantum, hamiltonian: 1, "
+                 "reference_state: [[0.75, 0], [0, 0.25]]"),
+     "systems[0].hamiltonian"),
+    (_one_system("kind: quantum, hamiltonian: [0, 1], "
+                 "reference_state: [[0.75, 0], [0, 0.25]]"),
+     "systems[0].hamiltonian[0]"),
+    (_one_system("kind: quantum, hamiltonian: [[0, 1], [1]], "
+                 "reference_state: [[0.75, 0], [0, 0.25]]"),
+     "systems[0].hamiltonian"),
+    (_one_system("kind: magic"), "systems[0].kind"),
+    (_one_system("id: '', kind: classical, weights: [1.0]"), "systems[0].id"),
+    (_one_system("id: 'a,b', kind: classical, weights: [1.0]"),
+     "systems[0].id"),
+    (MINIMAL + "sweep: {alpha: {min: 0, max: 1}}\n", "sweep.alpha.step"),
+    (MINIMAL + "sweep: {alpha: {min: 1, max: 0, step: 0.1}}\n",
+     "sweep.alpha"),
+    (MINIMAL + "sweep: {p: 2}\n", "sweep.p"),
+    (MINIMAL + "sweep: {p: [2, big]}\n", "sweep.p[1]"),
+    ("systems: []\n", "systems"),
+    (MINIMAL + "sweep: {t: []}\n", "sweep.t"),
+    (MINIMAL + "output: {directory: 3}\n", "output.directory"),
 ], ids=["classical-missing-weights", "quantum-missing-reference-state",
         "junction-missing-beta-right", "random-missing-dim",
         "random-classical-missing-size", "unknown-key", "dim-1", "dim-true",
         "size-1.5", "seed-negative", "seed-string", "tri-integer",
         "spread-zero", "weights-sum", "beta-negative", "hamiltonian-not-square",
         "quantum-shape-mismatch",
-        "coupling-dimension", "output-curves-integer", "top-level-seed-bool"])
+        "coupling-dimension", "output-curves-integer", "top-level-seed-bool",
+        "section-not-mapping", "weight-nan", "real-not-number",
+        "weights-empty", "weights-nonpositive", "matrix-bad-entry",
+        "matrix-not-list", "matrix-row-not-list", "matrix-ragged",
+        "kind-unknown", "id-empty", "id-comma", "range-missing-step",
+        "range-max-below-min", "p-not-list", "p-bad-string", "systems-empty",
+        "t-empty", "directory-not-string"])
 def test_error_messages_name_offending_key(text, path):
     with pytest.raises(ConfigValidationError) as info:
         cf.parse_config(text)

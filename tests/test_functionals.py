@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -294,6 +295,42 @@ def test_functional_decreases_in_p_beyond_64_property(system, alpha, t, ps):
     values = [fn.functional(system, p, alpha, t) for p in sorted(ps)]
     values.append(fn.functional(system, math.inf, alpha, t))
     assert np.diff(values).max(initial=0.0) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(quantum_systems(), st.floats(min_value=-1.0, max_value=2.0),
+       st.floats(min_value=0.1, max_value=20.0),
+       st.floats(min_value=math.log(64.0), max_value=math.log(1e300)))
+def test_functional_far_above_64_stays_near_its_limit_or_raises_property(
+        system, alpha, t, log_p):
+    # each rounding of log s_i is multiplied by p; above the bound on p the
+    # Schatten kernels raise rather than return a value below e_inf
+    p = math.exp(log_p)
+    e_64 = fn.functional(system, 64.0, alpha, t)
+    e_inf = fn.functional(system, math.inf, alpha, t)
+    try:
+        e_p = fn.functional(system, p, alpha, t)
+    except NumericalDomainError as exc:
+        assert p * system.dim * sys.float_info.epsilon > fn.SCHATTEN_ROUNDING
+        assert str(exc).startswith(f"p={p} is above the bound ")
+        return
+    assert e_inf - 1e-10 <= e_p <= e_64 + 1e-10
+
+
+LARGE_P_CALLS = {
+    "functional": lambda s, p: fn.functional(s, p, 0.5, 1.0),
+    "transfer_functional": lambda s, p: fn.transfer_functional(s, p, 0.5, 1.0),
+    "araki_masuda_norm": lambda s, p: fn.araki_masuda_norm(np.eye(8), s, p),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LARGE_P_CALLS))
+@pytest.mark.parametrize("p", [1.0e12, 1.0e300])
+def test_large_finite_p_names_p_and_the_bound(p, call):
+    system = random_system(8, tri=True, seed=3, spread=4.0)
+    bound = re.escape(f"p={p} is above the bound 16888.5 of n=8 ")
+    with pytest.raises(NumericalDomainError, match="^" + bound):
+        LARGE_P_CALLS[call](system, p)
 
 
 # dim 40 puts a few alphas in a stack, so this grid spans several stacks

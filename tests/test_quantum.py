@@ -366,28 +366,20 @@ def test_commuting_pair_produces_no_entropy():
                                                                 abs=1e-13)
 
 
-def test_simpson_quadrature_on_polynomial():
-    got = qm.adaptive_simpson_matrix(lambda s: np.array([[s ** 3]]), 0.0, 2.0)
+def test_gauss_legendre_on_polynomial():
+    got = qm.gauss_legendre_matrix(lambda s: np.array([[s ** 3]]), 0.0, 2.0)
     np.testing.assert_allclose(got, [[4.0]], atol=1e-12)
 
 
-def test_simpson_quadrature_on_oscillatory_integrand():
-    got = qm.adaptive_simpson_matrix(
+def test_gauss_legendre_on_oscillatory_integrand():
+    got = qm.gauss_legendre_matrix(
         lambda s: np.array([[math.cos(7 * s)]]), 0.0, 1.0)
     np.testing.assert_allclose(got, [[math.sin(7.0) / 7.0]], atol=1e-9)
 
 
-def test_simpson_quadrature_raises_when_depth_runs_out():
-    def jump(s):
-        return np.array([[0.0 if s < 0.3 else 1.0]])
-    with pytest.raises(NumericalDomainError,
-                       match=r"on \[.*\]: error estimate .* above tolerance"):
-        qm.adaptive_simpson_matrix(jump, 0.0, 1.0)
-
-
-def test_simpson_quadrature_raises_on_non_finite_integrand():
-    with pytest.raises(NumericalDomainError, match="error estimate nan"):
-        qm.adaptive_simpson_matrix(lambda s: np.array([[math.nan]]), 0.0, 1.0)
+def test_gauss_legendre_raises_on_non_finite_integrand():
+    with pytest.raises(NumericalDomainError, match=r"not finite on \[0, 1\]"):
+        qm.gauss_legendre_matrix(lambda s: np.array([[math.nan]]), 0.0, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -402,7 +394,7 @@ def test_evolved_integral_matches_quadrature_property(system, t, seed):
         prop = dec.apply(lambda lam: np.exp(1j * s * lam))
         return prop @ a @ prop.conj().T
 
-    gap = qm.evolved_integral(system, a, t) - qm.adaptive_simpson_matrix(evolved, 0.0, t)
+    gap = qm.evolved_integral(system, a, t) - qm.gauss_legendre_matrix(evolved, 0.0, t)
     assert np.linalg.norm(gap) <= 1e-8
 
 

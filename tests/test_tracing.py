@@ -8,6 +8,7 @@ import numpy as np
 
 from entroflux import models as md
 from entroflux import quantum as qm
+from entroflux import verify as vf
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -64,3 +65,18 @@ def test_tracer_spans_the_core_of_every_system():
     after = _package_bindings(tracing)
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_tracer_sees_the_quadrature_row_once_per_system():
+    # the span wraps quantum.adaptive_simpson_matrix, an alias of the rule
+    # the row calls as quantum.gauss_legendre_matrix
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(0)
+    try:
+        vf.check_system("junction", "reservoir", md.canonical_model(),
+                        vf.merge_tolerances())
+    finally:
+        tracer.uninstall()
+    spans = [tracer.names[n] for n in tracer.name]
+    assert spans.count("quantum.quadrature") == 1

@@ -131,13 +131,13 @@ def test_telescoping_disagreement_is_a_fail_row(monkeypatch):
 
 def test_battery_runs_quadrature_once_per_core_system(monkeypatch):
     calls = []
-    quadrature = qm.adaptive_simpson_matrix
+    quadrature = qm.gauss_legendre_matrix
 
     def counted(*args, **kwargs):
         calls.append(args)
         return quadrature(*args, **kwargs)
 
-    monkeypatch.setattr(qm, "adaptive_simpson_matrix", counted)
+    monkeypatch.setattr(qm, "gauss_legendre_matrix", counted)
     monkeypatch.setattr(pool, "cpu_count", lambda: 1)    # calls are seen in-process
     vf.run_battery()
     core = [sid for sid, kind, _ in vf.default_systems()
