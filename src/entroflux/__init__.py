@@ -1,4 +1,11 @@
-"""Entropic functionals and fluctuation statistics for finite systems."""
+"""Entropic functionals and fluctuation statistics for finite systems.
+
+The names of ``fcs``, ``functionals`` and ``verify`` load on first access,
+so importing the package and building a config's systems loads neither
+those modules nor the worker pool.
+"""
+from importlib import import_module
+
 from .classical import (
     ClassicalSystem,
     classical_functional,
@@ -17,12 +24,6 @@ from .errors import (
     ConfigValidationError,
     NumericalDomainError,
 )
-from .fcs import fcs_cgf, fcs_distribution, modular_spectral_measure
-from .functionals import (
-    functional,
-    naive_functional,
-    transfer_functional,
-)
 from .measures import SpectralMeasure, total_variation
 from .models import (
     ReservoirModel,
@@ -38,7 +39,6 @@ from .quantum import (
     q_relative_entropy,
     q_renyi_entropy,
 )
-from .verify import CheckResult, run_battery, suite_passed
 from .version import __version__
 
 __all__ = [
@@ -77,3 +77,16 @@ __all__ = [
     "total_variation",
     "transfer_functional",
 ]
+
+# name -> submodule, imported on first access (PEP 562)
+_LAZY = {name: module for module, names in (
+    ("fcs", ("fcs_cgf", "fcs_distribution", "modular_spectral_measure")),
+    ("functionals", ("functional", "naive_functional", "transfer_functional")),
+    ("verify", ("CheckResult", "run_battery", "suite_passed")),
+) for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

@@ -32,17 +32,50 @@ from .models import (
     random_system,
 )
 from .quantum import QuantumSystem, hermitian
-from .verify import merge_tolerances
 
 DEFAULT_ALPHAS = tuple(float(a) for a in np.round(np.arange(-1.0, 2.0001, 0.05), 10))
 DEFAULT_PS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 64.0, math.inf)
 DEFAULT_TS = (0.5, 1.0)
 
+# the verification battery's named tolerances, which a config may override
+DEFAULT_TOLERANCES = {
+    "symmetry": 1e-10,
+    "kawasaki": 1e-10,
+    "convexity": 1e-9,
+    "derivative": 1e-6,
+    "second_law": 1e-12,
+    "classical_identity": 1e-12,
+    "bridge": 1e-10,
+    "tv": 1e-10,
+    "p_monotone": 1e-10,
+    "p_limit": 1e-3,
+    "flux_balance": 1e-8,
+    "decomposition": 1e-10,
+    "quadrature": 1e-8,
+    "exact": 1e-12,
+    "violation_floor": 1e-8,
+}
 
-class _Loader(yaml.SafeLoader):
+
+def merge_tolerances(overrides=None) -> dict:
+    """``DEFAULT_TOLERANCES`` with ``overrides``, each a known name and a
+    positive value."""
+    tol = dict(DEFAULT_TOLERANCES)
+    for key, value in (overrides or {}).items():
+        if key not in tol:
+            raise ValueError(
+                f"unknown tolerance {key!r}; known names: {sorted(tol)}"
+            )
+        if not (float(value) > 0):
+            raise ValueError(f"tolerance {key!r} must be positive")
+        tol[key] = float(value)
+    return tol
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """YAML 1.1 safe loading, plus the exponent literals that YAML 1.1 leaves
     strings (``1e-3``, ``1.0e3``, ``.5e1``: no point, or no exponent sign)
-    read as floats."""
+    read as floats.  Parsed by libyaml when PyYAML was built with it."""
 
 
 _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(

@@ -35,8 +35,8 @@ from .errors import NumericalDomainError, WorkerLostError
 from .version import __version__
 
 DEFAULT_OUTPUT_DIR = "out"
-# smallest quantum dimension whose functionals curves are forked: an n = 8
-# sweep takes about as long as starting and stopping a two-worker pool
+# smallest quantum dimension whose functionals curves are pooled, set when a
+# two-worker pool took 10-14 ms to start and stop, about an n = 8 sweep
 POOLED_DIM = 16
 
 CURVE_COLUMNS = ("system_id", "p", "t", "alpha", "value")
@@ -134,7 +134,8 @@ def run_functionals(cfg: ExperimentConfig, workers=None) -> dict:
 
     Every (p, t) curve of a quantum system of dimension ``POOLED_DIM`` or
     more is a job of one ``pool.fork_map`` over ``workers`` processes
-    (default: one per CPU), largest system first.  Rows keep their order,
+    (default: one per CPU): this one and a forked child per extra worker,
+    the children taking the largest systems first.  Rows keep their order,
     and every value and the first domain error are a serial run's.
     """
     alphas, ps, ts = _sorted_grids(cfg)
@@ -273,7 +274,8 @@ def _matrix_row(row) -> str:
 
 def _determinism_check() -> list:
     """Byte-identical tables and masked-manifest equality between a one-worker
-    run and a run with one worker per CPU."""
+    run and a run with one worker per CPU, where this process shares the
+    pooled curves with a forked child per extra CPU."""
     cfg = default_config()
     pooled = SystemEntry("pooled", "random", {"dim": POOLED_DIM})
     cfg = replace(cfg, systems=cfg.systems + (pooled,), alphas=(0.0, 0.5, 1.0),

@@ -6,7 +6,8 @@ the system kinds it applies to and a residual function of a per-system
 ``Context``, whose curve cache evaluates each (p, t, alpha) once.
 ``run_battery`` runs the rows on a built-in roster, the caller's systems
 and the fixed systems of the batch rows, one ``pool.fork_map`` job per
-system, largest first; the rows come back in table order, so the table and
+system, the largest in forked children and the smallest in the calling
+process; the rows come back in table order, so the table and
 the first domain error are a serial run's at any worker count.
 Off time-reversal invariance a ``TRI`` row is reported as ``<name>_breaks``,
 which asserts that the violation is present.  A ``NumericalDomainError`` in
@@ -31,29 +32,13 @@ from . import measures as ms
 from . import models as md
 from . import pool
 from . import quantum as qm
+# defined in config, which validates overrides at parse time; read here too
+from .config import DEFAULT_TOLERANCES, merge_tolerances  # noqa: F401
 from .errors import NumericalDomainError, WorkerLostError
 
 PASS = "pass"
 FAIL = "fail"
 XFAIL = "xfail"
-
-DEFAULT_TOLERANCES = {
-    "symmetry": 1e-10,
-    "kawasaki": 1e-10,
-    "convexity": 1e-9,
-    "derivative": 1e-6,
-    "second_law": 1e-12,
-    "classical_identity": 1e-12,
-    "bridge": 1e-10,
-    "tv": 1e-10,
-    "p_monotone": 1e-10,
-    "p_limit": 1e-3,
-    "flux_balance": 1e-8,
-    "decomposition": 1e-10,
-    "quadrature": 1e-8,
-    "exact": 1e-12,
-    "violation_floor": 1e-8,
-}
 
 # symmetric about 1/2 in exact multiples of 1/4, so the reversed curve is e(1 - alpha)
 _ALPHAS_COARSE = np.round(np.arange(-1.0, 2.0001, 0.25), 10)
@@ -110,19 +95,6 @@ def tri_check(name: str, system_id: str, residual: float, tri: bool,
         return bounded_check(name, system_id, residual, tol[key])
     return bounded_check(name + "_breaks", system_id, residual,
                          tol["violation_floor"], BREAKS)
-
-
-def merge_tolerances(overrides=None) -> dict:
-    tol = dict(DEFAULT_TOLERANCES)
-    for key, value in (overrides or {}).items():
-        if key not in tol:
-            raise ValueError(
-                f"unknown tolerance {key!r}; known names: {sorted(tol)}"
-            )
-        if not (float(value) > 0):
-            raise ValueError(f"tolerance {key!r} must be positive")
-        tol[key] = float(value)
-    return tol
 
 
 def suite_passed(results) -> bool:
@@ -684,10 +656,11 @@ def check_system(system_id: str, kind: str, obj, tol: dict):
 
 def run_battery(extra_systems=(), tolerances=None):
     """Every row on the roster, then the extra systems, then the fixed
-    systems; returns the list of CheckResult rows.  A domain error carries
-    every row before it in ``results``, and so does the ``WorkerLostError``
-    of a worker process that died, which names the first system in table
-    order whose rows did not come back."""
+    systems; returns the list of CheckResult rows.  Each system is one
+    ``pool.fork_map`` job: forked children check the largest systems and
+    this process the smallest.  A domain error carries every row before it
+    in ``results``, and so does the ``WorkerLostError`` of a child that
+    died, which names the system that child was checking."""
     tol = merge_tolerances(tolerances)
     systems = list(default_systems()) + list(extra_systems) + fixed_systems()
     jobs = [partial(check_system, *system, tol) for system in systems]

@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 import os
 import re
 import struct
@@ -8,9 +7,11 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from entroflux import classical as cl
 from entroflux import cli, runner
@@ -27,18 +28,13 @@ from entroflux.errors import (
     NumericalDomainError,
 )
 
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The thread count that each ``os.fork`` of this process saw, in order."""
-    fork, seen = os.fork, []
 
-    def counted_fork():
-        seen.append(threading.active_count())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return seen
+def _assert_no_child():
+    """Every forked worker has been reaped: this process has no child."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _record_pids(monkeypatch, module, name, path):
@@ -341,6 +337,20 @@ seed: 7
     assert cfg.seed == 7 and isinstance(cfg.seed, int)
 
 
+def test_libyaml_and_python_loaders_read_the_same_values():
+    # the config loader parses with libyaml where PyYAML has it; its pure
+    # Python base, given the same resolvers, reads every value alike
+    assert issubclass(cf._Loader, getattr(yaml, "CSafeLoader", ())) == \
+        yaml.__with_libyaml__
+    python = type("PythonLoader", (yaml.SafeLoader,),
+                  {"yaml_implicit_resolvers": cf._Loader.yaml_implicit_resolvers})
+    literals = "[1e-3, 1.0e3, .5e1]"
+    assert yaml.load(literals, Loader=cf._Loader) == [1e-3, 1000.0, 5.0]
+    for text in (EXAMPLE.read_text(), literals):
+        assert yaml.load(text, Loader=cf._Loader) == \
+            yaml.load(text, Loader=python)
+
+
 def test_hand_built_entry_of_unknown_kind_rejected():
     with pytest.raises(ConfigValidationError, match=r"^systems\.x\.kind: "):
         cf.SystemEntry("x", "bogus").build()
@@ -523,11 +533,12 @@ def test_determinism_row_compares_pooled_sweeps(monkeypatch, tmp_path, forks):
     assert (row.name, row.residual, row.status) == \
         ("runner_determinism", 0.0, vf.PASS)
     # 4 curves: the junction's 2 here in both runs, the dim-16 system's 2
-    # here in the one-worker run and in two forked workers in the other
+    # here in the one-worker run and shared with one forked child in the other
     seen = pids.read_text().split()
-    assert len(seen) == 8 and seen.count(str(os.getpid())) == 6
-    assert forks == [1, 1]
-    assert not multiprocessing.active_children()
+    assert len(seen) == 8 and 6 <= seen.count(str(os.getpid())) <= 8
+    assert len(set(seen)) <= 2
+    assert forks == [1]
+    _assert_no_child()
 
 
 def test_run_functionals_leaves_no_thread_behind(monkeypatch, forks):
@@ -537,9 +548,9 @@ def test_run_functionals_leaves_no_thread_behind(monkeypatch, forks):
                           "sweep: {alpha: [0.5], p: [2], t: [1, 2]}\n")
     before = threading.active_count()
     assert len(runner.run_functionals(cfg)["curves"]) == 2
-    assert forks == [1, 1]
+    assert forks == [1]
     assert threading.active_count() == before
-    assert not multiprocessing.active_children()
+    _assert_no_child()
 
 
 def test_run_fcs_emits_both_measures_and_identity_row():
@@ -632,13 +643,14 @@ def test_functionals_tables_do_not_depend_on_the_worker_count(monkeypatch,
         monkeypatch.setattr(pool, "cpu_count", lambda: workers)
         tables[workers] = runner.run_functionals(
             cf.parse_config(MIXED))["curves"].to_csv()
-        # 8 curves of flip, always here; 8 of dense, forked with two or
-        # more workers, one worker per CPU up to one per curve
+        # 8 curves of flip, always here; 8 of dense, shared with a forked
+        # child per extra CPU, up to one worker per curve
         seen = pids.read_text().split()
         assert len(seen) == 16
-        assert seen.count(str(os.getpid())) == (16 if workers == 1 else 8)
-        assert forks == [1] * (min(workers, 8) if workers > 1 else 0)
-        assert not multiprocessing.active_children()
+        assert seen.count(str(os.getpid())) >= (16 if workers == 1 else 8)
+        assert len(set(seen)) <= min(workers, 8)
+        assert forks == [1] * (min(workers, 8) - 1)
+        _assert_no_child()
     serial = tables[1]
     assert tables[2] == serial and tables[8] == serial
     assert [line.split(",", 1)[0] for line in serial.splitlines()[1::6]] == \
@@ -835,14 +847,14 @@ def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
         assert code == 0
         seen = pids.read_text().split()
         assert len(seen) == systems
-        # with more than one CPU the parent checks no system
-        assert (str(os.getpid()) in seen) == (workers == 1)
-        # a worker per CPU up to one per system, then for the determinism
-        # row's pooled run up to one per curve of its 2, each forked before
-        # any helper thread
-        assert forks == [1] * (min(workers, systems) + min(workers, 2)
-                               if workers > 1 else 0)
-        assert not multiprocessing.active_children()
+        # this process is a worker too: it checks the smallest systems
+        assert str(os.getpid()) in seen
+        assert len(set(seen)) <= workers
+        # a forked child per extra CPU up to one worker per system, then for
+        # the determinism row's pooled run up to one worker per curve of its
+        # 2, each forked before any helper thread
+        assert forks == [1] * (min(workers, systems) - 1 + min(workers, 2) - 1)
+        _assert_no_child()
     assert tables[2] == tables[1] and tables[8] == tables[1]
     ids = [line.split(",", 1)[0] for line in tables[1].splitlines()[1:]]
     order = [sid for k, sid in enumerate(ids) if k == 0 or ids[k - 1] != sid]
@@ -851,11 +863,10 @@ def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
 
 def test_verify_worker_death_exits_four_with_the_rows_before_it(
         monkeypatch, tmp_path, capsys):
-    exact = fn.variational_max
+    exact, parent = fn.variational_max, os.getpid()
 
     def dies_on_dim_16(system, alpha, t):
-        if system.dim == 16:
-            time.sleep(0.2)     # so that the other worker returns some rows
+        if system.dim == 16 and os.getpid() != parent:
             os._exit(9)         # as an out-of-memory kill ends a worker
         return exact(system, alpha, t)
 
@@ -864,31 +875,28 @@ def test_verify_worker_death_exits_four_with_the_rows_before_it(
     path, out = tmp_path / "dies.yaml", tmp_path / "out"
     path.write_text("systems:\n  - {id: probe, kind: random, dim: 16, seed: 1}\n")
     assert cli.main(["verify", "-c", str(path), "-o", str(out)]) == 4
-    assert not multiprocessing.active_children()
-    err = capsys.readouterr().err
-    lost = re.fullmatch("worker error: a battery worker process died before "
-                        "the rows of system (.+) came back\n", err).group(1)
-    # the probe's rows never come back; those of earlier systems may not
-    roster = vf.default_systems()
-    before = roster[:([sid for sid, _, _ in roster] + ["probe"]).index(lost)]
-    ran = [r for system in before
+    _assert_no_child()
+    # the largest system goes to the child, which dies holding it; every
+    # row of the roster before it is written
+    assert capsys.readouterr().err == "worker error: a battery worker " \
+        "process died before the rows of system probe came back\n"
+    ran = [r for system in vf.default_systems()
            for r in vf.check_system(*system, vf.merge_tolerances())]
-    written = json.loads((out / "run.json").read_text())["rows"]
-    if ran:     # an empty table writes no file
-        assert written == {"checks": len(ran)}
-        assert (out / "checks.csv").read_text() == \
-            runner.checks_to_table(ran).to_csv()
-    else:
-        assert written == {} and not (out / "checks.csv").exists()
+    assert json.loads((out / "run.json").read_text())["rows"] == \
+        {"checks": len(ran)}
+    assert (out / "checks.csv").read_text() == \
+        runner.checks_to_table(ran).to_csv()
 
 
 def test_functionals_worker_death_exits_four_naming_the_system(
         monkeypatch, tmp_path, capsys):
-    exact = fn.functional
+    exact, parent = fn.functional, os.getpid()
 
     def dies_on_dim_16(system, *args):
         if system.dim == 16:
-            os._exit(9)         # as an out-of-memory kill ends a worker
+            if os.getpid() != parent:
+                os._exit(9)     # as an out-of-memory kill ends a worker
+            time.sleep(0.05)    # so that the child surely takes a curve
         return exact(system, *args)
 
     monkeypatch.setattr(fn, "functional", dies_on_dim_16)
@@ -896,7 +904,7 @@ def test_functionals_worker_death_exits_four_naming_the_system(
     path, out = tmp_path / "mixed.yaml", tmp_path / "out"
     path.write_text(MIXED)
     assert cli.main(["functionals", "-c", str(path), "-o", str(out)]) == 4
-    assert not multiprocessing.active_children()
+    _assert_no_child()
     assert capsys.readouterr().err == "worker error: functionals on system " \
         "dense: a worker process died before returning a result\n"
     assert not (out / "curves.csv").exists()
@@ -934,7 +942,7 @@ def test_verify_domain_error_in_a_worker_names_the_first_failing_system(
     for workers in (1, 2):
         code, table = _verify_at(monkeypatch, tmp_path, workers, f"w{workers}")
         runs.append((code, capsys.readouterr().err, table))
-        assert not multiprocessing.active_children()
+        _assert_no_child()
     assert runs[0] == runs[1]
     code, err, table = runs[0]
     assert code == 3
