@@ -7,8 +7,10 @@ The calling process is the first worker.  It forks one child per extra
 worker; children take jobs from the front of one shared queue, largest
 first, and the caller takes them from the back, smallest first.  A child
 writes on its own pipe the index of the job it took, then the pickled
-``(ok, value)`` of that job; the caller reads the pipes between its own jobs
-and while it waits.  No thread is started."""
+``(ok, value)`` of that job.  Between its own jobs and while it waits, the
+caller reads one whole message from each pipe that ``select.poll`` finds
+ready.  A fork the system refuses leaves fewer workers and the same results.
+No thread is started."""
 from __future__ import annotations
 
 import os
@@ -27,7 +29,6 @@ from .errors import WorkerLostError
 
 _WORD = struct.Struct("<q")     # a job index, or the byte count of a result
 _CURSORS = struct.Struct("<qq")
-_CHUNK = 1 << 16
 
 
 def cpu_count() -> int:
@@ -89,53 +90,42 @@ def _serve(jobs, queue: _Queue, fd: int) -> None:
         _write(fd, _WORD.pack(len(data)) + data)
 
 
-class _Child:
-    """The caller's view of one child: the unread bytes of its pipe and the
-    job it holds, if any."""
-
-    def __init__(self):
-        self.buffer = bytearray()
-        self.held = None
-
-    def parse(self, done: dict) -> None:
-        """Move every complete message in the buffer into ``done``."""
-        buffer = self.buffer
-        while len(buffer) >= _WORD.size:
-            (word,) = _WORD.unpack_from(buffer)
-            if self.held is None:
-                self.held = word
-                del buffer[:_WORD.size]
-                continue
-            end = _WORD.size + word
-            if len(buffer) < end:
-                return
-            done[self.held] = pickle.loads(buffer[_WORD.size:end])
-            self.held = None
-            del buffer[:end]
-
-
-def _drain(pipes: dict, done: dict, dead: set, timeout) -> None:
-    """Read what the children's pipes hold, waiting up to ``timeout``; a pipe
-    at end of file belongs to a child that exited, and the job it still
-    held goes into ``dead``."""
-    ready, _, _ = select.select(list(pipes), [], [], timeout)
-    for fd in ready:
-        child = pipes[fd]
-        data = os.read(fd, _CHUNK)
-        if data:
-            child.buffer += data
-            child.parse(done)
-            continue
-        os.close(fd)
-        del pipes[fd]
-        if child.held is not None:
-            dead.add(child.held)
+def _read(fd: int, size: int):
+    """Exactly ``size`` bytes from ``fd``, or None if it ends first."""
+    data = bytearray(size)
+    view = memoryview(data)
+    while view and (count := os.readv(fd, [view])):
+        view = view[count:]
+    return None if view else data
 
 
 def _lost(k: int) -> WorkerLostError:
     error = WorkerLostError("a worker process died before returning a result")
     error.index = k
     return error
+
+
+def _drain(pipes: dict, done: dict, poller, timeout) -> None:
+    """Read one whole message from each pipe ready within ``timeout`` ms: the
+    index of the job its child took, or the outcome of the job it holds.  A
+    child sends each message in one write, so waiting for the rest of one
+    ends with that write.  A pipe that ends, even mid-message, belongs to a
+    dead child, and the job it held gets ``WorkerLostError`` as its outcome."""
+    for fd, _ in poller.poll(timeout):
+        held, word = pipes[fd], _read(fd, _WORD.size)
+        if word is not None and held is None:
+            pipes[fd] = _WORD.unpack(word)[0]
+            continue
+        data = None if word is None else _read(fd, *_WORD.unpack(word))
+        if data is not None:
+            done[held] = pickle.loads(data)
+            pipes[fd] = None
+            continue
+        poller.unregister(fd)
+        os.close(fd)
+        del pipes[fd]
+        if held is not None:
+            done[held] = (False, _lost(held))
 
 
 def fork_map(jobs, sizes, workers: int):
@@ -146,18 +136,25 @@ def fork_map(jobs, sizes, workers: int):
     the caller the smallest.  Jobs are never pickled, only results and
     exceptions are.  Forking is safe only while no other thread runs.  A
     child that dies holding job h raises ``WorkerLostError`` with ``index``
-    h once every result before it is yielded.  However the map ends, every
-    child is killed and reaped before this generator returns."""
+    h once every result before it is yielded.  A refused fork leaves fewer
+    workers; with none left this is a serial run.  However the map ends,
+    every child is killed and reaped before this generator returns."""
     workers = min(workers, len(jobs))
     if workers < 2 or not hasattr(os, "fork"):
         yield from (job() for job in jobs)
         return
     queue = _Queue(sorted(range(len(jobs)), key=lambda k: -sizes[k]))
-    pipes, pids = {}, []
+    pipes, pids, poller = {}, [], select.poll()
     try:
         for _ in range(workers - 1):
-            read, write = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = read, write = os.pipe()
+                pid = os.fork()
+            except OSError:     # refused by the system: map on fewer workers
+                for fd in fds:
+                    os.close(fd)
+                break
             if pid == 0:
                 status = 1
                 try:
@@ -168,21 +165,22 @@ def fork_map(jobs, sizes, workers: int):
                     os._exit(status)
             os.close(write)
             pids.append(pid)
-            pipes[read] = _Child()
-        done, dead = {}, set()
+            pipes[read] = None
+            poller.register(read, select.POLLIN)
+        if not pids:
+            yield from (job() for job in jobs)
+            return
+        done = {}
         for k in range(len(jobs)):
             while k not in done:
-                if k in dead:
-                    raise _lost(k)
-                if pipes:
-                    _drain(pipes, done, dead, 0)
-                    if k in done or k in dead:
-                        continue
+                _drain(pipes, done, poller, 0)
+                if k in done:
+                    continue
                 j = queue.take(back=True)
                 if j is not None:
                     done[j] = _call(jobs[j])
                 elif pipes:
-                    _drain(pipes, done, dead, None)
+                    _drain(pipes, done, poller, None)
                 else:           # taken by a child that died before naming it
                     raise _lost(k)
             ok, value = done.pop(k)

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -859,6 +860,56 @@ def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
     ids = [line.split(",", 1)[0] for line in tables[1].splitlines()[1:]]
     order = [sid for k, sid in enumerate(ids) if k == 0 or ids[k - 1] != sid]
     assert order[9:13] == ["small", "dense-a", "chain", "dense-b"]
+
+
+def _refuse_every_fork(monkeypatch):
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refused)
+
+
+def test_verify_with_every_fork_refused_writes_a_one_worker_run(
+        monkeypatch, tmp_path, capsys):
+    code, serial = _verify_at(monkeypatch, tmp_path, 1, "serial")
+    assert code == 0
+    _refuse_every_fork(monkeypatch)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    assert _verify_at(monkeypatch, tmp_path, 2, "refused") == (0, serial)
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    assert "output error" not in capsys.readouterr().err
+
+
+def test_functionals_with_every_fork_refused_writes_a_one_worker_run(
+        monkeypatch, tmp_path, capsys):
+    path = tmp_path / "mixed.yaml"
+    path.write_text(MIXED)
+
+    def curves_at(workers, name):
+        monkeypatch.setattr(pool, "cpu_count", lambda: workers)
+        out = tmp_path / name
+        assert cli.main(["functionals", "-c", str(path), "-o", str(out)]) == 0
+        return (out / "curves.csv").read_bytes()
+
+    serial = curves_at(1, "serial")
+    _refuse_every_fork(monkeypatch)
+    assert curves_at(2, "refused") == serial
+
+
+@pytest.mark.parametrize("subcommand, off, kept", [
+    ("functionals", "curves", []),
+    ("fcs", "distributions", ["checks", "curves"]),
+    ("verify", "checks", []),
+])
+def test_an_output_switched_off_is_neither_written_nor_counted(
+        tmp_path, capsys, subcommand, off, kept):
+    path, out = tmp_path / "off.yaml", tmp_path / "out"
+    path.write_text(QUBIT + f"output:\n  {off}: false\n")
+    assert cli.main([subcommand, "-c", str(path), "-o", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == \
+        [f"{name}.csv" for name in kept]
+    rows = json.loads((out / "run.json").read_text())["rows"]
+    assert sorted(rows) == kept and all(rows.values())
 
 
 def test_verify_worker_death_exits_four_with_the_rows_before_it(

@@ -1,4 +1,6 @@
+import errno
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -28,6 +30,12 @@ def _ran(k, child_delay=0.0):
     """``(k, pid)``; a forked child first sleeps ``child_delay``."""
     if os.getpid() != PARENT:
         time.sleep(child_delay)
+    return k, os.getpid()
+
+
+def _paced(k):
+    """``(k, pid)`` after 0.05 s."""
+    time.sleep(0.05)
     return k, os.getpid()
 
 
@@ -178,3 +186,45 @@ def test_a_pooled_run_starts_no_thread_and_imports_no_process_pool():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert done.stdout == "[] 1\n"
+
+
+@pytest.mark.parametrize("name", ["pipe", "fork"])
+@pytest.mark.parametrize("started", [0, 1])
+def test_a_refused_fork_leaves_fewer_workers_and_the_same_results(
+        monkeypatch, name, started):
+    exact, calls = getattr(os, name), []
+
+    def refused_after_started():
+        calls.append(name)
+        if len(calls) > started:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return exact()
+
+    monkeypatch.setattr(os, name, refused_after_started)
+    jobs = [partial(_ran, k) for k in range(len(SIZES))]
+    results = list(pool.fork_map(jobs, SIZES, 3))
+    assert [k for k, _ in results] == list(range(len(SIZES)))
+    assert len(calls) == started + 1
+    assert len({pid for _, pid in results}) <= started + 1
+    if not started:
+        assert {pid for _, pid in results} == {PARENT}
+
+
+def test_pipes_numbered_1024_and_above_are_read():
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if hard != resource.RLIM_INFINITY and hard < 1200:
+        pytest.skip(f"the hard limit on open files is {hard}")
+    raised = hard if hard != resource.RLIM_INFINITY else max(soft, 2048)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (raised, hard))
+    held = []
+    try:
+        held.extend(os.open(os.devnull, os.O_RDONLY) for _ in range(1100))
+        # this process is slow on the small job, so the child takes the large
+        jobs = [partial(_paced, k) for k in range(4)]
+        results = list(pool.fork_map(jobs, [1, 2, 3, 4], 2))
+    finally:
+        for fd in held:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert [k for k, _ in results] == list(range(4))
+    assert len({pid for _, pid in results}) == 2
