@@ -298,8 +298,10 @@ def _parse_system(entry, index: int) -> SystemEntry:
     system_id = mapping.get("id", f"{kind}-{index}")
     if not isinstance(system_id, str) or not system_id:
         _fail(f"{path}.id", "expected a nonempty string")
-    if "," in system_id or "\n" in system_id:
-        _fail(f"{path}.id", "must not contain commas or newlines")
+    # an id is written unquoted as the first cell of every CSV row
+    if any(c in system_id for c in ',\n\r"'):
+        _fail(f"{path}.id", "must not contain commas, line breaks or double "
+              "quotes")
 
     _, schema, _ = _KINDS[kind]
     _reject_unknown(mapping, {"id", "kind", *schema}, path)

@@ -38,6 +38,11 @@ DEFAULT_OUTPUT_DIR = "out"
 # smallest quantum dimension whose functionals curves are pooled, set when a
 # two-worker pool took 10-14 ms to start and stop, about an n = 8 sweep
 POOLED_DIM = 16
+# blocks of at least VECTOR_ROWS rows render their float cells through
+# floattext, set where a block of two float cells took as long per row either
+# way; CHUNK_ROWS rows at a time bound its matrices to a few hundred KiB
+VECTOR_ROWS = 256
+CHUNK_ROWS = 2048
 
 CURVE_COLUMNS = ("system_id", "p", "t", "alpha", "value")
 DISTRIBUTION_COLUMNS = ("system_id", "t", "atom", "weight", "measure")
@@ -77,9 +82,15 @@ class ResultTable:
 
     def _csv_blocks(self):
         """The CSV text in pieces: the header line, then each block's rows
-        as one string, rendered by one ``%`` over all the block's cells."""
+        as one string or a few.  A short block is rendered by one ``%`` over
+        all its cells, a long one by ``_vector_rows``: the same text."""
         yield ",".join(self.columns) + "\n"
         for values, count in self.blocks:
+            if count >= VECTOR_ROWS:
+                for start in range(0, count, CHUNK_ROWS):
+                    yield _vector_rows(values, start,
+                                       min(count, start + CHUNK_ROWS))
+                continue
             row = ",".join("%.17g" if isinstance(v, np.ndarray)
                            else _cell(v).replace("%", "%%") for v in values)
             arrays = [v for v in values if isinstance(v, np.ndarray)]
@@ -88,6 +99,32 @@ class ResultTable:
 
     def to_csv(self) -> str:
         return "".join(self._csv_blocks())
+
+
+def _vector_rows(values, start: int, stop: int) -> str:
+    """Rows start..stop of a block: floattext's byte matrices for the array
+    cells' slices between constant columns for the rest, kept bytes joined."""
+    from . import floattext     # short tables never load it
+    rows = stop - start
+    text, keep = floattext.g17(np.concatenate(
+        [v[start:stop] for v in values if isinstance(v, np.ndarray)]))
+    cells = zip(text.reshape(-1, rows, floattext.WIDTH),
+                keep.reshape(-1, rows, floattext.WIDTH))
+    pieces = []
+    for i, value in enumerate(values):
+        array = isinstance(value, np.ndarray)
+        pieces.append(_constant_columns(
+            ("," if i else "") + ("" if array else _cell(value)), rows))
+        if array:
+            pieces.append(next(cells))
+    texts, keeps = zip(*pieces, _constant_columns("\n", rows))
+    return np.hstack(texts)[np.hstack(keeps)].tobytes().decode()
+
+
+def _constant_columns(text: str, rows: int) -> tuple:
+    raw = np.frombuffer(text.encode(), np.uint8)
+    return (np.broadcast_to(raw, (rows, len(raw))),
+            np.broadcast_to(True, (rows, len(raw))))
 
 
 def _check_rows(table: ResultTable, results) -> None:

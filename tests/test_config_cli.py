@@ -216,6 +216,10 @@ def _one_system(body: str) -> str:
     (_one_system("id: '', kind: classical, weights: [1.0]"), "systems[0].id"),
     (_one_system("id: 'a,b', kind: classical, weights: [1.0]"),
      "systems[0].id"),
+    (_one_system('id: "a\\rb", kind: classical, weights: [1.0]'),
+     "systems[0].id"),
+    (_one_system("id: '\"a', kind: classical, weights: [1.0]"),
+     "systems[0].id"),
     (MINIMAL + "sweep: {alpha: {min: 0, max: 1}}\n", "sweep.alpha.step"),
     (MINIMAL + "sweep: {alpha: {min: 1, max: 0, step: 0.1}}\n",
      "sweep.alpha"),
@@ -234,7 +238,8 @@ def _one_system(body: str) -> str:
         "section-not-mapping", "weight-nan", "real-not-number",
         "weights-empty", "weights-nonpositive", "matrix-bad-entry",
         "matrix-not-list", "matrix-row-not-list", "matrix-ragged",
-        "kind-unknown", "id-empty", "id-comma", "range-missing-step",
+        "kind-unknown", "id-empty", "id-comma", "id-carriage-return",
+        "id-quote", "range-missing-step",
         "range-max-below-min", "p-not-list", "p-bad-string", "systems-empty",
         "t-empty", "directory-not-string"])
 def test_error_messages_name_offending_key(text, path):
@@ -463,6 +468,27 @@ def test_block_renders_like_rows_appended_one_by_one():
     assert _csv_rows(block) == _csv_rows(rows)
     assert [row[3] for row in _csv_rows(block)] == \
         ["%.17g" % w for w in weights]
+    # a block long enough for the vectorized rendering, over three chunks
+    rng = np.random.default_rng(3)
+    count = 2 * runner.CHUNK_ROWS + 7
+    assert count >= runner.VECTOR_ROWS
+    ties = (2 * rng.integers(2 ** 16, 5 * 2 ** 17, size=40) + 1) * 2.0 ** -17
+    special = np.array([-math.inf, math.inf, math.nan, -0.0, 0.0, 5e-324,
+                        -1e-300, 1e16, 1e17, 1e-5, 1e-4, 1000000000000000.25,
+                        1000000000000000.75, np.finfo(float).max])
+    spread = rng.standard_normal(count) * 10.0 ** rng.integers(-320, 300, count)
+    atoms = np.concatenate([special, ties, spread])[:count]
+    weights = np.concatenate([-ties, special, rng.random(count)])[:count]
+    block = runner.ResultTable(runner.DISTRIBUTION_COLUMNS)
+    block.append("100%-d", 1.5, atoms, weights, "P")
+    rows = runner.ResultTable(runner.DISTRIBUTION_COLUMNS)
+    for atom, weight in zip(atoms, weights):
+        rows.append("100%-d", 1.5, atom, weight, "P")
+    assert block.to_csv() == rows.to_csv()
+    assert len(block) == len(rows) == count
+    assert block.to_csv().splitlines()[1:3] == [
+        "100%-d,1.5,-inf," + "%.17g" % -ties[0] + ",P",
+        "100%-d,1.5,inf," + "%.17g" % -ties[1] + ",P"]
 
 
 def test_streamed_writer_and_to_csv_give_the_same_bytes(tmp_path):
