@@ -271,8 +271,14 @@ class ExperimentConfig:
     from_file: bool = False
     source_text: str = "defaults\n"
 
-    def build_systems(self):
-        return [entry.build(self.seed) for entry in self.systems]
+    def build_systems(self, tags=None):
+        """``(system_id, battery tag, object)`` for each entry in declared
+        order; given ``tags``, only the entries of those battery tags are
+        built, and the rest never reach their builders.  An unknown kind is
+        always built, so that ``SystemEntry.build`` names it."""
+        return [entry.build(self.seed) for entry in self.systems
+                if tags is None or entry.kind not in _KINDS
+                or _KINDS[entry.kind][0] in tags]
 
     def classical_times(self) -> tuple:
         """Integer entries t >= 1 of the t grid; classical sweeps need one."""
@@ -341,7 +347,7 @@ def _parse_alpha_grid(value, path: str) -> tuple:
     if hi < lo:
         _fail(path, f"max {hi} is below min {lo}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return tuple(float(np.round(lo + k * step, 12)) for k in range(count))
+    return tuple(np.round(lo + np.arange(count) * step, 12).tolist())
 
 
 def _parse_p_grid(value, path: str) -> tuple:

@@ -10,9 +10,11 @@ writes on its own pipe the index of the job it took, then the pickled
 ``(ok, value)`` of that job.  Between its own jobs and while it waits, the
 caller reads one whole message from each pipe that ``select.poll`` finds
 ready.  A fork the system refuses leaves fewer workers and the same results.
-No thread is started."""
+No thread is started, and a loaded OpenBLAS runs one thread per worker while
+the map lasts."""
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import select
@@ -29,6 +31,11 @@ from .errors import WorkerLostError
 
 _WORD = struct.Struct("<q")     # a job index, or the byte count of a result
 _CURSORS = struct.Struct("<qq")
+# thread-count getter and setter of the OpenBLAS in numpy's wheels, then of a
+# plain OpenBLAS
+_BLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_",
+                  "scipy_openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
 def cpu_count() -> int:
@@ -37,6 +44,30 @@ def cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:                           # not on every platform
         return os.cpu_count() or 1
+
+
+@functools.cache
+def blas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS this process has
+    loaded, found once: its file in ``/proc/self/maps``, its symbols through
+    ``ctypes``.  None with any other BLAS, or none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split(maxsplit=5)[5].rstrip("\n")
+                            for line in maps
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:                     # no /proc here
+        return None
+    import ctypes
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, put in _BLAS_SYMBOLS:
+            if hasattr(library, get) and hasattr(library, put):
+                return getattr(library, get), getattr(library, put)
+    return None
 
 
 class _Queue:
@@ -137,15 +168,22 @@ def fork_map(jobs, sizes, workers: int):
     exceptions are.  Forking is safe only while no other thread runs.  A
     child that dies holding job h raises ``WorkerLostError`` with ``index``
     h once every result before it is yielded.  A refused fork leaves fewer
-    workers; with none left this is a serial run.  However the map ends,
-    every child is killed and reaped before this generator returns."""
+    workers; with none left this is a serial run.  From the first fork on, a
+    loaded OpenBLAS runs one thread, in the children and here, so workers
+    do not contend with each other's BLAS threads.  However the map ends,
+    every child is killed and reaped and the caller's BLAS thread count is
+    restored before this generator returns."""
     workers = min(workers, len(jobs))
     if workers < 2 or not hasattr(os, "fork"):
         yield from (job() for job in jobs)
         return
     queue = _Queue(sorted(range(len(jobs)), key=lambda k: -sizes[k]))
     pipes, pids, poller = {}, [], select.poll()
+    blas, threads = blas_threads(), None
     try:
+        if blas:
+            threads = blas[0]()
+            blas[1](1)
         for _ in range(workers - 1):
             fds = ()
             try:
@@ -195,3 +233,5 @@ def fork_map(jobs, sizes, workers: int):
         for fd in pipes:
             os.close(fd)
         queue.file.close()
+        if threads is not None:
+            blas[1](threads)

@@ -244,9 +244,7 @@ def run_classical(cfg: ExperimentConfig) -> dict:
     curves = ResultTable(CURVE_COLUMNS)
     distributions = ResultTable(DISTRIBUTION_COLUMNS)
     checks = ResultTable(CHECK_COLUMNS)
-    for system_id, tag, obj in cfg.build_systems():
-        if tag != "classical":
-            continue
+    for system_id, _, obj in cfg.build_systems(("classical",)):
         with _on_system("classical", system_id):
             times = cfg.classical_times()
             _classical_curves(curves, system_id, obj, times, alphas)
@@ -265,8 +263,8 @@ def run_classical(cfg: ExperimentConfig) -> dict:
 
 def run_model(cfg: ExperimentConfig) -> str:
     """Human-readable dump of the assembled two-reservoir systems."""
-    reservoirs = [(sid, obj) for sid, tag, obj in cfg.build_systems()
-                  if tag == "reservoir"]
+    reservoirs = [(sid, obj)
+                  for sid, _, obj in cfg.build_systems(("reservoir",))]
     if not reservoirs:
         reservoirs = [("canonical", md.canonical_model())]
     blocks = []

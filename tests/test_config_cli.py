@@ -104,6 +104,32 @@ sweep:
                                [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
 
 
+def _per_element_range(lo, hi, step):
+    """A ``{min, max, step}`` grid by one ``np.round`` per element."""
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    return tuple(float(np.round(lo + k * step, 12)) for k in range(count))
+
+
+def test_alpha_range_grid_is_the_per_element_formula_bit_for_bit():
+    rng = np.random.default_rng(28)
+    ranges = [(-1.0, 2.0, 0.05)]                # the example config's
+    for _ in range(600):                        # decimal, as typed
+        lo = round(float(rng.uniform(-3, 3)), int(rng.integers(0, 4)))
+        step = float(rng.choice([0.001, 0.01, 0.025, 0.05, 0.1, 0.2, 0.25,
+                                 0.3, 0.5, 0.7, 1.0, 1.5]))
+        ranges.append((lo, lo + step * int(rng.integers(0, 400)), step))
+    for _ in range(600):                        # any doubles
+        lo, width = rng.uniform(-5, 5), rng.uniform(0, 3)
+        ranges.append((lo, lo + width, 10 ** rng.uniform(-2, 0.5)))
+    for lo, hi, step in ranges:
+        grid = cf._parse_alpha_grid(
+            {"min": float(lo), "max": float(hi), "step": float(step)}, "alpha")
+        assert [x.hex() for x in grid] == \
+            [x.hex() for x in _per_element_range(lo, hi, step)]
+    assert cf.load_config(str(EXAMPLE)).alphas == \
+        _per_element_range(-1.0, 2.0, 0.05)
+
+
 @pytest.mark.parametrize("grid,path", [
     ("[0.5, .inf]", r"sweep\.alpha\[1\]"),
     ("[-.inf]", r"sweep\.alpha\[0\]"),
@@ -550,6 +576,106 @@ def test_run_classical_skips_the_t_grid_without_classical_systems(
     # a classical system still needs an integer time
     with pytest.raises(ConfigValidationError, match="sweep.t: classical"):
         runner.run_classical(cf.parse_config(MINIMAL + "sweep:\n  t: [0.5]\n"))
+
+
+def _record_builds(monkeypatch, refuse=()):
+    """Patch every builder to append its kind to the returned list; those
+    of the kinds in ``refuse`` raise as a build-time error does."""
+    built = []
+    for kind, (tag, schema, builder) in list(cf._KINDS.items()):
+        def recorded(params, seed, kind=kind, builder=builder):
+            built.append(kind)
+            if kind in refuse:
+                raise ValueError(f"{kind} builder called")
+            return builder(params, seed)
+        monkeypatch.setitem(cf._KINDS, kind, (tag, schema, recorded))
+    return built
+
+
+EXAMPLE_KINDS = ["classical", "quantum", "two_reservoir", "random",
+                 "random_classical"]
+
+
+@pytest.mark.parametrize("subcommand,kinds", [
+    ("classical", ["classical", "random_classical"]),
+    ("model", ["two_reservoir"]),
+    ("functionals", EXAMPLE_KINDS),
+    ("fcs", EXAMPLE_KINDS),
+])
+def test_each_subcommand_builds_the_kinds_it_reads(tmp_path, monkeypatch,
+                                                   capsys, subcommand, kinds):
+    built = _record_builds(monkeypatch)
+    assert cli.main([subcommand, "-c", str(EXAMPLE),
+                     "-o", str(tmp_path)]) == 0
+    assert built == kinds
+
+
+def test_verify_builds_every_entry_of_the_config(monkeypatch):
+    built = _record_builds(monkeypatch)
+    runner.run_verify(cf.load_config(str(EXAMPLE)))
+    # then each of the determinism row's two sweeps builds its canonical
+    # junction and its random system
+    assert built == EXAMPLE_KINDS + ["two_reservoir", "random"] * 2
+
+
+QUANTUM_KINDS = ("random", "quantum", "two_reservoir")
+
+
+def test_classical_never_calls_a_quantum_builder(tmp_path, monkeypatch):
+    exact = tmp_path / "exact"
+    assert cli.main(["classical", "-c", str(EXAMPLE), "-o", str(exact)]) == 0
+    _record_builds(monkeypatch, refuse=QUANTUM_KINDS)
+    skipped = tmp_path / "skipped"
+    assert cli.main(["classical", "-c", str(EXAMPLE),
+                     "-o", str(skipped)]) == 0
+    for name in ("curves.csv", "distributions.csv", "checks.csv"):
+        assert (skipped / name).read_bytes() == (exact / name).read_bytes()
+    manifests = [json.loads((out / "run.json").read_text())
+                 for out in (exact, skipped)]
+    for manifest in manifests:
+        manifest.pop("wall_time_seconds")
+    assert manifests[0] == manifests[1]
+
+
+def test_model_skips_the_entries_that_are_not_reservoirs(monkeypatch,
+                                                         capsys):
+    assert cli.main(["model", "-c", str(EXAMPLE)]) == 0
+    exact = capsys.readouterr().out
+    assert exact.startswith("system two-qubit-junction\n")
+    _record_builds(monkeypatch, refuse=set(cf._KINDS) - {"two_reservoir"})
+    assert cli.main(["model", "-c", str(EXAMPLE)]) == 0
+    assert capsys.readouterr().out == exact
+
+
+@pytest.mark.parametrize("subcommand", ["functionals", "fcs", "verify"])
+def test_the_other_subcommands_still_build_every_entry(tmp_path, monkeypatch,
+                                                       capsys, subcommand):
+    _record_builds(monkeypatch, refuse=QUANTUM_KINDS)
+    assert cli.main([subcommand, "-c", str(EXAMPLE),
+                     "-o", str(tmp_path)]) == 2
+    assert "systems.flip-qubit: quantum builder called" in \
+        capsys.readouterr().err
+
+
+def test_a_build_error_surfaces_only_where_the_entry_is_read(tmp_path,
+                                                             capsys):
+    # parses, but its state is below the positivity floor: a build error
+    path = tmp_path / "floor.yaml"
+    path.write_text(MINIMAL + """
+  - id: pure
+    kind: quantum
+    hamiltonian: [[0, 1], [1, 0]]
+    reference_state: [[1, 0], [0, 0]]
+""")
+    cf.load_config(str(path))
+    assert cli.main(["classical", "-c", str(path),
+                     "-o", str(tmp_path / "classical")]) == 0
+    capsys.readouterr()
+    for subcommand in ("functionals", "fcs", "verify"):
+        assert cli.main([subcommand, "-c", str(path),
+                         "-o", str(tmp_path / subcommand)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: systems.pure: ")
 
 
 def test_determinism_row_compares_pooled_sweeps(monkeypatch, tmp_path, forks):

@@ -7,6 +7,7 @@ import time
 from contextlib import closing
 from functools import partial
 
+import numpy  # noqa: F401  (loads the OpenBLAS that the pool pins)
 import pytest
 
 from entroflux import pool
@@ -228,3 +229,76 @@ def test_pipes_numbered_1024_and_above_are_read():
         resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
     assert [k for k, _ in results] == list(range(4))
     assert len({pid for _, pid in results}) == 2
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                  "OMP_NUM_THREADS")
+
+
+def test_a_forked_job_reads_one_blas_thread_when_none_is_pinned():
+    code = """if True:
+        import os, time
+        import numpy
+        from entroflux import pool
+        threads, _ = pool.blas_threads()
+        parent = os.getpid()
+
+        def job():
+            if os.getpid() == parent:
+                time.sleep(0.2)     # so that the child takes a job
+            return os.getpid() != parent, threads()
+
+        before = threads()
+        results = list(pool.fork_map([job] * 4, [1] * 4, 2))
+        print(before, threads(), sorted(set(results)))
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    if pool.blas_threads() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    before, after, results = done.stdout.split(" ", 2)
+    assert before == after
+    # every job reads one thread, and one ran in a child at least
+    assert results in ("[(False, 1), (True, 1)]\n", "[(True, 1)]\n")
+
+
+@pytest.fixture
+def blas_at_two():
+    """The caller's OpenBLAS set to two threads for the test."""
+    if pool.blas_threads() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS")
+    threads, set_threads = pool.blas_threads()
+    before = threads()
+    set_threads(2)
+    yield threads
+    set_threads(before)
+
+
+def _threads_in(k, threads):
+    return k, threads()
+
+
+def test_the_caller_keeps_its_blas_threads_after_a_map(blas_at_two):
+    jobs = [partial(_threads_in, k, blas_at_two) for k in range(6)]
+    assert list(pool.fork_map(jobs, [1] * 6, 2)) == [(k, 1) for k in range(6)]
+    assert blas_at_two() == 2
+
+
+def test_the_caller_keeps_its_blas_threads_after_a_domain_error(blas_at_two):
+    jobs = [partial(_sleep_then, NumericalDomainError("breakdown"), 0.05),
+            partial(_sleep_then, 1, 0.05)]
+    with pytest.raises(NumericalDomainError, match="breakdown"):
+        list(pool.fork_map(jobs, [2, 1], 2))
+    assert blas_at_two() == 2
+
+
+def test_the_caller_keeps_its_blas_threads_after_a_dead_child(blas_at_two):
+    def dies():
+        if os.getpid() != PARENT:
+            os._exit(9)
+        time.sleep(0.2)             # so that a child takes this job
+
+    with pytest.raises(WorkerLostError):
+        list(pool.fork_map([dies, partial(_sleep_then, 1, 0.2)], [2, 1], 2))
+    assert blas_at_two() == 2
