@@ -1,4 +1,5 @@
-"""Command line entry point.
+"""Command line entry point: parses the arguments, hands the run to
+``runner.execute`` and maps its errors to exit codes.
 
 Exit codes: 0 success, 1 verification failure, 2 config error or an
 output directory that cannot be written, 3 numerical-domain error, 4 a
@@ -9,17 +10,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from dataclasses import replace
 
 from . import runner
-from . import verify as vf
-from .config import _seed, default_config, load_config
+from .config import _seed, default_config, load_config, merge_tolerances
 from .errors import (ConfigError, ConfigValidationError, NumericalDomainError,
                      WorkerLostError)
 from .version import __version__
-
-_SWEEPS = ("functionals", "fcs", "classical")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +63,7 @@ def _parse_tolerance_overrides(pairs) -> dict:
             raise ConfigValidationError(
                 f"tolerance override {name}: {raw!r} is not a number")
     try:
-        vf.merge_tolerances(overrides)
+        merge_tolerances(overrides)
     except ValueError as exc:
         raise ConfigValidationError(str(exc))
     return overrides
@@ -87,34 +84,15 @@ def main(argv=None) -> int:
     target = None
     try:
         cfg = _load(args)
-        if args.subcommand == "model":
-            sys.stdout.write(runner.run_model(cfg))
-            return 0
         target = args.output_dir or cfg.output_dir
-        if args.subcommand in _SWEEPS:
+        if args.subcommand == "model":
+            target = None           # it only prints
+        elif args.subcommand != "verify":
             target = target or runner.DEFAULT_OUTPUT_DIR
         if target:      # before the run, so an unusable path fails at once
             os.makedirs(target, exist_ok=True)
-        if args.subcommand in _SWEEPS:
-            manifest = runner.execute(cfg, args.subcommand, target)
-            rows = sum(count for _, count in manifest["rows"].items())
-            print(f"{args.subcommand}: wrote {rows} rows to {target}")
-            return 0
-        start = time.monotonic()
-
-        def write(results):
-            if target:
-                runner.write_outputs(target, "verify",
-                                     {"checks": runner.checks_to_table(results)},
-                                     cfg, time.monotonic() - start)
-
-        try:
-            results, passed = runner.run_verify(cfg)
-        except (NumericalDomainError, WorkerLostError) as exc:
-            write(exc.results)      # the rows that ran before the error
-            raise
-        print(runner.render_check_table(results))
-        write(results)
+        report, passed = runner.execute(cfg, args.subcommand, target)
+        sys.stdout.write(report)
         return 0 if passed else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -36,6 +36,8 @@ from .quantum import QuantumSystem, hermitian
 DEFAULT_ALPHAS = tuple(float(a) for a in np.round(np.arange(-1.0, 2.0001, 0.05), 10))
 DEFAULT_PS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 64.0, math.inf)
 DEFAULT_TS = (0.5, 1.0)
+# most points of a {min, max, step} alpha range, checked before numpy builds it
+MAX_GRID_POINTS = 1_000_000
 
 # the verification battery's named tolerances, which a config may override
 DEFAULT_TOLERANCES = {
@@ -346,7 +348,11 @@ def _parse_alpha_grid(value, path: str) -> tuple:
     step = _positive(mapping["step"], f"{path}.step")
     if hi < lo:
         _fail(path, f"max {hi} is below min {lo}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_GRID_POINTS:
+        _fail(path, f"a range of {count} points exceeds the limit of "
+                    f"{MAX_GRID_POINTS}")
     return tuple(np.round(lo + np.arange(count) * step, 12).tolist())
 
 

@@ -14,7 +14,7 @@ class NumericalDomainError(ValueError):
 
 
 class WorkerLostError(RuntimeError):
-    """A worker process died before job ``index`` returned; from a battery,
+    """A worker process died before its job returned; from a battery,
     ``results`` holds the rows of the systems before that job's system."""
 
 

@@ -130,10 +130,8 @@ def _read(fd: int, size: int):
     return None if view else data
 
 
-def _lost(k: int) -> WorkerLostError:
-    error = WorkerLostError("a worker process died before returning a result")
-    error.index = k
-    return error
+def _lost() -> WorkerLostError:
+    return WorkerLostError("a worker process died before returning a result")
 
 
 def _drain(pipes: dict, done: dict, poller, timeout) -> None:
@@ -156,7 +154,7 @@ def _drain(pipes: dict, done: dict, poller, timeout) -> None:
         os.close(fd)
         del pipes[fd]
         if held is not None:
-            done[held] = (False, _lost(held))
+            done[held] = (False, _lost())
 
 
 def fork_map(jobs, sizes, workers: int):
@@ -166,8 +164,8 @@ def fork_map(jobs, sizes, workers: int):
     worker and runs jobs too: children take the largest ``sizes[k]`` first,
     the caller the smallest.  Jobs are never pickled, only results and
     exceptions are.  Forking is safe only while no other thread runs.  A
-    child that dies holding job h raises ``WorkerLostError`` with ``index``
-    h once every result before it is yielded.  A refused fork leaves fewer
+    child that dies holding job h raises ``WorkerLostError`` in the place of
+    job h's result, once every result before it is yielded.  A refused fork leaves fewer
     workers; with none left this is a serial run.  From the first fork on, a
     loaded OpenBLAS runs one thread, in the children and here, so workers
     do not contend with each other's BLAS threads.  However the map ends,
@@ -220,7 +218,7 @@ def fork_map(jobs, sizes, workers: int):
                 elif pipes:
                     _drain(pipes, done, poller, None)
                 else:           # taken by a child that died before naming it
-                    raise _lost(k)
+                    raise _lost()
             ok, value = done.pop(k)
             if not ok:
                 raise value

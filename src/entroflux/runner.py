@@ -1,4 +1,4 @@
-"""Sweep orchestration and structured output.
+"""Subcommand runs, all through ``execute``, and their structured output.
 
 Every run emits diff-able CSV tables with a fixed column order and a
 ``run.json`` manifest (config hash, tool version, wall time).  Floats are
@@ -330,14 +330,11 @@ def _determinism_check() -> list:
                              0.0 if same else 1.0, 0.5)]
 
 
-def run_verify(cfg: ExperimentConfig):
-    """Full battery plus runner-level checks; returns (results, passed)."""
-    extra = []
-    if cfg.from_file:
-        extra = cfg.build_systems()
-    results = vf.run_battery(extra_systems=extra, tolerances=cfg.tolerances)
-    results += _determinism_check()
-    return results, vf.suite_passed(results)
+def run_verify(cfg: ExperimentConfig) -> list:
+    """Full battery plus runner-level checks; returns the rows."""
+    extra = cfg.build_systems() if cfg.from_file else []
+    return (vf.run_battery(extra_systems=extra, tolerances=cfg.tolerances)
+            + _determinism_check())
 
 
 def render_check_table(results) -> str:
@@ -397,12 +394,30 @@ def write_outputs(output_dir: str, subcommand: str, tables: dict,
     return manifest
 
 
-def execute(cfg: ExperimentConfig, subcommand: str, output_dir: str) -> dict:
-    """Run one data-producing subcommand end to end, writing to
-    ``output_dir``; returns the manifest."""
+def execute(cfg: ExperimentConfig, subcommand: str, output_dir) -> tuple:
+    """Run and time one subcommand; returns ``(report, passed)``, the text for
+    stdout and whether the run passed.  A sweep writes its tables and
+    ``run.json`` to ``output_dir``, and ``verify`` its checks when given one,
+    also the rows run before a domain error or a lost worker it re-raises."""
+    if subcommand == "model":
+        return run_model(cfg), True
+    start = time.monotonic()
+
+    def write(tables: dict):
+        if output_dir:
+            return write_outputs(output_dir, subcommand, tables, cfg,
+                                 time.monotonic() - start)
+
+    if subcommand == "verify":
+        try:
+            results = run_verify(cfg)
+        except (NumericalDomainError, WorkerLostError) as exc:
+            write({"checks": checks_to_table(exc.results)})
+            raise
+        write({"checks": checks_to_table(results)})
+        return render_check_table(results) + "\n", vf.suite_passed(results)
+    # looked up at call time, so a function patched on the module runs
     drivers = {"functionals": run_functionals, "fcs": run_fcs,
                "classical": run_classical}
-    start = time.monotonic()
-    tables = drivers[subcommand](cfg)
-    return write_outputs(output_dir, subcommand, tables, cfg,
-                         time.monotonic() - start)
+    rows = sum(write(drivers[subcommand](cfg))["rows"].values())
+    return f"{subcommand}: wrote {rows} rows to {output_dir}\n", True

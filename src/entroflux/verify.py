@@ -19,6 +19,7 @@ classical residuals.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -667,11 +668,12 @@ def run_battery(extra_systems=(), tolerances=None):
     sizes = [getattr(obj, "dim", 0) for _, _, obj in systems]
     results = []
     try:
-        for rows in pool.fork_map(jobs, sizes, pool.cpu_count()):
-            results += rows
+        with closing(pool.fork_map(jobs, sizes, pool.cpu_count())) as rows:
+            for system_id, _, _ in systems:
+                results += next(rows)
     except WorkerLostError as exc:
         error = WorkerLostError("a battery worker process died before the "
-                                f"rows of system {systems[exc.index][0]} came back")
+                                f"rows of system {system_id} came back")
         error.results = tuple(results)
         raise error from exc
     except NumericalDomainError as exc:

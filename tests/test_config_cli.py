@@ -102,6 +102,11 @@ sweep:
 """)
     np.testing.assert_allclose(cfg.alphas,
                                [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+    cfg = cf.parse_config(MINIMAL + """
+sweep:
+  alpha: {min: 0, max: 999999, step: 1}
+""")
+    assert len(cfg.alphas) == cf.MAX_GRID_POINTS
 
 
 def _per_element_range(lo, hi, step):
@@ -142,12 +147,46 @@ def test_alpha_grid_rejects_non_finite_values(grid, path):
         cf.parse_config(MINIMAL + f"\nsweep:\n  alpha: {grid}\n")
 
 
+@pytest.mark.parametrize("lo,hi,count", [
+    ("0", "1000000", "1000001"),
+    ("-1.0e308", "1.0e308", "inf"),         # max - min overflows
+])
+def test_alpha_range_of_over_a_million_points_is_rejected(lo, hi, count):
+    with pytest.raises(ConfigValidationError) as info:
+        cf.parse_config(MINIMAL + f"\nsweep:\n  alpha: "
+                        f"{{min: {lo}, max: {hi}, step: 1}}\n")
+    assert str(info.value) == \
+        f"sweep.alpha: a range of {count} points exceeds the limit of 1000000"
+
+
+def test_cli_oversized_alpha_range_exits_two(tmp_path, capsys):
+    path = tmp_path / "big.yaml"
+    path.write_text(MINIMAL
+                    + "sweep:\n  alpha: {min: 0, max: 1.0e6, step: 1.0e-9}\n")
+    assert cli.main(["classical", "-c", str(path),
+                     "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sweep.alpha: a range of 1000000000000001 points "
+        "exceeds the limit of 1000000\n")
+
+
+def test_an_empty_config_gives_the_defaults():
+    cfg, default = cf.parse_config(""), cf.default_config()
+    assert [(e.system_id, e.kind) for e in cfg.systems] == \
+        [(e.system_id, e.kind) for e in default.systems]
+    assert (cfg.alphas, cfg.ps, cfg.ts, cfg.seed, cfg.tolerances) == \
+        (default.alphas, default.ps, default.ts, default.seed, {})
+    assert cfg.output_dir is None and cfg.from_file
+
+
 def test_inf_sentinel_and_p_validation():
     cfg = cf.parse_config(MINIMAL + """
 sweep:
   p: [1, 2, "inf"]
 """)
     assert cfg.ps[-1] == math.inf
+    assert cf.parse_config(MINIMAL + "\nsweep:\n  p: [2, .inf]\n").ps == \
+        (2.0, math.inf)
     with pytest.raises(ConfigValidationError, match="p"):
         cf.parse_config(MINIMAL + "\nsweep:\n  p: [-1]\n")
 
@@ -903,6 +942,9 @@ def test_cli_unknown_tolerance_exits_two(capsys):
     assert cli.main(["verify", "--tolerance", "bogus=1"]) == 2
     assert cli.main(["verify", "--tolerance", "tv"]) == 2
     assert "config error" in capsys.readouterr().err
+    assert cli.main(["verify", "--tolerance", "tv=abc"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: tolerance override tv: 'abc' is not a number\n"
 
 
 def test_cli_numerical_domain_exits_three(monkeypatch, tmp_path, capsys):
@@ -1254,6 +1296,29 @@ def test_cli_model_prints_junction(capsys):
     out = capsys.readouterr().out
     assert "beta_left=1" in out
     assert "hamiltonian" in out
+
+
+TWISTED_JUNCTION = """
+systems:
+  - id: twisted
+    kind: two_reservoir
+    left_hamiltonian: [[0, 0], [0, 1]]
+    right_hamiltonian: [[0, 0], [0, 1]]
+    beta_left: 1.0
+    beta_right: 2.0
+    coupling: [[0, 0, 0, [0, 0.25]], [0, 0, 0, 0], [0, 0, 0, 0], [[0, -0.25], 0, 0, 0]]
+"""
+
+
+@pytest.mark.parametrize("text,line", [
+    (MINIMAL, "system canonical"),          # no junction: the built-in one
+    (TWISTED_JUNCTION, "    [0-0.25j, 0, 0, 2]"),
+], ids=["no-junction", "complex-coupling"])
+def test_cli_model_prints_the_junction_it_reads(tmp_path, capsys, text, line):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert cli.main(["model", "-c", str(path)]) == 0
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_cli_seed_override_threads_into_manifest(tmp_path):

@@ -97,6 +97,17 @@ def test_suite_passed_ignores_expected_failures():
     assert not vf.suite_passed([ok, xf, bad])
 
 
+@pytest.mark.parametrize("rule,residual,status", [
+    (vf.BOUNDED, 1e-3, vf.PASS), (vf.BOUNDED, 2e-3, vf.FAIL),
+    (vf.BREAKS, 2e-3, vf.XFAIL), (vf.BREAKS, 1e-3, vf.FAIL),
+    (vf.ABOVE, 2e-3, vf.PASS), (vf.ABOVE, 1e-3, vf.FAIL),
+    (vf.ABOVE, 0.0, vf.FAIL),
+])
+def test_bounded_check_status_under_each_rule(rule, residual, status):
+    assert vf.bounded_check("row", "probe", residual, 1e-3, rule).status == \
+        status
+
+
 def _status(results, name):
     [row] = [r for r in results if r.name == name]
     return row.status
