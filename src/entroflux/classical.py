@@ -163,10 +163,15 @@ def variational_functional(system: ClassicalSystem, alpha, t: int):
     perturbed /= perturbed.sum(axis=-1, keepdims=True)
     work = np.multiply(states, sig)
     mean_sig = work.sum(axis=-1)
-    np.subtract(logw, np.log(states, out=work), out=work)
-    values = (np.sum(np.multiply(states, work, out=work), axis=-1)
-              - scale * mean_sig)
+    with np.errstate(divide="ignore", invalid="ignore"):    # a zero weight
+        np.subtract(logw, np.log(states, out=work), out=work)
+        values = (np.sum(np.multiply(states, work, out=work), axis=-1)
+                  - scale * mean_sig)
     best = values[..., 0]
+    if not np.isfinite(best).all():
+        raise NumericalDomainError(
+            "the maximizer's objective is not finite in double precision at "
+            f"alpha={np.asarray(alpha)[~np.isfinite(best)][0]}, t={tt}")
     excess = (values[..., 1:] - best[..., None]).max()
     if excess > VARIATIONAL_SLACK:
         raise NumericalDomainError(

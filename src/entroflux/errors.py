@@ -17,6 +17,8 @@ class WorkerLostError(RuntimeError):
     """A worker process died before its job returned; from a battery,
     ``results`` holds the rows of the systems before that job's system."""
 
+    results: tuple = ()
+
 
 class ConfigError(ValueError):
     """Base class for experiment configuration problems."""

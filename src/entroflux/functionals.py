@@ -225,8 +225,13 @@ def naive_functional(system: QuantumSystem, alpha: float, t: float) -> float:
     """
     sig = mean_ep_observable(system, t)
     lam, vecs = np.linalg.eigh(-alpha * t * sig)
-    weight = (vecs * np.exp(lam)) @ vecs.conj().T
-    trace = np.trace(system.reference_state @ weight).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = (vecs * np.exp(lam)) @ vecs.conj().T
+        trace = np.trace(system.reference_state @ weight).real
+    if not np.isfinite(trace):
+        raise NumericalDomainError(
+            "log tr(w0 exp(-alpha t Sigma_t)) is not finite in double "
+            f"precision at alpha={alpha}, t={t}")
     if trace <= 0.0:
         raise NumericalDomainError(f"trace is not positive: {trace:.3e}")
     return float(np.log(trace))

@@ -35,8 +35,8 @@ from .errors import NumericalDomainError, WorkerLostError
 from .version import __version__
 
 DEFAULT_OUTPUT_DIR = "out"
-# smallest quantum dimension whose functionals curves are pooled, set when a
-# two-worker pool took 10-14 ms to start and stop, about an n = 8 sweep
+# smallest quantum dimension whose functionals curves are pooled: pooling from
+# dim 8 made run_functionals on configs/example.yaml 19.2 -> 23.7 ms (2 CPUs)
 POOLED_DIM = 16
 # blocks of at least VECTOR_ROWS rows render their float cells through
 # floattext, set where a block of two float cells took as long per row either
@@ -330,13 +330,6 @@ def _determinism_check() -> list:
                              0.0 if same else 1.0, 0.5)]
 
 
-def run_verify(cfg: ExperimentConfig) -> list:
-    """Full battery plus runner-level checks; returns the rows."""
-    extra = cfg.build_systems() if cfg.from_file else []
-    return (vf.run_battery(extra_systems=extra, tolerances=cfg.tolerances)
-            + _determinism_check())
-
-
 def render_check_table(results) -> str:
     name_w = max(len("check"), max((len(r.name) for r in results), default=0))
     sys_w = max(len("system"), max((len(r.system_id) for r in results),
@@ -408,11 +401,14 @@ def execute(cfg: ExperimentConfig, subcommand: str, output_dir) -> tuple:
             return write_outputs(output_dir, subcommand, tables, cfg,
                                  time.monotonic() - start)
 
-    if subcommand == "verify":
+    if subcommand == "verify":     # the battery's rows stay if the last fails
+        results = []
         try:
-            results = run_verify(cfg)
+            extra = cfg.build_systems() if cfg.from_file else []
+            results += vf.run_battery(extra, cfg.tolerances)
+            results += _determinism_check()
         except (NumericalDomainError, WorkerLostError) as exc:
-            write({"checks": checks_to_table(exc.results)})
+            write({"checks": checks_to_table(results + list(exc.results))})
             raise
         write({"checks": checks_to_table(results)})
         return render_check_table(results) + "\n", vf.suite_passed(results)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,18 @@ def test_perturbed_state_beating_the_maximizer_raises(monkeypatch):
             cl.variational_functional(LOPSIDED, alpha, 1)
 
 
+def test_variational_route_with_an_underflowing_maximizer_names_alpha_and_t():
+    # at alpha t = 1000 a weight of rho* underflows to 0, whose log is -inf
+    system = random_classical_system(7, seed=3)
+    assert cl.classical_functional(system, 1000, 1) == 1142.7984195351519
+    for alpha in (1000.0, np.array([0.5, 1000.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError,
+                               match=r"not finite .* at alpha=1000\.0, t=1$"):
+                cl.variational_functional(system, alpha, 1)
+
+
 @pytest.mark.parametrize("size", [3, 2000])
 def test_perturbing_states_are_one_read_only_seeded_draw(size):
     jitter = cl._jitter(size)
@@ -295,7 +308,7 @@ def test_evolve_observable_rejects_non_finite_or_wrongly_sized(values):
 
 
 @pytest.mark.parametrize("probs", [[0.25, math.nan, 0.75], [0.5, 0.5],
-                                   [0.5, 0.5, 0.0], [0.2, 0.2, 0.2]])
+                                   [0.5, 0.5, 0.0], [0.2, 0.2, 0.2], []])
 def test_evolve_state_rejects_invalid_or_wrongly_sized(probs):
     with pytest.raises(ValueError):
         cl.evolve_state(REFERENCE, probs, 1)

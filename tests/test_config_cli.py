@@ -651,7 +651,7 @@ def test_each_subcommand_builds_the_kinds_it_reads(tmp_path, monkeypatch,
 
 def test_verify_builds_every_entry_of_the_config(monkeypatch):
     built = _record_builds(monkeypatch)
-    runner.run_verify(cf.load_config(str(EXAMPLE)))
+    runner.execute(cf.load_config(str(EXAMPLE)), "verify", None)
     # then each of the determinism row's two sweeps builds its canonical
     # junction and its random system
     assert built == EXAMPLE_KINDS + ["two_reservoir", "random"] * 2
@@ -886,11 +886,11 @@ def test_cli_unwritable_output_dir_exits_two_before_the_run(
     config_path.write_text(MINIMAL)
     taken.write_text("")
 
-    def never(cfg):
+    def never(*args):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(runner, "run_classical", never)
-    monkeypatch.setattr(runner, "run_verify", never)
+    monkeypatch.setattr(vf, "run_battery", never)
     for out in (taken, taken / "sub"):
         code = cli.main([subcommand, "-c", str(config_path), "-o", str(out)])
         captured = capsys.readouterr()
@@ -1131,6 +1131,45 @@ def test_verify_worker_death_exits_four_with_the_rows_before_it(
         {"checks": len(ran)}
     assert (out / "checks.csv").read_text() == \
         runner.checks_to_table(ran).to_csv()
+
+
+@pytest.fixture(scope="module")
+def example_battery():
+    """The battery rows of a ``verify`` run on the example config."""
+    cfg = cf.load_config(str(EXAMPLE))
+    return vf.run_battery(cfg.build_systems(), cfg.tolerances)
+
+
+@pytest.mark.parametrize("code,err", [
+    (4, "worker error: functionals on system pooled: a worker process died "
+        "before returning a result\n"),
+    (3, "numerical domain error: functionals on system pooled: synthetic "
+        "breakdown\n"),
+], ids=["worker-lost", "domain-error"])
+def test_verify_determinism_failure_writes_every_battery_row(
+        code, err, example_battery, monkeypatch, tmp_path, capsys):
+    exact, parent = fn.functional, os.getpid()
+
+    def breaks_on_pooled_dim(system, *args):
+        if system.dim == runner.POOLED_DIM:
+            if code == 3:
+                raise NumericalDomainError("synthetic breakdown")
+            if os.getpid() != parent:
+                os._exit(9)     # as an out-of-memory kill ends a worker
+            time.sleep(0.05)    # so that the child surely takes a curve
+        return exact(system, *args)
+
+    monkeypatch.setattr(fn, "functional", breaks_on_pooled_dim)
+    monkeypatch.setattr(pool, "cpu_count", lambda: 2)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "-c", str(EXAMPLE), "-o", str(out)]) == code
+    _assert_no_child()
+    # the determinism row's sweeps fail after the whole battery has run
+    assert capsys.readouterr().err == err
+    assert (out / "checks.csv").read_text() == \
+        runner.checks_to_table(example_battery).to_csv()
+    assert json.loads((out / "run.json").read_text())["rows"] == \
+        {"checks": len(example_battery)}
 
 
 def test_functionals_worker_death_exits_four_naming_the_system(

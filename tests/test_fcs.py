@@ -228,6 +228,8 @@ def test_counting_requires_positive_time():
         fcs.fcs_distribution(FLIP, 0.0)
     with pytest.raises(ValueError):
         fcs.fcs_distribution(FLIP, -1.0)
+    with pytest.raises(ValueError, match="counting time must be positive"):
+        fcs.fcs_cgf(fcs.fcs_distribution(FLIP, 1.0), 0.5, 0.0)
 
 
 def test_canonical_model_identity():

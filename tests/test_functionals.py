@@ -140,6 +140,18 @@ def test_naive_functional_breaks_endpoint():
     assert abs(fn.functional(system, 2.0, 1.0, 1.0)) < 1e-12
 
 
+def test_naive_functional_overflow_names_alpha_and_t():
+    # exp(-alpha t Sigma_t) leaves the double range for a reference spread of 12
+    system = random_system(3, seed=2, spread=12)
+    assert fn.naive_functional(system, 50, 1.0) == 380.88781512015936
+    for alpha in (200, 1000, -1000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDomainError,
+                               match=f"not finite .* at alpha={alpha}, t=1.0$"):
+                fn.naive_functional(system, alpha, 1.0)
+
+
 def test_naive_functional_collapses_for_commuting_pair():
     system = qm.QuantumSystem(np.diag([0.0, 1.0, 2.0]),
                               np.diag([0.5, 0.3, 0.2]))
@@ -222,6 +234,17 @@ def test_transfer_apply_intertwines_evolution():
 def test_rejects_p_below_one():
     with pytest.raises(ValueError):
         fn.functional(FLIP, 0.5, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: fn.araki_masuda_norm(np.eye(2), FLIP, math.inf),
+     "1 <= p < oo, got inf"),
+    (lambda: fn.transfer_functional(FLIP, 2.0, 0.0, 1.0),
+     "alpha = 0 leaves the transferred identity undefined"),
+], ids=["am-norm-p-inf", "transfer-alpha-0"])
+def test_rejects_arguments_outside_the_definition(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_overflowing_powers_raise_domain_error():

@@ -101,6 +101,24 @@ def test_measure_requires_matched_lengths():
         SpectralMeasure(np.array([0.0, 1.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: SpectralMeasure(np.array([]), np.array([])), ValueError,
+     "at least one atom"),
+    (lambda: SpectralMeasure(np.array([1.0, 0.0]), np.array([0.5, 0.5])),
+     ValueError, "strictly increasing"),
+    (lambda: SpectralMeasure(np.array([0.0, 1.0]), np.array([1.0 + 1e-11,
+                                                              -1e-11])),
+     NumericalDomainError, "negative weight"),
+    (lambda: build_measure([], []), ValueError, "matching nonempty arrays"),
+    (lambda: build_measure([0.0, 5.0], [1e-16, 1e-16], drop=1e-14),
+     NumericalDomainError, "all weights were dropped"),
+], ids=["no-atom", "decreasing-atoms", "negative-weight", "no-value",
+        "all-dropped"])
+def test_measure_rejects_malformed_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 # -- per-atom loops the vectorized measure algebra replaced, kept as oracles
 
 def _loop_mass_at(measure, value, tol=ATOM_TOL):

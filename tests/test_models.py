@@ -206,6 +206,18 @@ def test_random_system_spread_controls_state_range():
     assert ratio(wide) > ratio(narrow)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: md.random_system(1), "dimension must be at least 2, got 1"),
+    (lambda: md.random_system(3, spread=0), "spread must be positive"),
+    (lambda: md.random_classical_system(1), "size must be at least 2, got 1"),
+    (lambda: md.flux_balance_residual(md.canonical_model(), 1.0, side="up"),
+     "side must be 'left' or 'right', got 'up'"),
+], ids=["dim-1", "spread-0", "size-1", "side-up"])
+def test_builders_reject_arguments_outside_their_domain(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_random_classical_system_properties():
     system = md.random_classical_system(9, seed=94, tri=True)
     w = system.reference_state

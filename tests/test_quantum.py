@@ -242,6 +242,24 @@ def test_evolution_rejects_non_finite_or_wrongly_sized_operators(evolve):
         evolve(system, np.eye(2), 1.0)
 
 
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: qm.QuantumSystem(SX, np.eye(3) / 3), ValueError,
+     "Hamiltonian dim 2 does not match"),
+    (lambda: qm.q_relative_entropy(W0, np.eye(3) / 3), ValueError,
+     "state dims differ: 2 vs 3"),
+    (lambda: qm.mean_ep_observable(FLIP, 0.0), ValueError,
+     "time must be nonzero"),
+    (lambda: qm.matrix_log(qm.eig(np.diag([-1.0, 1.0]))),
+     NumericalDomainError, "logarithm needs a positive spectrum"),
+    (lambda: qm.matrix_power(qm.eig(np.diag([-1.0, 1.0])), 0.5),
+     NumericalDomainError, "fractional or negative power"),
+], ids=["state-dim", "relative-entropy-dims", "zero-time", "log-indefinite",
+        "root-indefinite"])
+def test_entry_points_reject_input_outside_their_domain(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_relative_entropy_frozen_value():
     got = qm.q_relative_entropy(np.diag([0.25, 0.75]), W0)
     assert got == pytest.approx(-0.5 * math.log(3), abs=1e-14)

@@ -125,6 +125,12 @@ def test_variational_disagreement_is_a_fail_row(monkeypatch):
     assert _status(results, "functional_variational") == vf.FAIL
 
 
+def test_check_system_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown system kind 'bogus'"):
+        vf.check_system("probe", "bogus", random_system(3, seed=21),
+                        vf.merge_tolerances())
+
+
 def test_telescoping_disagreement_is_a_fail_row(monkeypatch):
     exact = cl.mean_ep_observable
     system = cl.ClassicalSystem([0.25, 0.5, 0.25])
