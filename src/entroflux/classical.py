@@ -163,10 +163,10 @@ def variational_functional(system: ClassicalSystem, alpha, t: int):
     perturbed /= perturbed.sum(axis=-1, keepdims=True)
     work = np.multiply(states, sig)
     mean_sig = work.sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):    # a zero weight
-        np.subtract(logw, np.log(states, out=work), out=work)
-        values = (np.sum(np.multiply(states, work, out=work), axis=-1)
-                  - scale * mean_sig)
+    # a weight that underflowed to 0 keeps work's 0 for its log: 0 log 0 = 0
+    np.subtract(logw, np.log(states, out=work, where=states > 0), out=work)
+    values = (np.sum(np.multiply(states, work, out=work), axis=-1)
+              - scale * mean_sig)
     best = values[..., 0]
     if not np.isfinite(best).all():
         raise NumericalDomainError(

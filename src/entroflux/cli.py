@@ -19,34 +19,33 @@ from .errors import (ConfigError, ConfigValidationError, NumericalDomainError,
 from .version import __version__
 
 
+SUBCOMMANDS = {
+    "functionals": "sweep the deformed entropic functionals",
+    "fcs": "counting and modular spectral measures with CGF",
+    "classical": "classical functional sweep and rate distribution",
+    "verify": "run the full invariant battery",
+    "model": "print the assembled two-reservoir system",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-c", "--config", metavar="PATH",
+    parser = argparse.ArgumentParser(
+        prog="entroflux", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="entropic functionals, fluctuation statistics, and "
+                    "modular identities\nfor finite dynamical systems",
+        epilog="subcommands:\n" + "".join(
+            f"  {name:<13}{text}\n" for name, text in SUBCOMMANDS.items()))
+    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("-c", "--config", metavar="PATH",
                         help="config file (defaults to the built-in config)")
-    common.add_argument("-o", "--output-dir", metavar="DIR",
+    parser.add_argument("-o", "--output-dir", metavar="DIR",
                         help="directory for CSV tables and run.json")
-    common.add_argument("--seed", type=int, metavar="N",
+    parser.add_argument("--seed", type=int, metavar="N",
                         help="override the config seed")
-    common.add_argument("--tolerance", action="append", default=[],
+    parser.add_argument("--tolerance", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="override one named tolerance (repeatable)")
-
-    parser = argparse.ArgumentParser(
-        prog="entroflux",
-        description="entropic functionals, fluctuation statistics, and "
-                    "modular identities for finite dynamical systems")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("functionals", parents=[common],
-                   help="sweep the deformed entropic functionals")
-    sub.add_parser("fcs", parents=[common],
-                   help="counting and modular spectral measures with CGF")
-    sub.add_parser("classical", parents=[common],
-                   help="classical functional sweep and rate distribution")
-    sub.add_parser("verify", parents=[common],
-                   help="run the full invariant battery")
-    sub.add_parser("model", parents=[common],
-                   help="print the assembled two-reservoir system")
     return parser
 
 

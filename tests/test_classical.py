@@ -263,16 +263,27 @@ def test_perturbed_state_beating_the_maximizer_raises(monkeypatch):
             cl.variational_functional(LOPSIDED, alpha, 1)
 
 
-def test_variational_route_with_an_underflowing_maximizer_names_alpha_and_t():
-    # at alpha t = 1000 a weight of rho* underflows to 0, whose log is -inf
+def test_variational_route_with_an_underflowing_maximizer_is_finite():
+    # at alpha t = 1000 a weight of rho* underflows to 0, and 0 log 0 = 0
     system = random_classical_system(7, seed=3)
-    assert cl.classical_functional(system, 1000, 1) == 1142.7984195351519
-    for alpha in (1000.0, np.array([0.5, 1000.0])):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericalDomainError,
-                               match=r"not finite .* at alpha=1000\.0, t=1$"):
-                cl.variational_functional(system, alpha, 1)
+    alphas = np.array([0.5, 1000.0, -1000.0, 1e4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = cl.variational_functional(system, alphas, 1)
+        assert cl.variational_functional(system, 1000.0, 1) == \
+            1142.7984195351519
+    assert np.array_equal(values, cl.classical_functional(system, alphas, 1))
+    assert values[1:].tolist() == [1142.7984195351519, 1679.6397146116135,
+                                   11450.43042749322]
+
+
+def test_variational_route_with_an_overflowing_alpha_t_names_alpha_and_t():
+    # alpha t = 2e308 is not a double: the maximizer's objective is nan
+    system = random_classical_system(7, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalDomainError,
+                           match=r"not finite .* at alpha=1e\+308, t=2$"):
+            cl.variational_functional(system, np.array([0.5, 1e308]), 2)
 
 
 @pytest.mark.parametrize("size", [3, 2000])

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import math
@@ -28,6 +29,7 @@ from entroflux.errors import (
     ConfigValidationError,
     NumericalDomainError,
 )
+from entroflux.version import __version__
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
 
@@ -877,6 +879,62 @@ def test_cli_functionals_writes_files(tmp_path, capsys):
     assert (out / "curves.csv").exists()
     assert (out / "run.json").exists()
     assert "6 rows" in capsys.readouterr().out
+
+
+FLAGS = ["-c", "cfg.yaml", "-o", "out", "--seed", "3",
+         "--tolerance", "tv=1e-9", "--tolerance", "symmetry=2e-9"]
+HELP_LINES = [
+    "functionals  sweep the deformed entropic functionals",
+    "fcs          counting and modular spectral measures with CGF",
+    "classical    classical functional sweep and rate distribution",
+    "verify       run the full invariant battery",
+    "model        print the assembled two-reservoir system",
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classical"] + FLAGS,
+    FLAGS + ["classical"],
+    FLAGS[:4] + ["classical"] + FLAGS[4:],
+])
+def test_flags_parse_alike_before_and_after_the_subcommand(argv):
+    assert vars(cli._build_parser().parse_args(argv)) == {
+        "subcommand": "classical", "config": "cfg.yaml", "output_dir": "out",
+        "seed": 3, "tolerance": ["tv=1e-9", "symmetry=2e-9"]}
+
+
+@pytest.mark.parametrize("argv,code,stream,pieces", [
+    (["--version"], 0, "out", [f"{__version__}\n"]),
+    (["-h"], 0, "out", HELP_LINES),
+    (["classical", "-h"], 0, "out", HELP_LINES),
+    (["-o", "out", "--help"], 0, "out", HELP_LINES),
+    (["bogus"], 2, "err", ["usage: entroflux [-h] [--version] ",
+                           "invalid choice: 'bogus'"]),
+    ([], 2, "err", ["usage: entroflux [-h] [--version] ",
+                    "required: subcommand"]),
+    (["classical", "--seed", "x"], 2, "err", ["usage: entroflux [-h] ",
+                                             "--seed: invalid int value"]),
+])
+def test_parser_exits_print_version_help_or_usage(argv, code, stream, pieces,
+                                                  capsys):
+    with pytest.raises(SystemExit) as caught:
+        cli.main(argv)
+    assert caught.value.code == code
+    text = getattr(capsys.readouterr(), stream)
+    assert all(piece in text for piece in pieces), text
+
+
+def test_one_main_call_builds_one_argument_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main(["model"]) == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("subcommand", ["classical", "verify"])
