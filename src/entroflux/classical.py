@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, require_finite
 from .measures import (SpectralMeasure, build_measure, logsumexp,
                        logsumexp_in_place)
 
@@ -118,8 +118,10 @@ def classical_functional(system: ClassicalSystem, alpha, t: int):
     tt = _integer_positive_time(t)
     sig = mean_ep_observable(system, tt)
     logw = np.log(system.reference_state)
-    exponents = np.multiply((np.asarray(alpha) * tt)[..., None], sig)
-    return logsumexp_in_place(np.subtract(logw, exponents, out=exponents))
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = np.multiply((np.asarray(alpha) * tt)[..., None], sig)
+        values = logsumexp_in_place(np.subtract(logw, exponents, out=exponents))
+    return require_finite(values, "e_t(alpha)", alpha, tt)
 
 
 def es_distribution(system: ClassicalSystem, t: int) -> SpectralMeasure:
@@ -167,11 +169,8 @@ def variational_functional(system: ClassicalSystem, alpha, t: int):
     np.subtract(logw, np.log(states, out=work, where=states > 0), out=work)
     values = (np.sum(np.multiply(states, work, out=work), axis=-1)
               - scale * mean_sig)
-    best = values[..., 0]
-    if not np.isfinite(best).all():
-        raise NumericalDomainError(
-            "the maximizer's objective is not finite in double precision at "
-            f"alpha={np.asarray(alpha)[~np.isfinite(best)][0]}, t={tt}")
+    best = require_finite(values[..., 0], "the maximizer's objective", alpha,
+                          tt)
     excess = (values[..., 1:] - best[..., None]).max()
     if excess > VARIATIONAL_SLACK:
         raise NumericalDomainError(

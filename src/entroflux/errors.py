@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and ``require_finite``."""
+import numpy as np
 
 
 class NumericalDomainError(ValueError):
@@ -11,6 +12,18 @@ class NumericalDomainError(ValueError):
     """
 
     results: tuple = ()
+
+
+def require_finite(values, quantity: str, alpha, t, at: str = ""):
+    """``values``, one per alpha, if every one is a finite double; else raises
+    ``NumericalDomainError`` naming ``quantity``, ``at``, the first alpha
+    whose value is not, and ``t``."""
+    failed = ~np.isfinite(values)
+    if np.any(failed):
+        raise NumericalDomainError(
+            f"{quantity} is not finite in double precision at {at}"
+            f"alpha={np.asarray(alpha)[failed][0]}, t={t}")
+    return values
 
 
 class WorkerLostError(RuntimeError):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, require_finite
 from .measures import (WEIGHT_DROP, SpectralMeasure, build_measure,
                        logsumexp_in_place)
 from .quantum import QuantumSystem, as_matrix, matrix_power
@@ -52,10 +52,13 @@ def fcs_cgf(measure: SpectralMeasure, alpha, t: float):
     live = measure.weights > 0.0
     if not live.any():
         raise NumericalDomainError("measure carries no mass")
-    exponents = np.multiply((t * np.asarray(alpha))[..., None],
-                            measure.atoms[live])
-    return logsumexp_in_place(np.subtract(np.log(measure.weights[live]),
-                                          exponents, out=exponents))
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = np.multiply((t * np.asarray(alpha))[..., None],
+                                measure.atoms[live])
+        values = logsumexp_in_place(np.subtract(np.log(measure.weights[live]),
+                                                exponents, out=exponents))
+    return require_finite(values, "log sum_phi exp(-t alpha phi) P(phi)", alpha,
+                          t)
 
 
 def relative_modular_apply(system: QuantumSystem, t: float,

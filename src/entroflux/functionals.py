@@ -54,7 +54,7 @@ import sys
 
 import numpy as np
 
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, require_finite
 from .measures import logsumexp
 from .quantum import (
     QuantumSystem,
@@ -208,11 +208,7 @@ def functional(system: QuantumSystem, p: float, alpha, t: float):
                     values[i] = kernel(alphas[i:i + 1])[0]
                 except np.linalg.LinAlgError:
                     values[i] = math.nan
-    failed = np.flatnonzero(~np.isfinite(values))
-    if failed.size:
-        raise NumericalDomainError(
-            f"e_[p,t](alpha) is not finite in double precision at p={p}, "
-            f"alpha={alphas[failed[0]]}, t={t}")
+    require_finite(values, "e_[p,t](alpha)", alphas, t, f"p={p}, ")
     return float(values[0]) if np.ndim(alpha) == 0 else values
 
 
@@ -228,10 +224,7 @@ def naive_functional(system: QuantumSystem, alpha: float, t: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         weight = (vecs * np.exp(lam)) @ vecs.conj().T
         trace = np.trace(system.reference_state @ weight).real
-    if not np.isfinite(trace):
-        raise NumericalDomainError(
-            "log tr(w0 exp(-alpha t Sigma_t)) is not finite in double "
-            f"precision at alpha={alpha}, t={t}")
+    require_finite(trace, "log tr(w0 exp(-alpha t Sigma_t))", alpha, t)
     if trace <= 0.0:
         raise NumericalDomainError(f"trace is not positive: {trace:.3e}")
     return float(np.log(trace))

@@ -47,18 +47,16 @@ CHUNK_ROWS = 2048
 CURVE_COLUMNS = ("system_id", "p", "t", "alpha", "value")
 DISTRIBUTION_COLUMNS = ("system_id", "t", "atom", "weight", "measure")
 CHECK_COLUMNS = ("system_id", "check_name", "residual", "tolerance", "status")
+FLOAT_FORMAT = "%.17g"      # every float cell; also "inf", "-inf" and "nan"
 
 
-def format_float(value: float) -> str:
-    return "%.17g" % value          # also "inf", "-inf" and "nan"
-
-
-def _cell(value) -> str:
+def format_cell(value) -> str:
+    """Empty for None, a string as given, any other value as its float."""
     if value is None:
         return ""
     if isinstance(value, str):
         return value
-    return format_float(float(value))
+    return FLOAT_FORMAT % float(value)
 
 
 @dataclass
@@ -91,8 +89,9 @@ class ResultTable:
                     yield _vector_rows(values, start,
                                        min(count, start + CHUNK_ROWS))
                 continue
-            row = ",".join("%.17g" if isinstance(v, np.ndarray)
-                           else _cell(v).replace("%", "%%") for v in values)
+            row = ",".join(FLOAT_FORMAT if isinstance(v, np.ndarray)
+                           else format_cell(v).replace("%", "%%")
+                           for v in values)
             arrays = [v for v in values if isinstance(v, np.ndarray)]
             cells = np.column_stack(arrays).ravel().tolist() if arrays else ()
             yield (row + "\n") * count % tuple(cells)
@@ -114,7 +113,7 @@ def _vector_rows(values, start: int, stop: int) -> str:
     for i, value in enumerate(values):
         array = isinstance(value, np.ndarray)
         pieces.append(_constant_columns(
-            ("," if i else "") + ("" if array else _cell(value)), rows))
+            ("," if i else "") + ("" if array else format_cell(value)), rows))
         if array:
             pieces.append(next(cells))
     texts, keeps = zip(*pieces, _constant_columns("\n", rows))
@@ -180,9 +179,6 @@ def run_functionals(cfg: ExperimentConfig, workers=None) -> dict:
     systems = cfg.build_systems()
     pooled = [system for _, tag, system in systems
               if tag != "classical" and system.dim >= POOLED_DIM]
-    for system in pooled:           # fill the memo the workers inherit
-        for t in ts:
-            system.overlap(t)
     jobs = [partial(fn.functional, system, p, alphas, t)
             for system in pooled for p, t in grid]
     sizes = [system.dim for system in pooled for _ in grid]
@@ -272,24 +268,24 @@ def run_model(cfg: ExperimentConfig) -> str:
         lines = [f"system {system_id}"]
         lines.append(f"  dims: {model.dims[0]} x {model.dims[1]} "
                      f"(composite {model.dim})")
-        lines.append(f"  beta_left={format_float(model.beta_left)} "
-                     f"beta_right={format_float(model.beta_right)}")
+        lines.append(f"  beta_left={format_cell(model.beta_left)} "
+                     f"beta_right={format_cell(model.beta_right)}")
         lines.append(f"  tri: {model.tri}")
         lines.append("  hamiltonian:")
         lines.extend("    " + _matrix_row(row) for row in model.hamiltonian)
         lines.append("  reference state eigenvalues: "
-                     + " ".join(format_float(v)
+                     + " ".join(format_cell(v)
                                 for v in model.reference_eig().eigenvalues))
         phi_left, phi_right = md.flux_observables(model)
         lines.append("  flux norms: left="
-                     + format_float(float(np.linalg.norm(phi_left)))
+                     + format_cell(float(np.linalg.norm(phi_left)))
                      + " right="
-                     + format_float(float(np.linalg.norm(phi_right))))
+                     + format_cell(float(np.linalg.norm(phi_right))))
         sigma = qm.entropy_production_observable(model)
         lines.append("  entropy production norm: "
-                     + format_float(float(np.linalg.norm(sigma))))
+                     + format_cell(float(np.linalg.norm(sigma))))
         lines.append("  mean entropy production at t=1: "
-                     + format_float(qm.mean_ep_expectation(model, 1.0)))
+                     + format_cell(qm.mean_ep_expectation(model, 1.0)))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

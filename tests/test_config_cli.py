@@ -499,9 +499,9 @@ def test_classical_times_need_an_integer_entry(tmp_path, capsys):
 
 def test_seventeen_digits_round_trip():
     for x in (math.pi, 1 / 3, 1e-300, 0.1 + 0.2, -math.e ** 10):
-        text = runner.format_float(x)
+        text = runner.format_cell(x)
         assert struct.pack("<d", float(text)) == struct.pack("<d", x)
-    assert runner.format_float(math.inf) == "inf"
+    assert runner.format_cell(math.inf) == "inf"
 
 
 def test_result_table_layout():
@@ -1386,6 +1386,42 @@ def test_cli_classical_domain_error_names_the_system(tmp_path, capsys,
                      "-o", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err.startswith(
         "numerical domain error: classical on system chain: perturbed state")
+
+
+OVERFLOW_SWEEP = """
+sweep:
+  alpha: [0.5, 1.0e308]
+  t: [2]
+"""
+OVERFLOW_CHAIN = """
+systems:
+  - {id: c, kind: random_classical, size: 5, seed: 1}
+""" + OVERFLOW_SWEEP
+OVERFLOW_QUANTUM = """
+systems:
+  - {id: q, kind: random, dim: 3, seed: 1}
+""" + OVERFLOW_SWEEP
+CGF = "log sum_phi exp(-t alpha phi) P(phi)"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("subcommand, text, system, quantity, t", [
+    ("classical", OVERFLOW_CHAIN, "c", "e_t(alpha)", "2"),
+    ("functionals", OVERFLOW_CHAIN, "c", "e_t(alpha)", "2"),
+    ("fcs", OVERFLOW_CHAIN, "c", "e_t(alpha)", "2"),
+    ("fcs", OVERFLOW_QUANTUM, "q", CGF, "2.0"),
+], ids=["classical", "functionals", "fcs-chain", "fcs-quantum"])
+def test_cli_overflowing_alpha_t_exits_three_naming_alpha_and_t(
+        tmp_path, capsys, subcommand, text, system, quantity, t):
+    # alpha t = 2e308 is not a double: the log-sum-exp of the curve is nan
+    path = tmp_path / "overflow.yaml"
+    path.write_text(text)
+    out = tmp_path / "x"
+    assert cli.main([subcommand, "-c", str(path), "-o", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical domain error: {subcommand} on system {system}: {quantity} "
+        f"is not finite in double precision at alpha=1e+308, t={t}\n")
+    assert not (out / "curves.csv").exists()
 
 
 def test_cli_model_prints_junction(capsys):

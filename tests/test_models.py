@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroflux import config as cf
 from entroflux import fcs
 from entroflux import functionals as fn
 from entroflux import models as md
 from entroflux import quantum as qm
+from entroflux import runner
+from entroflux import verify as vf
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -62,16 +65,39 @@ def test_flux_balance(t, side):
     assert md.flux_balance_residual(model, t, side) < 1e-8
 
 
-def test_flux_balance_keeps_only_its_time_in_the_memo():
-    model = md.canonical_model()
-    memo = model._memo
-    model.hamiltonian_eig()
-    before = set(memo)
+def test_no_route_keeps_a_matrix_per_time_in_the_memo(monkeypatch):
+    # the memo holds what does not depend on t, so it stays flat in the t grid
+    flat = {"h", "rho"}
+    built = []
+    build = cf.ExperimentConfig.build_systems
+
+    def recording(self, tags=None):
+        systems = build(self, tags)
+        built.extend(obj for _, _, obj in systems)
+        return systems
+
+    monkeypatch.setattr(cf.ExperimentConfig, "build_systems", recording)
     times = (0.5, 1.0, 2.0)
+    cfg = cf.ExperimentConfig(
+        systems=(cf.SystemEntry("pooled", "random", {"dim": runner.POOLED_DIM}),
+                 cf.SystemEntry("junction", "two_reservoir",
+                                md.canonical_pieces())),
+        alphas=(0.0, 0.5), ps=(2.0, math.inf), ts=times)
+    for run in (lambda: runner.run_functionals(cfg, 1),
+                lambda: runner.run_functionals(cfg, 2),
+                lambda: runner.run_fcs(cfg)):
+        built.clear()
+        run()
+        assert len(built) == 2
+        assert all(set(system._memo) <= flat for system in built)
+    model = md.canonical_model()
     for t in times:
         for side in ("left", "right"):
             md.flux_balance_residual(model, t, side)
-    assert set(memo) - before <= {("u", -t) for t in times}
+    assert set(model._memo) <= flat
+    system = md.random_system(4, seed=2)
+    vf.check_system("probe", "quantum", system, vf.merge_tolerances())
+    assert set(system._memo) == flat
 
 
 @pytest.mark.parametrize("t", [200.0, 2000.0])
