@@ -118,7 +118,7 @@ def classical_functional(system: ClassicalSystem, alpha, t: int):
     tt = _integer_positive_time(t)
     sig = mean_ep_observable(system, tt)
     logw = np.log(system.reference_state)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         exponents = np.multiply((np.asarray(alpha) * tt)[..., None], sig)
         values = logsumexp_in_place(np.subtract(logw, exponents, out=exponents))
     return require_finite(values, "e_t(alpha)", alpha, tt)
@@ -152,25 +152,25 @@ def variational_functional(system: ClassicalSystem, alpha, t: int):
     tt = _integer_positive_time(t)
     sig = mean_ep_observable(system, tt)
     logw = np.log(system.reference_state)
-    scale = (np.asarray(alpha) * tt)[..., None]
     # one row per state: the maximizer, then the perturbed states
-    states = np.empty(scale.shape[:-1] + (1 + _PERTURBATION_TRIALS, system.size))
+    states = np.empty(np.shape(alpha) + (1 + _PERTURBATION_TRIALS, system.size))
     maximizer, perturbed = states[..., :1, :], states[..., 1:, :]
-    np.subtract(logw, np.multiply(scale[..., None], sig, out=maximizer),
-                out=maximizer)
-    maximizer -= logsumexp(maximizer)[..., None]
-    np.exp(maximizer, out=maximizer)
-    np.multiply(0.8, maximizer, out=perturbed)
-    perturbed += 0.2 * _jitter(system.size)
-    perturbed /= perturbed.sum(axis=-1, keepdims=True)
-    work = np.multiply(states, sig)
-    mean_sig = work.sum(axis=-1)
-    # a weight that underflowed to 0 keeps work's 0 for its log: 0 log 0 = 0
-    np.subtract(logw, np.log(states, out=work, where=states > 0), out=work)
-    values = (np.sum(np.multiply(states, work, out=work), axis=-1)
-              - scale * mean_sig)
-    best = require_finite(values[..., 0], "the maximizer's objective", alpha,
-                          tt)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = (np.asarray(alpha) * tt)[..., None]
+        np.subtract(logw, np.multiply(scale[..., None], sig, out=maximizer),
+                    out=maximizer)
+        maximizer -= logsumexp(maximizer)[..., None]
+        np.exp(maximizer, out=maximizer)
+        np.multiply(0.8, maximizer, out=perturbed)
+        perturbed += 0.2 * _jitter(system.size)
+        perturbed /= perturbed.sum(axis=-1, keepdims=True)
+        work = np.multiply(states, sig)
+        mean_sig = work.sum(axis=-1)
+        # a weight that underflowed to 0 keeps work's 0 for its log: 0 log 0 = 0
+        np.subtract(logw, np.log(states, out=work, where=states > 0), out=work)
+        values = (np.sum(np.multiply(states, work, out=work), axis=-1)
+                  - scale * mean_sig)
+    best = require_finite(values[..., 0], "the maximizer's objective", alpha, tt)
     excess = (values[..., 1:] - best[..., None]).max()
     if excess > VARIATIONAL_SLACK:
         raise NumericalDomainError(
@@ -189,9 +189,11 @@ def renyi_identity_check(system: ClassicalSystem, alpha, t: int):
     logw = np.log(system.reference_state)
     a = np.asarray(alpha)[..., None]
     terms = np.empty((2,) + np.broadcast_shapes(a.shape, logw.shape))
-    np.multiply(1.0 - a, np.roll(logw, tt), out=terms[0])
-    np.multiply(a, logw, out=terms[1])
-    return logsumexp_in_place(np.add(terms[0], terms[1], out=terms[0]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.multiply(1.0 - a, np.roll(logw, tt), out=terms[0])
+        np.multiply(a, logw, out=terms[1])
+        values = logsumexp_in_place(np.add(terms[0], terms[1], out=terms[0]))
+    return require_finite(values, "log sum_j rho_j^(1-alpha) w0_j^alpha", alpha, tt)
 
 
 def classical_transfer_functional(system: ClassicalSystem, p: float, alpha,
@@ -207,6 +209,8 @@ def classical_transfer_functional(system: ClassicalSystem, p: float, alpha,
     tt = _integer_positive_time(t)
     s0 = -np.log(system.reference_state)
     s_mt = np.roll(s0, tt)
-    exponents = np.multiply(np.asarray(alpha)[..., None], s0 - s_mt)
-    return logsumexp_in_place(np.add(exponents, np.log(system.reference_state),
-                                     out=exponents))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        exponents = np.multiply(np.asarray(alpha)[..., None], s0 - s_mt)
+        values = logsumexp_in_place(np.add(
+            exponents, np.log(system.reference_state), out=exponents))
+    return require_finite(values, "log ||U_{p/alpha}(t) 1||_p^p", alpha, tt, f"p={p}, ")

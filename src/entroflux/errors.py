@@ -14,15 +14,16 @@ class NumericalDomainError(ValueError):
     results: tuple = ()
 
 
-def require_finite(values, quantity: str, alpha, t, at: str = ""):
+def require_finite(values, quantity: str, alpha, t=None, at: str = ""):
     """``values``, one per alpha, if every one is a finite double; else raises
     ``NumericalDomainError`` naming ``quantity``, ``at``, the first alpha
-    whose value is not, and ``t``."""
-    failed = ~np.isfinite(values)
-    if np.any(failed):
+    whose value is not, and ``t`` if given.  The one place an e(alpha) route
+    raises for a value outside double precision (see ``quantum.per_alpha``)."""
+    finite = np.isfinite(values)
+    if not finite.all():
         raise NumericalDomainError(
             f"{quantity} is not finite in double precision at {at}"
-            f"alpha={np.asarray(alpha)[failed][0]}, t={t}")
+            f"alpha={np.asarray(alpha)[~finite][0]}" + ("" if t is None else f", t={t}"))
     return values
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalDomainError, require_finite
+from .errors import require_finite
 from .measures import (WEIGHT_DROP, SpectralMeasure, build_measure,
                        logsumexp_in_place)
 from .quantum import QuantumSystem, as_matrix, matrix_power
@@ -50,9 +50,7 @@ def fcs_cgf(measure: SpectralMeasure, alpha, t: float):
     if t <= 0:
         raise ValueError(f"counting time must be positive, got {t}")
     live = measure.weights > 0.0
-    if not live.any():
-        raise NumericalDomainError("measure carries no mass")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         exponents = np.multiply((t * np.asarray(alpha))[..., None],
                                 measure.atoms[live])
         values = logsumexp_in_place(np.subtract(np.log(measure.weights[live]),

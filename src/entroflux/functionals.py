@@ -69,7 +69,6 @@ from .quantum import (
 VARIATIONAL_SLACK = 1e-9
 SCHATTEN_ROUNDING = 3e-11
 _EPS = sys.float_info.epsilon
-_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _PERTURBATION_TRIALS = 8
 _PERTURBATION_SEED = 734
 _STACK_ENTRIES = 1 << 13
@@ -166,20 +165,15 @@ def functional(system: QuantumSystem, p: float, alpha, t: float):
     """The entropic functional e_[p,t](alpha); ``p`` may be ``math.inf``.
 
     A scalar alpha gives a float, a 1-D array of alphas an array equal entry
-    for entry, bit for bit, to scalar calls.  Raises ``NumericalDomainError``
-    naming the first alpha, in grid order, at which the powers of the
-    reference spectrum or the singular values would overflow double
-    precision, the kernel fails, or the value is not finite.
+    for entry, bit for bit, to scalar calls.  Each stack runs as the points of
+    ``quantum.per_alpha`` do, and ``require_finite`` then names p, t and the
+    first alpha, in grid order, whose value is not a finite double.
     """
     p = _validate_p(p)
     nu = system.reference_eig().eigenvalues
     overlap = system.overlap(t)
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     dim = nu.size
-    # nu <= 1 and |O_ji| <= 1: the entries of y stay below exp(max(0, first
-    # term)) and its singular values below n times that, so both are finite
-    admissible = (np.minimum(alphas, 1.0 - alphas) / p * math.log(nu[0])
-                  + math.log(dim) < _LOG_DOUBLE_MAX)
     if math.isinf(p):
         logw = np.log(nu)
         mixed = (overlap.conj().T * logw) @ overlap
@@ -194,40 +188,37 @@ def functional(system: QuantumSystem, p: float, alpha, t: float):
     else:
         def kernel(batch: np.ndarray) -> np.ndarray:
             return _log_schatten(_weighted_overlap(nu, overlap, batch, p), p)
-    values = np.full(alphas.shape, math.inf)
-    todo = np.flatnonzero(admissible)
+    values = np.empty(alphas.shape)
     step = max(1, _STACK_ENTRIES // dim ** 2)
-    for start in range(0, todo.size, step):
-        index = todo[start:start + step]
-        try:
-            values[index] = kernel(alphas[index])
-        except np.linalg.LinAlgError:
-            # one alpha at a time, so that NaN marks the alpha whose call failed
-            for i in index:
-                try:
-                    values[i] = kernel(alphas[i:i + 1])[0]
-                except np.linalg.LinAlgError:
-                    values[i] = math.nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, alphas.size, step):
+            batch = alphas[start:start + step]
+            try:
+                values[start:start + step] = kernel(batch)
+            except np.linalg.LinAlgError:
+                # one alpha at a time, so that NaN marks the alpha whose call failed
+                values[start:start + step] = per_alpha(
+                    lambda a: kernel(np.array([a]))[0], batch)
     require_finite(values, "e_[p,t](alpha)", alphas, t, f"p={p}, ")
     return float(values[0]) if np.ndim(alpha) == 0 else values
 
 
-def naive_functional(system: QuantumSystem, alpha: float, t: float) -> float:
-    """log tr(w0 exp(-alpha t Sigma_t)).
+def naive_functional(system: QuantumSystem, alpha, t: float):
+    """log tr(w0 exp(-alpha t Sigma_t)), per alpha.
 
     The direct quantization of the classical functional.  It vanishes at
     alpha = 0 but, whenever H and w0 do not commute, generically fails the
     normalization e(1) = 0 that the ordered family keeps.
     """
     sig = mean_ep_observable(system, t)
-    lam, vecs = np.linalg.eigh(-alpha * t * sig)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def point(alpha: float) -> float:
+        lam, vecs = np.linalg.eigh(-alpha * t * sig)
         weight = (vecs * np.exp(lam)) @ vecs.conj().T
-        trace = np.trace(system.reference_state @ weight).real
-    require_finite(trace, "log tr(w0 exp(-alpha t Sigma_t))", alpha, t)
-    if trace <= 0.0:
-        raise NumericalDomainError(f"trace is not positive: {trace:.3e}")
-    return float(np.log(trace))
+        return float(np.log(np.trace(system.reference_state @ weight).real))
+
+    return require_finite(per_alpha(point, alpha),
+                          "log tr(w0 exp(-alpha t Sigma_t))", alpha, t)
 
 
 def variational_max(system: QuantumSystem, alpha, t: float):
@@ -277,7 +268,8 @@ def variational_max(system: QuantumSystem, alpha, t: float):
                     f"at alpha={alpha}, t={t}")
         return best
 
-    return per_alpha(point, alpha)
+    return require_finite(per_alpha(point, alpha), "the maximizer's objective",
+                          alpha, t)
 
 
 def araki_masuda_norm(element, system: QuantumSystem, p: float) -> float:
@@ -316,26 +308,22 @@ def transfer_functional(system: QuantumSystem, p: float, alpha, t: float):
 
     That matrix is the transferred identity w_t^(alpha/p) w0^(-alpha/p) times
     the norm's weight w0^(1/p), formed directly from the two spectra, so every
-    alpha != 0 is admissible even when the formal index p/alpha leaves
-    [1, oo).  For time-reversal invariant systems the value is
-    e_[p,t](alpha), checked by the ``functional_transfer_bridge`` row of the
-    verification battery; in general it is e_[p,t](1 - alpha), checked by
+    alpha != 0 has a value, even where the formal index p/alpha leaves [1, oo),
+    until a power of the spectra leaves double precision.  For time-reversal
+    invariant systems it is e_[p,t](alpha), checked by the
+    ``functional_transfer_bridge`` row of the verification battery; in
+    general it is e_[p,t](1 - alpha), checked by
     ``functional_transfer_reflection``.
     """
     p = _finite_p(p)
     reference = system.reference_eig()
     evolved = system.heisenberg_reference_eig(-t)
-    nu = reference.eigenvalues
 
     def point(alpha: float) -> float:
         if alpha == 0:
             raise ValueError("alpha = 0 leaves the transferred identity undefined")
-        # nu <= 1, so every entry and singular value below stays under n^4 nu_min^-|alpha/p|
-        if abs(alpha) / p * -math.log(nu[0]) + 4 * math.log(nu.size) >= _LOG_DOUBLE_MAX:
-            raise NumericalDomainError(
-                f"w_t^(alpha/p) w0^((1-alpha)/p) would leave double precision at "
-                f"p={p}, alpha={alpha}, t={t}")
         return float(_log_schatten(matrix_power(evolved, alpha / p)
                                    @ matrix_power(reference, (1.0 - alpha) / p), p))
 
-    return per_alpha(point, alpha)
+    return require_finite(per_alpha(point, alpha),
+                          "log ||U_{p/alpha}(t) 1||_p^p", alpha, t, f"p={p}, ")

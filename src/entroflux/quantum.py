@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, require_finite
 from .measures import logsumexp
 
 HERMITIAN_ATOL = 1e-12
@@ -221,10 +221,18 @@ class QuantumSystem:
 
 def per_alpha(point: Callable[[float], float], alpha):
     """``point(alpha)`` for a scalar alpha; for a 1-D array of alphas, the
-    array of ``point(a)`` over its entries, in order."""
-    if np.ndim(alpha) == 0:
-        return point(alpha)
-    return np.array([point(a) for a in np.asarray(alpha, dtype=float).tolist()])
+    array of ``point(a)`` over its entries, in order.  The points run with
+    numpy's overflow, invalid and divide warnings off, and a point whose
+    LAPACK call fails gives NaN: a value outside double precision comes back
+    as inf or NaN, for the caller's ``require_finite`` to name its alpha."""
+    def guarded(a: float) -> float:
+        try:
+            return point(a)
+        except np.linalg.LinAlgError:
+            return np.nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return guarded(alpha) if np.ndim(alpha) == 0 else np.array(
+            [guarded(a) for a in np.asarray(alpha, dtype=float).tolist()])
 
 
 def heisenberg_evolve(system: QuantumSystem, operator, t: float) -> np.ndarray:
@@ -280,7 +288,8 @@ def q_renyi_entropy(rho, nu, alpha):
         return logsumexp(np.add.outer(alpha * log_r, (1.0 - alpha) * log_n)
                          .ravel() + log_w)
 
-    return per_alpha(point, alpha)
+    return require_finite(per_alpha(point, alpha),
+                          "log tr(rho^alpha nu^(1-alpha))", alpha)
 
 
 def entropy_observable(system: QuantumSystem) -> np.ndarray:

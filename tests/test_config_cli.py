@@ -1405,14 +1405,17 @@ CGF = "log sum_phi exp(-t alpha phi) P(phi)"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("subcommand, text, system, quantity, t", [
-    ("classical", OVERFLOW_CHAIN, "c", "e_t(alpha)", "2"),
-    ("functionals", OVERFLOW_CHAIN, "c", "e_t(alpha)", "2"),
-    ("fcs", OVERFLOW_CHAIN, "c", "e_t(alpha)", "2"),
-    ("fcs", OVERFLOW_QUANTUM, "q", CGF, "2.0"),
-], ids=["classical", "functionals", "fcs-chain", "fcs-quantum"])
+@pytest.mark.parametrize("subcommand, text, system, quantity, where", [
+    ("classical", OVERFLOW_CHAIN, "c", "e_t(alpha)", "alpha=1e+308, t=2"),
+    ("functionals", OVERFLOW_CHAIN, "c", "e_t(alpha)", "alpha=1e+308, t=2"),
+    ("fcs", OVERFLOW_CHAIN, "c", "e_t(alpha)", "alpha=1e+308, t=2"),
+    ("fcs", OVERFLOW_QUANTUM, "q", CGF, "alpha=1e+308, t=2.0"),
+    ("functionals", OVERFLOW_QUANTUM, "q", "e_[p,t](alpha)",
+     "p=1.0, alpha=1e+308, t=2.0"),
+], ids=["classical", "functionals", "fcs-chain", "fcs-quantum",
+        "functionals-quantum"])
 def test_cli_overflowing_alpha_t_exits_three_naming_alpha_and_t(
-        tmp_path, capsys, subcommand, text, system, quantity, t):
+        tmp_path, capsys, subcommand, text, system, quantity, where):
     # alpha t = 2e308 is not a double: the log-sum-exp of the curve is nan
     path = tmp_path / "overflow.yaml"
     path.write_text(text)
@@ -1420,7 +1423,7 @@ def test_cli_overflowing_alpha_t_exits_three_naming_alpha_and_t(
     assert cli.main([subcommand, "-c", str(path), "-o", str(out)]) == 3
     assert capsys.readouterr().err == (
         f"numerical domain error: {subcommand} on system {system}: {quantity} "
-        f"is not finite in double precision at alpha=1e+308, t={t}\n")
+        f"is not finite in double precision at {where}\n")
     assert not (out / "curves.csv").exists()
 
 

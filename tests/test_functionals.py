@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroflux import classical as cl
+from entroflux import fcs as fc
 from entroflux import functionals as fn
 from entroflux import quantum as qm
+from entroflux.config import DEFAULT_PS
 from entroflux.errors import NumericalDomainError
-from entroflux.models import canonical_model, random_system
+from entroflux.models import canonical_model, random_classical_system, random_system
 from strategies import quantum_systems
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -354,6 +357,51 @@ def test_large_finite_p_names_p_and_the_bound(p, call):
     bound = re.escape(f"p={p} is above the bound 16888.5 of n=8 ")
     with pytest.raises(NumericalDomainError, match="^" + bound):
         LARGE_P_CALLS[call](system, p)
+
+
+# every e(alpha) route on a quantum system q and a chain c: the call, then the
+# text its error names before and after the alpha (p where the route has one)
+OVERFLOW_ROUTES = {
+    **{f"functional-p{p}": ((lambda q, c, a, p=p: fn.functional(q, p, a, 1.0)),
+                            f"p={p}, ", ", t=1.0") for p in DEFAULT_PS},
+    "transfer_functional": (lambda q, c, a: fn.transfer_functional(q, 2.0, a, 1.0),
+                            "p=2.0, ", ", t=1.0"),
+    "naive_functional": (lambda q, c, a: fn.naive_functional(q, a, 1.0),
+                         "", ", t=1.0"),
+    "variational_max": (lambda q, c, a: fn.variational_max(q, a, 1.0),
+                        "", ", t=1.0"),
+    "q_renyi_entropy": (lambda q, c, a: qm.q_renyi_entropy(
+        q.heisenberg_reference_eig(-1), q.reference_eig(), a), "", ""),
+    "fcs_cgf": (lambda q, c, a: fc.fcs_cgf(fc.fcs_distribution(q, 1.0), a, 1.0),
+                "", ", t=1.0"),
+    "classical_functional": (lambda q, c, a: cl.classical_functional(c, a, 2),
+                             "", ", t=2"),
+    "variational_functional": (lambda q, c, a: cl.variational_functional(c, a, 2),
+                               "", ", t=2"),
+    "renyi_identity_check": (lambda q, c, a: cl.renyi_identity_check(c, a, 2),
+                             "", ", t=2"),
+    "classical_transfer_functional": (
+        lambda q, c, a: cl.classical_transfer_functional(c, 2.0, a, 2),
+        "p=2.0, ", ", t=2"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha, named", [
+    (1e308, "1e+308"), (-1e308, "-1e+308"), (np.array([0.5, 1e308]), "1e+308"),
+], ids=["1e308", "-1e308", "grid"])
+@pytest.mark.parametrize("route", list(OVERFLOW_ROUTES))
+def test_every_route_outside_double_precision_names_its_alpha(route, alpha,
+                                                               named):
+    # alpha t overflows a double, and so do the powers of a spread-12 spectrum;
+    # no route may warn, raise LinAlgError or return nan instead
+    call, before, after = OVERFLOW_ROUTES[route]
+    quantum = random_system(3, seed=2, spread=12)
+    chain = random_classical_system(7, seed=3)
+    with pytest.raises(NumericalDomainError, match=re.escape(
+            f" is not finite in double precision at {before}alpha={named}{after}")
+            + "$"):
+        call(quantum, chain, alpha)
 
 
 # dim 40 puts a few alphas in a stack, so this grid spans several stacks
