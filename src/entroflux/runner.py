@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import time
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
@@ -31,7 +30,8 @@ from . import pool
 from . import quantum as qm
 from . import verify as vf
 from .config import ExperimentConfig, SystemEntry, default_config
-from .errors import NumericalDomainError, WorkerLostError
+from .errors import (ConfigValidationError, NumericalDomainError,
+                     WorkerLostError)
 from .version import __version__
 
 DEFAULT_OUTPUT_DIR = "out"
@@ -304,26 +304,16 @@ def _matrix_row(row) -> str:
 # -- verification ---------------------------------------------------------
 
 def _determinism_check() -> list:
-    """Byte-identical tables and masked-manifest equality between a one-worker
-    run and a run with one worker per CPU, where this process shares the
-    pooled curves with a forked child per extra CPU."""
+    """Identical ``curves.csv`` text from a one-worker run and a two-worker
+    run, where this process shares the pooled curves with a forked child."""
     cfg = default_config()
     pooled = SystemEntry("pooled", "random", {"dim": POOLED_DIM})
     cfg = replace(cfg, systems=cfg.systems + (pooled,), alphas=(0.0, 0.5, 1.0),
                   ps=(2.0, math.inf), ts=(1.0,))
-    snapshots = []
-    for workers in (1, None):
-        tables = run_functionals(cfg, workers)
-        with tempfile.TemporaryDirectory() as scratch:
-            manifest = write_outputs(scratch, "functionals", tables, cfg, 0.0)
-            with open(os.path.join(scratch, "curves.csv"), "rb") as handle:
-                data = handle.read()
-        manifest = dict(manifest)
-        manifest.pop("wall_time_seconds")
-        snapshots.append((data, json.dumps(manifest, sort_keys=True)))
-    same = snapshots[0] == snapshots[1]
+    serial, shared = (run_functionals(cfg, workers)["curves"].to_csv()
+                      for workers in (1, 2))
     return [vf.bounded_check("runner_determinism", "runner",
-                             0.0 if same else 1.0, 0.5)]
+                             0.0 if serial == shared else 1.0, 0.5)]
 
 
 def render_check_table(results) -> str:
@@ -401,6 +391,8 @@ def execute(cfg: ExperimentConfig, subcommand: str, output_dir) -> tuple:
         results = []
         try:
             extra = cfg.build_systems() if cfg.from_file else []
+            if "runner" in [system_id for system_id, _, _ in extra]:
+                raise ConfigValidationError("systems.runner: the id is reserved")
             results += vf.run_battery(extra, cfg.tolerances)
             results += _determinism_check()
         except (NumericalDomainError, WorkerLostError) as exc:

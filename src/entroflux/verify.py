@@ -35,7 +35,8 @@ from . import pool
 from . import quantum as qm
 # defined in config, which validates overrides at parse time; read here too
 from .config import DEFAULT_TOLERANCES, merge_tolerances  # noqa: F401
-from .errors import NumericalDomainError, WorkerLostError
+from .errors import (ConfigValidationError, NumericalDomainError,
+                     WorkerLostError)
 
 PASS = "pass"
 FAIL = "fail"
@@ -657,13 +658,19 @@ def check_system(system_id: str, kind: str, obj, tol: dict):
 
 def run_battery(extra_systems=(), tolerances=None):
     """Every row on the roster, then the extra systems, then the fixed
-    systems; returns the list of CheckResult rows.  Each system is one
-    ``pool.fork_map`` job: forked children check the largest systems and
-    this process the smallest.  A domain error carries every row before it
-    in ``results``, and so does the ``WorkerLostError`` of a child that
-    died, which names the system that child was checking."""
+    systems; returns the list of CheckResult rows.  Two systems of one id
+    are a ``ConfigValidationError`` before any row runs.  Each system is
+    one ``pool.fork_map`` job: forked children check the largest systems
+    and this process the smallest.  A domain error carries every row
+    before it in ``results``, and so does the ``WorkerLostError`` of a
+    child that died, which names the system that child was checking."""
     tol = merge_tolerances(tolerances)
     systems = list(default_systems()) + list(extra_systems) + fixed_systems()
+    ids = [system_id for system_id, _, _ in systems]
+    for system_id in ids:
+        if ids.count(system_id) > 1:
+            raise ConfigValidationError(f"systems.{system_id}: the verify "
+                                        "battery has another system of this id")
     jobs = [partial(check_system, *system, tol) for system in systems]
     sizes = [getattr(obj, "dim", 0) for _, _, obj in systems]
     results = []

@@ -735,6 +735,14 @@ def test_determinism_row_compares_pooled_sweeps(monkeypatch, tmp_path, forks):
     _assert_no_child()
 
 
+def test_determinism_row_forks_one_child_on_one_cpu(monkeypatch, forks):
+    monkeypatch.setattr(pool, "cpu_count", lambda: 1)
+    [row] = runner._determinism_check()
+    assert (row.residual, row.status) == (0.0, vf.PASS)
+    assert forks == [1]
+    _assert_no_child()
+
+
 def test_run_functionals_leaves_no_thread_behind(monkeypatch, forks):
     # a later fork is safe only while no other thread runs
     monkeypatch.setattr(pool, "cpu_count", lambda: 2)
@@ -1103,10 +1111,10 @@ def test_verify_tables_do_not_depend_on_the_worker_count(monkeypatch, tmp_path,
         # this process is a worker too: it checks the smallest systems
         assert str(os.getpid()) in seen
         assert len(set(seen)) <= workers
-        # a forked child per extra CPU up to one worker per system, then for
-        # the determinism row's pooled run up to one worker per curve of its
-        # 2, each forked before any helper thread
-        assert forks == [1] * (min(workers, systems) - 1 + min(workers, 2) - 1)
+        # a forked child per extra CPU up to one worker per system, plus the
+        # one of the determinism row's two-worker run, each forked before any
+        # helper thread
+        assert forks == [1] * min(workers, systems)
         _assert_no_child()
     assert tables[2] == tables[1] and tables[8] == tables[1]
     ids = [line.split(",", 1)[0] for line in tables[1].splitlines()[1:]]
@@ -1228,6 +1236,53 @@ def test_verify_determinism_failure_writes_every_battery_row(
         runner.checks_to_table(example_battery).to_csv()
     assert json.loads((out / "run.json").read_text())["rows"] == \
         {"checks": len(example_battery)}
+
+
+def test_determinism_row_fails_on_a_one_ulp_difference(
+        example_battery, monkeypatch, tmp_path, capsys):
+    exact, parent = fn.functional, os.getpid()
+
+    def one_ulp_off_in_a_child(system, *args):
+        value = exact(system, *args)
+        if system.dim == runner.POOLED_DIM:
+            if os.getpid() == parent:
+                time.sleep(0.05)    # so that the child surely takes a curve
+            else:
+                value = value.copy()
+                value[0] = np.nextafter(value[0], np.inf)
+        return value
+
+    monkeypatch.setattr(fn, "functional", one_ulp_off_in_a_child)
+    failed = vf.bounded_check("runner_determinism", "runner", 1.0, 0.5)
+    assert runner._determinism_check() == [failed]
+    assert failed.status == vf.FAIL
+    out = tmp_path / "out"
+    assert cli.main(["verify", "-c", str(EXAMPLE), "-o", str(out)]) == 1
+    _assert_no_child()
+    assert (out / "checks.csv").read_text() == \
+        runner.checks_to_table(example_battery + [failed]).to_csv()
+
+
+@pytest.mark.parametrize("system_id", ["qubit-flip", "format", "runner"])
+def test_verify_rejects_an_id_the_battery_uses(system_id, monkeypatch,
+                                               tmp_path, capsys):
+    checked = []
+    monkeypatch.setattr(vf, "check_system",
+                        lambda *args: checked.append(args) or [])
+    monkeypatch.setattr(pool, "cpu_count", lambda: 1)
+    path, out = tmp_path / "taken.yaml", tmp_path / "out"
+    path.write_text(f"systems:\n  - {{id: {system_id}, kind: random, "
+                    "dim: 3, seed: 4}\n")
+    assert cli.main(["verify", "-c", str(path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: systems.{system_id}: ")
+    assert checked == [] and not (out / "checks.csv").exists()
+
+
+def test_run_battery_rejects_an_extra_system_with_a_roster_id():
+    extra = vf.default_systems()[-1:]
+    with pytest.raises(ConfigValidationError, match=extra[0][0]):
+        vf.run_battery(extra)
 
 
 def test_functionals_worker_death_exits_four_naming_the_system(
