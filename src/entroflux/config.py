@@ -306,10 +306,10 @@ def _parse_system(entry, index: int) -> SystemEntry:
     system_id = mapping.get("id", f"{kind}-{index}")
     if not isinstance(system_id, str) or not system_id:
         _fail(f"{path}.id", "expected a nonempty string")
-    # an id is written unquoted as the first cell of every CSV row
-    if any(c in system_id for c in ',\n\r"'):
-        _fail(f"{path}.id", "must not contain commas, line breaks or double "
-              "quotes")
+    # an id is written unquoted in every CSV row, where a zero byte is padding
+    if any(c in system_id for c in ',\n\r"\0'):
+        _fail(f"{path}.id", "must not contain commas, line breaks, double "
+              "quotes or NUL characters")
 
     _, schema, _ = _KINDS[kind]
     _reject_unknown(mapping, {"id", "kind", *schema}, path)

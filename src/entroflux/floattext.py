@@ -9,11 +9,14 @@ a table of 10^(16-k) to 106 bits, built from integers.  Its error is below
 half, as at the exact ties ``%`` rounds half to even.  Those elements, nan,
 +-inf and +-0 are spelled by ``%`` itself.
 
-Each value is spelled in a row of WIDTH bytes with a mask of the bytes to
-keep: a prefix (the "-" and the "0.000" of k in [-4, -1]), a body of the 17
-digits with a decimal point inserted, and a suffix ("e", the exponent's sign
-and digits).  C's ``%g`` rules choose the kept bytes from the sign, k and
-the last nonzero digit.
+Each value is spelled in a row of WIDTH bytes: a prefix (the "-" and the
+"0.000" of k in [-4, -1]), a body of the 17 digits with a decimal point
+inserted, and a suffix ("e", the exponent's sign and digits), as C's ``%g``
+rules choose them from the sign, k and the last nonzero digit.  Every byte
+that ``%`` does not write is 0, the only padding, so a row read without its
+zero bytes is the text.  ``runner.ResultTable`` spells a table of
+VECTOR_ROWS rows or more in chunks taken across block boundaries, one call
+per chunk, its rows beside the other cells in one zero-padded matrix.
 """
 from __future__ import annotations
 
@@ -30,7 +33,6 @@ _SPLIT = 2.0 ** 27 + 1
 _PREFIX = b"-0.000"
 _BODY = slice(len(_PREFIX), len(_PREFIX) + PRECISION + 1)
 WIDTH = _BODY.stop + len(b"e-308")
-_COLUMNS = np.arange(WIDTH)
 # byte masks on a 24-byte window of the digits, by the index p of the digit
 # that the point follows: the digits before the point, the digits after it
 # (read one column to the left) and the point itself
@@ -64,20 +66,17 @@ def _powers():
 
 @lru_cache(maxsize=None)
 def _affixes():
-    """Each k's row of bytes outside the body, and the kept ones by
-    (k, sign)."""
-    text = np.zeros((_K_HIGH - _K_LOW + 1, WIDTH), dtype=np.uint8)
-    keep = np.zeros((len(text), 2, WIDTH), dtype=bool)
+    """Each (k, sign)'s row of the bytes written outside the body, 0 at the
+    rest."""
+    text = np.zeros((_K_HIGH - _K_LOW + 1, 2, WIDTH), dtype=np.uint8)
     for row, k in enumerate(range(_K_LOW, _K_HIGH + 1)):
-        text[row, :_BODY.start] = list(_PREFIX)
         if k not in _FIXED:
             suffix = b"e%+03d" % k
-            text[row, _BODY.stop:_BODY.stop + len(suffix)] = list(suffix)
-            keep[row, :, _BODY.stop:_BODY.stop + len(suffix)] = True
+            text[row, :, _BODY.stop:_BODY.stop + len(suffix)] = list(suffix)
         elif k < 0:
-            keep[row, :, 1:2 - k] = True        # "0." and -k-1 zeros
-        keep[row, 1, 0] = True                  # "-"
-    return text, keep.reshape(-1, WIDTH)
+            text[row, :, 1:2 - k] = list(_PREFIX[1:2 - k])   # "0." and zeros
+        text[row, 1, 0] = ord("-")
+    return text.reshape(-1, WIDTH)
 
 
 @lru_cache(maxsize=None)
@@ -131,10 +130,9 @@ def _digits(n):
         PRECISION - 1 - np.argmax(nonzero, axis=1)
 
 
-def g17(values) -> tuple:
-    """``(text, keep)``: uint8 and bool matrices of shape (len(values),
-    WIDTH) whose row i, read at its kept columns, is ``"%.17g" % values[i]``.
-    """
+def g17(values) -> np.ndarray:
+    """A uint8 matrix of shape (len(values), WIDTH) whose row i, read without
+    its zero bytes, is ``"%.17g" % values[i]``."""
     x = np.asarray(values, dtype=float)
     magnitude = np.abs(x)
     exact = (magnitude > 0) & (magnitude < np.inf)
@@ -161,18 +159,13 @@ def g17(values) -> tuple:
     fixed = (k >= _FIXED.start) & (k < _FIXED.stop)
     point = np.where(fixed, np.where(k < 0, last, k), 0)
     length = np.where(last > point, last + 2, point + 1)
-    body = (digits & np.take(_HEAD, point, axis=0)) \
-        | np.take(_POINT, point, axis=0) \
-        | (shifted & np.take(_TAIL, point, axis=0))
-    affix_text, affix_keep = _affixes()
-    row = k - _K_LOW
-    text = np.take(affix_text, row, axis=0)
+    body = ((digits & np.take(_HEAD, point, axis=0))
+            | np.take(_POINT, point, axis=0)
+            | (shifted & np.take(_TAIL, point, axis=0))) \
+        & np.take(_HEAD, length - 1, axis=0)
+    text = np.take(_affixes(), 2 * (k - _K_LOW) + (x < 0), axis=0)
     text[:, _BODY] = body[:, :_BODY.stop - _BODY.start]
-    keep = np.take(affix_keep, 2 * row + (x < 0), axis=0)
-    keep[:, _BODY] = np.take(_HEAD, length - 1,
-                             axis=0)[:, :_BODY.stop - _BODY.start]
     for i in np.flatnonzero(~exact):
-        spelled = ("%.17g" % x[i]).encode()
-        text[i, :len(spelled)] = np.frombuffer(spelled, np.uint8)
-        keep[i] = _COLUMNS < len(spelled)
-    return text, keep
+        spelled = ("%.17g" % x[i]).encode().ljust(WIDTH, b"\0")
+        text[i] = np.frombuffer(spelled, np.uint8)
+    return text

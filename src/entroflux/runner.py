@@ -38,7 +38,7 @@ DEFAULT_OUTPUT_DIR = "out"
 # smallest quantum dimension whose functionals curves are pooled: pooling from
 # dim 8 made run_functionals on configs/example.yaml 19.2 -> 23.7 ms (2 CPUs)
 POOLED_DIM = 16
-# blocks of at least VECTOR_ROWS rows render their float cells through
+# tables of at least VECTOR_ROWS rows render their float cells through
 # floattext, set where a block of two float cells took as long per row either
 # way; CHUNK_ROWS rows at a time bound its matrices to a few hundred KiB
 VECTOR_ROWS = 256
@@ -62,7 +62,10 @@ def format_cell(value) -> str:
 @dataclass
 class ResultTable:
     """Rows appended in blocks.  A cell may be a 1-D float array: array cells
-    vary along the block, scalar cells repeat, and scalars alone are one row."""
+    vary along the block, scalar cells repeat, and scalars alone are one row.
+    A table of VECTOR_ROWS rows or more is spelled in chunks of CHUNK_ROWS
+    rows taken across block boundaries, each a zero-padded byte matrix read
+    without its zero bytes, the only padding; a shorter one by ``%``."""
 
     columns: tuple
     blocks: list = field(default_factory=list)     # (cells, row count)
@@ -79,51 +82,72 @@ class ResultTable:
         return sum(n for _, n in self.blocks)
 
     def _csv_blocks(self):
-        """The CSV text in pieces: the header line, then each block's rows
-        as one string or a few.  A short block is rendered by one ``%`` over
-        all its cells, a long one by ``_vector_rows``: the same text."""
-        yield ",".join(self.columns) + "\n"
-        for values, count in self.blocks:
-            if count >= VECTOR_ROWS:
-                for start in range(0, count, CHUNK_ROWS):
-                    yield _vector_rows(values, start,
-                                       min(count, start + CHUNK_ROWS))
-                continue
-            row = ",".join(FLOAT_FORMAT if isinstance(v, np.ndarray)
-                           else format_cell(v).replace("%", "%%")
-                           for v in values)
-            arrays = [v for v in values if isinstance(v, np.ndarray)]
-            cells = np.column_stack(arrays).ravel().tolist() if arrays else ()
-            yield (row + "\n") * count % tuple(cells)
+        """The CSV bytes in pieces: the header line, then each block of a
+        short table or each chunk of a long one."""
+        yield (",".join(self.columns) + "\n").encode()
+        if len(self) < VECTOR_ROWS:
+            for values, count in self.blocks:
+                row = ",".join(FLOAT_FORMAT if isinstance(v, np.ndarray)
+                               else format_cell(v).replace("%", "%%")
+                               for v in values)
+                arrays = [v for v in values if isinstance(v, np.ndarray)]
+                cells = np.column_stack(arrays).ravel().tolist() \
+                    if arrays else ()
+                yield ((row + "\n") * count % tuple(cells)).encode()
+            return
+        chunk, rows = [], 0
+        for values, count in self.blocks:     # slices end where chunks fill
+            edges = [0, *range(CHUNK_ROWS - rows, count, CHUNK_ROWS), count]
+            for start, stop in zip(edges, edges[1:]):
+                chunk.append((values, start, stop))
+                rows += stop - start
+                if rows == CHUNK_ROWS:
+                    yield _chunk_rows(chunk)
+                    chunk, rows = [], 0
+        if chunk:
+            yield _chunk_rows(chunk)
 
     def to_csv(self) -> str:
-        return "".join(self._csv_blocks())
+        return b"".join(self._csv_blocks()).decode()
 
 
-def _vector_rows(values, start: int, stop: int) -> str:
-    """Rows start..stop of a block: floattext's byte matrices for the array
-    cells' slices between constant columns for the rest, kept bytes joined."""
+def _chunk_rows(pieces) -> bytes:
+    """The rows of block slices ``(cells, start, stop)`` as one zero-padded
+    byte matrix: each slice's scalar cells, commas and newline repeated down
+    its rows, and one floattext matrix for all array cells."""
     from . import floattext     # short tables never load it
-    rows = stop - start
-    text, keep = floattext.g17(np.concatenate(
-        [v[start:stop] for v in values if isinstance(v, np.ndarray)]))
-    cells = zip(text.reshape(-1, rows, floattext.WIDTH),
-                keep.reshape(-1, rows, floattext.WIDTH))
-    pieces = []
-    for i, value in enumerate(values):
-        array = isinstance(value, np.ndarray)
-        pieces.append(_constant_columns(
-            ("," if i else "") + ("" if array else format_cell(value)), rows))
-        if array:
-            pieces.append(next(cells))
-    texts, keeps = zip(*pieces, _constant_columns("\n", rows))
-    return np.hstack(texts)[np.hstack(keeps)].tobytes().decode()
-
-
-def _constant_columns(text: str, rows: int) -> tuple:
-    raw = np.frombuffer(text.encode(), np.uint8)
-    return (np.broadcast_to(raw, (rows, len(raw))),
-            np.broadcast_to(True, (rows, len(raw))))
+    counts = [stop - start for _, start, stop in pieces]
+    texts, arrays = [], []
+    for column in zip(*(values for values, _, _ in pieces)):
+        is_array = [isinstance(v, np.ndarray) for v in column]
+        # numpy pads each slice's bytes with zeros to the widest; an array
+        # column is at least floattext's WIDTH
+        text = np.array([b"" if array else format_cell(v).encode()
+                         for v, array in zip(column, is_array)])
+        if any(is_array):
+            text = text.astype(f"S{max(text.itemsize, floattext.WIDTH)}")
+        texts.append(text.view(np.uint8).reshape(len(pieces), -1))
+        arrays.append(is_array)
+    offsets = np.cumsum([0] + [t.shape[1] + 1 for t in texts])
+    line = np.full((len(pieces), offsets[-1]), ord(","), dtype=np.uint8)
+    line[:, -1] = ord("\n")
+    for text, offset in zip(texts, offsets):
+        line[:, offset:offset + text.shape[1]] = text
+    buf = np.repeat(line, counts, axis=0)
+    columns = [j for j, is_array in enumerate(arrays) if any(is_array)]
+    if columns:
+        spelled = floattext.g17(np.concatenate(
+            [values[j][start:stop] for j in columns
+             for values, start, stop in pieces
+             if isinstance(values[j], np.ndarray)]))
+        taken = 0
+        for j in columns:
+            rows = np.repeat(arrays[j], counts)
+            count = np.count_nonzero(rows)
+            buf[rows, offsets[j]:offsets[j] + floattext.WIDTH] = \
+                spelled[taken:taken + count]
+            taken += count
+    return buf.tobytes().translate(None, b"\0")
 
 
 def _check_rows(table: ResultTable, results) -> None:
@@ -355,7 +379,7 @@ def write_outputs(output_dir: str, subcommand: str, tables: dict,
         if table is None or not len(table) or not gate.get(name, True):
             continue
         path = os.path.join(output_dir, f"{name}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(path, "wb") as handle:
             handle.writelines(table._csv_blocks())
         rows_written[name] = len(table)
     manifest = {

@@ -422,10 +422,16 @@ def _sigma_decomposition_batch(c: Context) -> float:
 
 
 def _format_round_trip(c: Context) -> float:
+    """Samples that long tables' ``floattext`` misspells or misparses."""
+    from . import floattext     # loaded on first use, as by long tables
     samples = np.concatenate([c.curve(p, (-0.6, 0.35, 1.7), 1.0)
                               for p in (1.0, 2.0, math.inf)]).tolist()
-    samples += [qm.mean_ep_expectation(c.system, 0.5), math.pi, 1e-300]
-    return float(sum(1 for v in samples if float("%.17g" % v) != v))
+    samples += [qm.mean_ep_expectation(c.system, 0.5), math.pi, 1e-300,
+                1000000000000000.25, 1e16, 1e17 - 16, 5e-324, -0.0]
+    texts = (row.tobytes().replace(b"\0", b"")
+             for row in floattext.g17(samples))
+    return float(sum(1 for v, text in zip(samples, texts)
+                     if text != b"%.17g" % v or float(text) != v))
 
 
 def fixed_systems():

@@ -287,6 +287,8 @@ def _one_system(body: str) -> str:
      "systems[0].id"),
     (_one_system("id: '\"a', kind: classical, weights: [1.0]"),
      "systems[0].id"),
+    (_one_system('id: "a\\0b", kind: classical, weights: [1.0]'),
+     "systems[0].id"),
     (MINIMAL + "sweep: {alpha: {min: 0, max: 1}}\n", "sweep.alpha.step"),
     (MINIMAL + "sweep: {alpha: {min: 1, max: 0, step: 0.1}}\n",
      "sweep.alpha"),
@@ -306,7 +308,7 @@ def _one_system(body: str) -> str:
         "weights-empty", "weights-nonpositive", "matrix-bad-entry",
         "matrix-not-list", "matrix-row-not-list", "matrix-ragged",
         "kind-unknown", "id-empty", "id-comma", "id-carriage-return",
-        "id-quote", "range-missing-step",
+        "id-quote", "id-nul", "range-missing-step",
         "range-max-below-min", "p-not-list", "p-bad-string", "systems-empty",
         "t-empty", "directory-not-string"])
 def test_error_messages_name_offending_key(text, path):
@@ -556,6 +558,78 @@ def test_block_renders_like_rows_appended_one_by_one():
     assert block.to_csv().splitlines()[1:3] == [
         "100%-d,1.5,-inf," + "%.17g" % -ties[0] + ",P",
         "100%-d,1.5,inf," + "%.17g" % -ties[1] + ",P"]
+
+
+RENDER_SPECIAL = (None, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16,
+                  1000000000000000.25)
+RENDER_IDS = ("100%-d", "scalars %s", "ünï-çødé", "系统-7")
+
+
+def _oracle_cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else "%.17g" % float(value)
+
+
+def _random_layout(rng, sizes) -> tuple:
+    """A table of random blocks and its CSV text spelled row by row."""
+    table = runner.ResultTable(runner.CURVE_COLUMNS)
+    lines = [",".join(runner.CURVE_COLUMNS)]
+    for size in sizes:
+        arrays = rng.random(4) < 0.5
+        arrays[rng.integers(4)] = size > 1     # scalars alone are one row
+        cells = [str(rng.choice(RENDER_IDS))]
+        for is_array in arrays:
+            if is_array:
+                values = rng.standard_normal(size) \
+                    * 10.0 ** rng.integers(-320, 300, size)
+                special = rng.random(size) < 0.1
+                values[special] = rng.choice(RENDER_SPECIAL[1:],
+                                             np.count_nonzero(special))
+                cells.append(values)
+            elif rng.random() < 0.5:
+                cells.append(RENDER_SPECIAL[rng.integers(len(RENDER_SPECIAL))])
+            else:
+                cells.append(float(rng.standard_normal()))
+        table.append(*cells)
+        lines += [",".join(_oracle_cell(c[i] if isinstance(c, np.ndarray)
+                                        else c) for c in cells)
+                  for i in range(size)]
+    return table, "\n".join(lines) + "\n"
+
+
+def test_random_block_layouts_render_like_rows_spelled_one_by_one(
+        tmp_path, monkeypatch):
+    """Tables on both sides of VECTOR_ROWS, blocks on both sides of
+    CHUNK_ROWS, chunks across block boundaries and runs of scalar-only
+    rows, against a per-row ``%.17g`` spelling; every chunk but the last
+    of a table holds CHUNK_ROWS rows."""
+    assert runner.VECTOR_ROWS == 256 and runner.CHUNK_ROWS == 2048
+    chunks, spell = [], runner._chunk_rows
+
+    def counted(pieces):
+        chunks.append(sum(stop - start for _, start, stop in pieces))
+        return spell(pieces)
+
+    monkeypatch.setattr(runner, "_chunk_rows", counted)
+    rng = np.random.default_rng(35)
+    cfg = cf.parse_config(QUBIT)
+    sizes = (1, 61, 255, 256, 257, 2047, 2048, 2049, 5000)
+    layouts = [[size] for size in sizes] + [[1] * 300, [1, 1, 255, 1]]
+    layouts += [list(rng.choice(sizes, rng.integers(2, 6))) for _ in range(30)]
+    for number, layout in enumerate(layouts):
+        table, expected = _random_layout(rng, layout)
+        chunks.clear()
+        assert table.to_csv() == expected, layout
+        rows = len(table)
+        assert chunks == ([] if rows < runner.VECTOR_ROWS else
+                          [runner.CHUNK_ROWS] * (rows // runner.CHUNK_ROWS)
+                          + [rows % runner.CHUNK_ROWS] * bool(
+                              rows % runner.CHUNK_ROWS)), layout
+        runner.write_outputs(str(tmp_path / str(number)), "functionals",
+                             {"curves": table}, cfg, 0.0)
+        assert (tmp_path / str(number) / "curves.csv").read_bytes() == \
+            expected.encode(), layout
 
 
 def test_streamed_writer_and_to_csv_give_the_same_bytes(tmp_path):

@@ -125,6 +125,22 @@ def test_variational_disagreement_is_a_fail_row(monkeypatch):
     assert _status(results, "functional_variational") == vf.FAIL
 
 
+def test_format_row_fails_a_renderer_one_ulp_off(monkeypatch):
+    from entroflux import floattext
+    system = vf.fixed_systems()[-1][2]
+    tol = vf.merge_tolerances()
+    assert _status(vf.check_system("format", "format", system, tol),
+                   "format_round_trip") == vf.PASS
+    exact = floattext.g17
+
+    def one_ulp_up(values):     # 0.1 spelled 0.10000000000000002
+        return exact(np.nextafter(np.asarray(values, dtype=float), math.inf))
+
+    monkeypatch.setattr(floattext, "g17", one_ulp_up)
+    assert _status(vf.check_system("format", "format", system, tol),
+                   "format_round_trip") == vf.FAIL
+
+
 def test_check_system_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="unknown system kind 'bogus'"):
         vf.check_system("probe", "bogus", random_system(3, seed=21),
