@@ -35,7 +35,8 @@ def _overlap_route(system: QuantumSystem, t: float):
         raise ValueError(f"counting time must be positive, got {t}")
     nu = system.reference_eig().eigenvalues
     entropy = -np.log(nu)
-    jumps = (entropy[:, None] - entropy[None, :]) / t
+    with np.errstate(over="ignore"):    # a jump over a tiny t is infinite
+        jumps = (entropy[:, None] - entropy[None, :]) / t
     return nu, jumps, np.abs(system.overlap(t)) ** 2
 
 

@@ -120,8 +120,10 @@ def build_measure(values, weights, drop: float = 0.0) -> SpectralMeasure:
     values = values[order]
     weights = weights[order]
     # gap-based clustering keeps exact duplicates together and never splits
-    # a group of values produced by one degenerate transition
-    boundaries = np.flatnonzero(np.diff(values) > ATOM_TOL)
+    # a group of values produced by one degenerate transition; equal
+    # infinities differ by NaN, which splits nothing either
+    with np.errstate(invalid="ignore"):
+        boundaries = np.flatnonzero(np.diff(values) > ATOM_TOL)
     starts = np.concatenate(([0], boundaries + 1))
     mass = np.add.reduceat(weights, starts)
     keep = ~(mass < drop)          # keeps a NaN mass instead of dropping it

@@ -1348,8 +1348,10 @@ def test_verify_rejects_an_id_the_battery_uses(system_id, monkeypatch,
     path.write_text(f"systems:\n  - {{id: {system_id}, kind: random, "
                     "dim: 3, seed: 4}\n")
     assert cli.main(["verify", "-c", str(path), "-o", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"config error: systems.{system_id}: ")
+    reason = "the id is reserved" if system_id == "runner" else \
+        "the verify battery has another system of this id"
+    assert capsys.readouterr().err == \
+        f"config error: systems.{system_id}: {reason}\n"
     assert checked == [] and not (out / "checks.csv").exists()
 
 
@@ -1504,6 +1506,21 @@ def test_cli_fcs_domain_error_names_the_system(tmp_path, capsys, monkeypatch):
     assert cli.main(["fcs", "-c", str(path), "-o", str(tmp_path / "x")]) == 3
     assert capsys.readouterr().err == \
         "numerical domain error: fcs on system flip: synthetic breakdown\n"
+
+
+def test_cli_fcs_at_a_tiny_positive_t_exits_zero(tmp_path, capsys):
+    # over t = 1e-320 every jump between levels has an infinite rate and
+    # less weight than WEIGHT_DROP, so each measure is one atom at 0
+    path = tmp_path / "tiny.yaml"
+    path.write_text("systems:\n  - {id: r, kind: random, dim: 3, seed: 1}\n"
+                    "sweep:\n  t: [1.0e-320]\n")
+    out = tmp_path / "x"
+    assert cli.main(["fcs", "-c", str(path), "-o", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "distributions.csv").read_text().splitlines()[1:]]
+    assert [(float(atom), measure) for _, _, atom, _, measure in rows] == \
+        [(0.0, "P"), (0.0, "Q")]
+    assert all(abs(float(row[3]) - 1.0) < 1e-12 for row in rows)
 
 
 def test_cli_classical_domain_error_names_the_system(tmp_path, capsys,
